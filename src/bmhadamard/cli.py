@@ -174,8 +174,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # report suites
 
-def _chan_reference_weights(desc_family):
-    """The published q=4 coefficient triples, rebuilt in each family's tower."""
+def _chan_reference_weights():
+    """The published q=4 coefficient triples, in their own towers."""
     from .exactfield import QQ, adjoin_radical
 
     d15, s15 = adjoin_radical(QQ, -15)
@@ -224,7 +224,7 @@ def suite_scheme(q=4, **_):
 
 def suite_families(q=4, **_):
     checks = []
-    refs = _chan_reference_weights(None)
+    refs = _chan_reference_weights()
     for fam in all_families(q):
         label = fam.label().replace(",", ".").replace("=", "_")
         t2, cert = is_type_ii(fam)

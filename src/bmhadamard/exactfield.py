@@ -1,11 +1,12 @@
-"""Exact arithmetic in towers of quadratic extensions of Q.
+"""Exact arithmetic in towers of quadratic extensions of a base field.
 
-A tower is a chain Q = K_0 < K_1 < ... < K_m where each level K_j is
+A tower is a chain K_0 < K_1 < ... < K_m where each level K_j is
 K_{j-1}[t] / (t^2 - p*t - s) for some p, s in K_{j-1} with t^2 - p*t - s
 irreducible over K_{j-1}.  Elements are stored as nested pairs (a, b)
-meaning a + b*t, bottoming out at `fractions.Fraction`.  Equality is
-structural on reduced coefficients, so exact zero tests are just
-comparisons; nothing here ever rounds.
+meaning a + b*t, bottoming out at the base field K_0: `fractions.Fraction`
+for towers over Q, or `ratfunc.RatQ` for the tower Q(q)(r) behind
+`ratfunc.RatFuncQ`.  Equality is structural on reduced coefficients, so
+exact zero tests are just comparisons; nothing here ever rounds.
 
 Depth stays at most 3 for everything this package builds (a real
 quadratic level for a square root of a rational, optionally topped by
@@ -90,25 +91,26 @@ def rational_radical_parts(x):
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-tree arithmetic (level-0 reps are Fractions,
+# raw coefficient-tree arithmetic (level-0 reps are base-field values,
 # level-k reps are pairs of level-(k-1) reps)
 
-def _zero(depth):
+def _zero(depth, base):
     if depth == 0:
-        return Fraction(0)
-    return (_zero(depth - 1), _zero(depth - 1))
+        return base(0)
+    return (_zero(depth - 1, base), _zero(depth - 1, base))
 
 
-def _const(depth, q):
+def _const(depth, c, base):
+    # c is already a value of the base field
     if depth == 0:
-        return Fraction(q)
-    return (_const(depth - 1, q), _zero(depth - 1))
+        return c
+    return (_const(depth - 1, c, base), _zero(depth - 1, base))
 
 
 def _is_zero(x):
     if isinstance(x, tuple):
         return _is_zero(x[0]) and _is_zero(x[1])
-    return x == 0
+    return not x
 
 
 def _add(x, y):
@@ -136,19 +138,22 @@ def _mul(levels, depth, x, y):
     a, b = x
     c, d = y
     low = depth - 1
-    p, s = levels[depth - 1]
+    p, s = levels[low]
     ac = _mul(levels, low, a, c)
     bd = _mul(levels, low, b, d)
     ad_bc = _add(_mul(levels, low, a, d), _mul(levels, low, b, c))
     re = _add(ac, _mul(levels, low, bd, s))
-    im = _add(ad_bc, _mul(levels, low, bd, p))
-    return (re, im)
+    if _is_zero(p):  # pure radical level: the bd*p term vanishes
+        return (re, ad_bc)
+    return (re, _add(ad_bc, _mul(levels, low, bd, p)))
 
 
 def _conj(levels, depth, x):
     # galois conjugate at the top level: t -> p - t
     a, b = x
     p, _ = levels[depth - 1]
+    if _is_zero(p):
+        return (a, _neg(b))
     return (_add(a, _mul(levels, depth - 1, b, p)), _neg(b))
 
 
@@ -156,11 +161,13 @@ def _norm(levels, depth, x):
     # x * conj(x) = a^2 + a b p - b^2 s, an element one level down
     a, b = x
     low = depth - 1
-    p, s = levels[depth - 1]
+    p, s = levels[low]
     aa = _mul(levels, low, a, a)
     bb = _mul(levels, low, b, b)
-    abp = _mul(levels, low, _mul(levels, low, a, b), p)
-    return _sub(_add(aa, abp), _mul(levels, low, bb, s))
+    norm = _sub(aa, _mul(levels, low, bb, s))
+    if _is_zero(p):
+        return norm
+    return _add(norm, _mul(levels, low, _mul(levels, low, a, b), p))
 
 
 def _inv(levels, depth, x):
@@ -195,17 +202,19 @@ def _flatten(x, out):
 # descriptors
 
 class TowerDescriptor:
-    """An ordered chain of quadratic levels over Q.
+    """An ordered chain of quadratic levels over a base field.
 
     ``levels`` is a tuple of (p, s) pairs; level j adjoins a root of
-    t^2 - p*t - s where p and s are raw reps at depth j.  Descriptors
-    are immutable and compare structurally.
+    t^2 - p*t - s where p and s are raw reps at depth j.  ``base`` is
+    the class of the level-0 values: ``Fraction`` for Q, ``RatQ`` for
+    Q(q).  Descriptors are immutable and compare structurally.
     """
 
-    __slots__ = ("levels", "_hash")
+    __slots__ = ("levels", "base", "_hash")
 
-    def __init__(self, levels=()):
+    def __init__(self, levels=(), base=Fraction):
         self.levels = tuple(levels)
+        self.base = base
         self._hash = hash(tuple((tuple(_flatten(p, [])), tuple(_flatten(s, [])))
                                 for p, s in self.levels))
 
@@ -218,13 +227,19 @@ class TowerDescriptor:
         return 1 << len(self.levels)
 
     def __eq__(self, other):
-        return isinstance(other, TowerDescriptor) and self.levels == other.levels
+        return (isinstance(other, TowerDescriptor) and self.base is other.base
+                and self.levels == other.levels)
 
     def __hash__(self):
         return self._hash
 
     def is_prefix_of(self, other):
-        return self.levels == other.levels[: len(self.levels)]
+        return (self.base is other.base
+                and self.levels == other.levels[: len(self.levels)])
+
+    def prefix(self, depth):
+        """The tower of the first ``depth`` levels, over the same base."""
+        return TowerDescriptor(self.levels[:depth], self.base)
 
     def __repr__(self):
         return f"TowerDescriptor(depth={self.depth})"
@@ -234,7 +249,7 @@ QQ = TowerDescriptor()
 
 
 class TowerElement:
-    """An exact algebraic number a + b*t, nested down to rationals."""
+    """An exact algebraic number a + b*t, nested down to the base field."""
 
     __slots__ = ("desc", "rep")
 
@@ -242,21 +257,35 @@ class TowerElement:
         self.desc = desc
         self.rep = rep
 
+    def _make(self, desc, rep):
+        # results keep the operand's class, so a RatFuncQ stays a RatFuncQ
+        out = object.__new__(type(self))
+        out.desc = desc
+        out.rep = rep
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q, desc=QQ):
-        return TowerElement(desc, _const(desc.depth, Fraction(q)))
+        """An int or a base-field value as an element of ``desc``."""
+        base = desc.base
+        c = q if isinstance(q, base) else base(q)
+        return TowerElement(desc, _const(desc.depth, c, base))
 
     @staticmethod
     def generator(desc):
         """The adjoined root t of the top level of ``desc``."""
         if desc.depth == 0:
-            raise ValueError("Q has no generator")
-        low = desc.depth - 1
-        return TowerElement(desc, (_zero(low), _const(low, 1)))
+            raise ValueError("the base field has no generator")
+        low, base = desc.depth - 1, desc.base
+        one = _const(low, base(1), base)
+        return TowerElement(desc, (_zero(low, base), one))
 
     # -- structural helpers -------------------------------------------------
+
+    def _is_scalar(self, other):
+        return isinstance(other, (int, Fraction, self.desc.base))
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
@@ -267,7 +296,7 @@ class TowerElement:
             if self.desc.is_prefix_of(other.desc):
                 return self.lift(other.desc), other
             raise IncompatibleTowers("operands live in unrelated towers")
-        if isinstance(other, (int, Fraction)):
+        if self._is_scalar(other):
             return self, TowerElement.rational(other, self.desc)
         return self, NotImplemented
 
@@ -277,19 +306,19 @@ class TowerElement:
             raise IncompatibleTowers("not a prefix")
         rep = self.rep
         for d in range(self.desc.depth, desc.depth):
-            rep = (rep, _zero(d))
+            rep = (rep, _zero(d, desc.base))
         return TowerElement(desc, rep)
 
     def descend(self):
         """Drop top levels whose coefficient is zero (canonical home)."""
         desc, rep = self.desc, self.rep
         while desc.depth > 0 and _is_zero(rep[1]):
-            desc = TowerDescriptor(desc.levels[:-1])
+            desc = desc.prefix(desc.depth - 1)
             rep = rep[0]
         return TowerElement(desc, rep)
 
     def coefficients(self):
-        """Flat tuple of the 2**depth rational coordinates."""
+        """Flat tuple of the 2**depth base-field coordinates."""
         return tuple(_flatten(self.rep, []))
 
     def is_zero(self):
@@ -309,7 +338,7 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.desc, _add(a.rep, b.rep))
+        return self._make(a.desc, _add(a.rep, b.rep))
 
     __radd__ = __add__
 
@@ -317,24 +346,24 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.desc, _sub(a.rep, b.rep))
+        return self._make(a.desc, _sub(a.rep, b.rep))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return TowerElement(self.desc, _neg(self.rep))
+        return self._make(self.desc, _neg(self.rep))
 
     def __mul__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.desc, _mul(a.desc.levels, a.desc.depth, a.rep, b.rep))
+        return self._make(a.desc, _mul(a.desc.levels, a.desc.depth, a.rep, b.rep))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        return TowerElement(self.desc, _inv(self.desc.levels, self.desc.depth, self.rep))
+        return self._make(self.desc, _inv(self.desc.levels, self.desc.depth, self.rep))
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -348,7 +377,7 @@ class TowerElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = TowerElement.rational(1, self.desc)
+        out = self._make(self.desc, TowerElement.rational(1, self.desc).rep)
         base = self
         while k:
             if k & 1:
@@ -358,10 +387,10 @@ class TowerElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TowerElement.rational(other, self.desc)
         if not isinstance(other, TowerElement):
-            return NotImplemented
+            if not self._is_scalar(other):
+                return NotImplemented
+            other = TowerElement.rational(other, self.desc)
         try:
             a, b = self._coerce(other)
         except IncompatibleTowers:
@@ -369,7 +398,12 @@ class TowerElement:
         return a.rep == b.rep
 
     def __hash__(self):
-        return hash((self.desc, self.coefficients()))
+        # equal values may sit in different towers (or be plain numbers):
+        # hash the descended form, and a base-field value as itself
+        c = self.descend()
+        if c.desc.depth == 0:
+            return hash(c.rep)
+        return hash((c.desc, c.rep))
 
     def __repr__(self):
         return f"TowerElement({self.coefficients()})"
@@ -396,19 +430,12 @@ class TowerElement:
             a, b = rep
             return (walk(d - 1, a), walk(d - 1, b))
 
-        return TowerElement(self.desc, walk(depth, self.rep))
+        return self._make(self.desc, walk(depth, self.rep))
 
     def trace_conj(self, level=None):
         """(trace, conjugate) at a level; trace = x + conjugate."""
         c = self.galois_conj(level)
         return self + c, c
-
-    def norm_down(self):
-        """x * galois_conj(x) at the top level, pushed one level down."""
-        if self.desc.depth == 0:
-            return self
-        low_desc = TowerDescriptor(self.desc.levels[:-1])
-        return TowerElement(low_desc, _norm(self.desc.levels, self.desc.depth, self.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +466,17 @@ def field_sqrt(x):
     (u^2 = s + p^2/4 lies one level down), where (c + d*u)^2 = x
     reduces to a quadratic in d^2 over the level below.
     """
-    if x.is_zero():
-        return TowerElement(x.desc, _zero(x.desc.depth))
     desc = x.desc
     depth = desc.depth
+    if x.is_zero():
+        return TowerElement(desc, _zero(depth, desc.base))
     if depth == 0:
-        r = rational_sqrt(x.rep)
+        # squares of the base field: Q by integer roots, Q(q) by RatQ.sqrt
+        r = rational_sqrt(x.rep) if desc.base is Fraction else x.rep.sqrt()
         return None if r is None else TowerElement(desc, r)
 
     levels = desc.levels
-    low_desc = TowerDescriptor(levels[:-1])
+    low_desc = desc.prefix(depth - 1)
     p, s = levels[-1]
     half_p = TowerElement(low_desc, _scale(p, Fraction(1, 2)))
     # u = t - p/2, u^2 = m where m = s + p^2/4
@@ -508,23 +536,23 @@ def adjoin_root(desc, p, s):
     if root is not None:
         half = (p + root) / 2
         raise Reducible("quadratic splits in the current field", root=half)
-    return TowerDescriptor(desc.levels + ((p.rep, s.rep),))
+    return TowerDescriptor(desc.levels + ((p.rep, s.rep),), desc.base)
 
 
 def adjoin_radical(desc, radicand):
     """Extend by a square root of ``radicand`` (pure quadratic, p = 0).
 
-    Rational radicands are canonicalized to a squarefree integer: the
+    Radicands in Q are canonicalized to a squarefree integer: the
     caller gets back (new descriptor, the requested sqrt as an element).
     Raises Reducible when the radicand is already a square.
     """
-    if isinstance(radicand, (int, Fraction)):
+    if not isinstance(radicand, TowerElement):
         radicand = TowerElement.rational(radicand, desc)
     if radicand.desc != desc:
         radicand = radicand.lift(desc)
     if radicand.is_zero():
         raise ValueError("radicand must be nonzero")
-    if radicand.is_rational():
+    if desc.base is Fraction and radicand.is_rational():
         m, scale = rational_radical_parts(radicand.as_rational())
         new_desc = adjoin_root(desc, 0, m)
         t = TowerElement.generator(new_desc)
@@ -547,7 +575,7 @@ def embed_signature(desc):
 
     signs = []
     for j, (p, s) in enumerate(desc.levels):
-        low = TowerDescriptor(desc.levels[:j])
+        low = desc.prefix(j)
         if any(sg < 0 for sg in signs):
             raise IncompatibleTowers(
                 "imaginary level below another level: embedding undefined")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exactfield import TowerDescriptor, TowerElement, _zero
+from .exactfield import TowerElement
 
 
 class FlatTower:
@@ -130,8 +130,7 @@ class FlatTower:
 
 
 def _level_generator(desc, lvl):
-    sub = TowerDescriptor(desc.levels[: lvl + 1])
-    return TowerElement.generator(sub).lift(desc)
+    return TowerElement.generator(desc.prefix(lvl + 1)).lift(desc)
 
 
 def _unflatten(coeffs, depth):

@@ -329,13 +329,6 @@ class EPolynomial:
             acc = acc + RatFuncQ(c) * values[pair]
         return acc
 
-    def evaluate_exact(self, values, zero):
-        """Same, over tower elements (values: dict pair -> TowerElement)."""
-        acc = zero
-        for pair, c in self.coeffs.items():
-            acc = acc + values[pair] * c  # c is RatQ evaluated by caller
-        return acc
-
 
 def e_polynomials(P=None):
     """The d linear forms cutting out type-II points, k = 1..d."""

@@ -49,9 +49,6 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def contains_zero(self):
-        return self.lo <= 0 <= self.hi
-
     def is_exactly_zero(self):
         return self.lo == 0 == self.hi
 

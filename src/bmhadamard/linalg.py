@@ -1,15 +1,17 @@
 """Small exact linear algebra over any field-like element type.
 
-Works for Fraction, RatQ, RatFuncQ and TowerElement alike: elements
-need +, -, *, division (or .inverse()), and == against ``zero``.
-Everything is plain Gaussian elimination; matrices are lists of lists
-and stay tiny (4x4 eigen work) or structured (the sparse span-condition
-elimination lives in typeii, not here).
+Works for Fraction, RatQ and TowerElement alike (a RatFuncQ is a
+TowerElement over Q(q)): elements need +, -, *, division (or
+.inverse()), and == against ``zero``.  Everything is one Gauss-Jordan
+routine, ``_echelon``; matrices are lists of lists and stay tiny (4x4
+eigen work) or structured (the sparse span-condition elimination lives
+in typeii, not here).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def identity(n, zero=Fraction(0), one=Fraction(1)):
@@ -31,62 +33,12 @@ def mat_mul(a, b, zero=Fraction(0)):
     return out
 
 
-def mat_inverse(a, zero=Fraction(0), one=Fraction(1)):
-    """Gauss-Jordan inverse; raises ZeroDivisionError when singular."""
-    n = len(a)
-    work = [list(row) + ident_row for row, ident_row in
-            zip(a, identity(n, zero, one))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col] == zero), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = _field_inverse(work[col][col], one)
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col] == zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+def _echelon(rows, ncols, zero, one):
+    """Gauss-Jordan on the first ``ncols`` columns of ``rows``, in place.
 
-
-def nullspace(a, zero=Fraction(0), one=Fraction(1)):
-    """Basis of the right kernel of a (rows may outnumber columns)."""
-    rows = [list(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][col] == zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _field_inverse(rows[r][col], one)
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col] == zero:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for pc, pr in pivots.items():
-            vec[pc] = zero - rows[pr][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(a, b, zero=Fraction(0), one=Fraction(1)):
-    """One solution of A x = b, or None when inconsistent.
-
-    b is a flat vector; the system may be over- or under-determined.
+    Leaves the pivot rows first, each normalised to a leading one with
+    its column cleared everywhere else; returns the pivot columns.
     """
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for col in range(ncols):
@@ -102,9 +54,46 @@ def solve(a, b, zero=Fraction(0), one=Fraction(1)):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, len(rows)):
-        if not rows[i][ncols] == zero:
-            return None
+    return pivots
+
+
+def mat_inverse(a, zero=Fraction(0), one=Fraction(1)):
+    """Gauss-Jordan inverse; raises ZeroDivisionError when singular."""
+    n = len(a)
+    work = [list(row) + ident_row for row, ident_row in
+            zip(a, identity(n, zero, one))]
+    if len(_echelon(work, n, zero, one)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in work]
+
+
+def nullspace(a, zero=Fraction(0), one=Fraction(1)):
+    """Basis of the right kernel of a (rows may outnumber columns)."""
+    rows = [list(r) for r in a]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _echelon(rows, ncols, zero, one)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pr, pc in enumerate(pivots):
+            vec[pc] = zero - rows[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def solve(a, b, zero=Fraction(0), one=Fraction(1)):
+    """One solution of A x = b, or None when inconsistent.
+
+    b is a flat vector; the system may be over- or under-determined.
+    """
+    rows = [list(r) + [bv] for r, bv in zip(a, b)]
+    ncols = len(a[0]) if a else 0
+    pivots = _echelon(rows, ncols, zero, one)
+    if any(not row[ncols] == zero for row in rows[len(pivots):]):
+        return None
     x = [zero] * ncols
     for i, col in enumerate(pivots):
         x[col] = rows[i][ncols]
@@ -144,10 +133,8 @@ def rational_eigenvalues(a):
     intersection matrices handled here, whose spectra are rational.
     """
     coeffs = char_poly(a)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
     lead = ints[-1]
@@ -185,9 +172,3 @@ def _divisors(n):
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .exactfield import squarefree_decompose
 from .ratfunc import PolyQ
 
 
@@ -22,7 +23,7 @@ class PellProblem:
         u, v = fundamental
         if u * u - d * v * v != 1 or u <= 1:
             raise ValueError("not a fundamental solution of the unit form")
-        if d <= 0 or _squarefree_violation(d):
+        if d <= 0 or squarefree_decompose(d)[1] != 1:
             raise ValueError("d must be a squarefree positive integer")
         if a <= 0:
             raise ValueError("a must be positive")
@@ -37,15 +38,6 @@ class PellProblem:
 
     def __repr__(self):
         return f"PellProblem(x^2 - {self.d} y^2 = {self.a}, unit {self.u}+{self.v}*sqrt)"
-
-
-def _squarefree_violation(n):
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return True
-        p += 1
-    return False
 
 
 # the unit 33 + 8 sqrt(17), validated on import

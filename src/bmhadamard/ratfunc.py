@@ -1,10 +1,12 @@
 """Rational functions of the scheme parameter q, optionally carrying r.
 
 ``PolyQ``/``RatQ`` are plain dense univariate polynomials / reduced
-fractions over Q.  ``RatFuncQ`` is the working field for parametric
-computations: values A(q) + B(q)*r subject to r**2 = (17q-1)(q-1).
-All identities "in q" proved by this package are equalities of reduced
-RatFuncQ values, so they hold identically, not just at sampled points.
+fractions over Q; ``RatQ`` is the field Q(q).  ``RatFuncQ`` is the
+working field for parametric computations: values A(q) + B(q)*r subject
+to r**2 = (17q-1)(q-1), i.e. Q(q) and its r-extension as a depth-1
+`exactfield` tower over the base field ``RatQ``.  All identities "in q"
+proved by this package are equalities of reduced RatFuncQ values, so
+they hold identically, not just at sampled points.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import (
+    TowerDescriptor,
     TowerElement,
     QQ,
     adjoin_radical,
@@ -62,6 +65,9 @@ class PolyQ:
         return isinstance(other, PolyQ) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its Fraction, so it hashes like one
+        if self.degree <= 0:
+            return hash(self.leading())
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -140,6 +146,24 @@ class PolyQ:
             return a
         return a * (1 / a.leading())
 
+    def sqrt(self):
+        """The square root over Q with a positive leading term, or None."""
+        if self.is_zero():
+            return self
+        if self.degree % 2:
+            return None
+        lead = rational_sqrt(self.leading())
+        if lead is None:
+            return None
+        n = self.degree // 2
+        g = [Fraction(0)] * n + [lead]
+        for k in range(n - 1, -1, -1):
+            # the q^(n+k) coefficient of g^2 is 2*g[k]*g[n] plus known terms
+            known = sum(g[i] * g[n + k - i] for i in range(k + 1, n))
+            g[k] = (self.coeffs[n + k] - known) / (2 * lead)
+        root = PolyQ(g)
+        return root if root * root == self else None
+
     def monic(self):
         if self.is_zero():
             return self
@@ -189,6 +213,9 @@ class RatQ:
     def is_zero(self):
         return self.num.is_zero()
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def __eq__(self, other):
         other = _as_ratq(other)
         if other is NotImplemented:
@@ -196,6 +223,9 @@ class RatQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # den is monic, so a constant is num alone: hash it like its Fraction
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):
@@ -253,6 +283,17 @@ class RatQ:
             k >>= 1
         return out
 
+    def sqrt(self):
+        """An exact square root in Q(q), or None when there is none.
+
+        N/D is reduced with D monic, so it is a square exactly when N
+        and D are squares of polynomials over Q.
+        """
+        num, den = self.num.sqrt(), self.den.sqrt()
+        if num is None or den is None:
+            return None
+        return RatQ(num, den)
+
     def __call__(self, q0):
         q0 = Fraction(q0)
         d = self.den(q0)
@@ -279,125 +320,37 @@ Q = RatQ(PolyQ.x())
 R_SQUARED = (17 * Q - 1) * (Q - 1)
 
 
-class RatFuncQ:
+# (17q-1)(q-1) has the two distinct roots 1/17 and 1, so it is not a
+# square in Q(q): t^2 - R_SQUARED is irreducible and the level is built
+# directly rather than through adjoin_root's square test.
+RF_DESC = TowerDescriptor(((RatQ(0), R_SQUARED),), RatQ)
+
+
+class RatFuncQ(TowerElement):
     """Element A(q) + B(q)*r of Q(q)[r]/(r^2 - (17q-1)(q-1)).
 
-    ``r_part`` is None for plain rational functions; arithmetic promotes
-    as needed and reduces r^2 on the fly.
+    A depth-1 `exactfield` tower element over ``RF_DESC``: arithmetic,
+    equality and hashing are TowerElement's.  This class only names
+    the parts; ``r_part`` is None when B is zero.
     """
 
-    __slots__ = ("plain", "r_part")
+    __slots__ = ()
 
     def __init__(self, plain, r_part=None):
-        p = _as_ratq(plain)
-        if p is NotImplemented:
-            raise TypeError(f"bad plain part {plain!r}")
-        self.plain = p
-        if r_part is not None:
-            rp = _as_ratq(r_part)
-            if rp is NotImplemented:
-                raise TypeError(f"bad r part {r_part!r}")
-            if rp.is_zero():
-                rp = None
-            self.r_part = rp
-        else:
-            self.r_part = None
+        r_part = 0 if r_part is None else r_part
+        super().__init__(RF_DESC, (_part(plain), _part(r_part)))
 
     @property
-    def numerator(self):
-        return self.plain.num
+    def plain(self):
+        return self.rep[0]
 
     @property
-    def denominator(self):
-        return self.plain.den
-
-    @staticmethod
-    def r():
-        return RatFuncQ(RatQ(0), RatQ(1))
-
-    def has_r(self):
-        return self.r_part is not None
-
-    def is_zero(self):
-        return self.plain.is_zero() and self.r_part is None
-
-    def _parts(self):
-        return self.plain, (self.r_part if self.r_part is not None else RatQ(0))
-
-    def __eq__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.plain == other.plain and self.r_part == other.r_part
-
-    def __hash__(self):
-        return hash((self.plain, self.r_part))
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._parts()
-        c, d = other._parts()
-        return RatFuncQ(a + c, b + d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a, b = self._parts()
-        return RatFuncQ(-a, -b)
-
-    def __sub__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._parts()
-        c, d = other._parts()
-        return RatFuncQ(a * c + b * d * R_SQUARED, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        a, b = self._parts()
-        n = a * a - b * b * R_SQUARED
-        if n.is_zero():
-            raise ZeroDivisionError("not invertible")
-        return RatFuncQ(a / n, -b / n)
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RatFuncQ(RatQ(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def r_part(self):
+        return self.rep[1] or None
 
     def conj_r(self):
         """The image under r -> -r."""
-        a, b = self._parts()
-        return RatFuncQ(a, -b)
+        return self.galois_conj()
 
     def __repr__(self):
         if self.r_part is None:
@@ -405,17 +358,15 @@ class RatFuncQ:
         return f"RatFuncQ({self.plain!r} + ({self.r_part!r})*r)"
 
 
-def _as_rf(v):
-    if isinstance(v, RatFuncQ):
-        return v
-    base = _as_ratq(v)
-    if base is NotImplemented:
-        return NotImplemented
-    return RatFuncQ(base)
+def _part(v):
+    p = _as_ratq(v)
+    if p is NotImplemented:
+        raise TypeError(f"bad rational function {v!r}")
+    return p
 
 
 QF = RatFuncQ(Q)
-RF_R = RatFuncQ.r()
+RF_R = RatFuncQ(0, 1)
 
 
 def ratfunc_specialize(f, q0, r_value=None):
@@ -425,7 +376,8 @@ def ratfunc_specialize(f, q0, r_value=None):
     square to (17*q0-1)(q0-1); plain values come back in the rational
     tower (or r_value's tower so arithmetic with it stays closed).
     """
-    f = _as_rf(f)
+    if not isinstance(f, RatFuncQ):
+        f = RatFuncQ(f)
     q0 = Fraction(q0)
     base = f.plain(q0)
     if f.r_part is None:

@@ -56,10 +56,6 @@ class SpectralData:
         self.n = n
         self.multiplicities = tuple(Q[0][j] for j in range(len(Q[0])))
 
-    def idempotent_coefficient(self, i, j):
-        """Coefficient of A_i in E_j, i.e. Q_{i,j} / n."""
-        return self.Q[i][j] / self.n
-
 
 class ConcreteScheme:
     """A symmetric association scheme given by its relation partition."""

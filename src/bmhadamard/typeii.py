@@ -15,6 +15,7 @@ in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactfield import (
     TowerElement,
@@ -73,39 +74,41 @@ def normalize_case(case):
 # ---------------------------------------------------------------------------
 # symbolic a-vectors (order a01, a02, a03, a12, a13, a23)
 
+@cache
 def case_a_symbolic(case):
     """The a-values of a family as exact functions of q (and r for vi).
 
     For the sixth family the vector is written with +r; substituting an
     exact negative square root at specialization time gives the r < 0
-    matrices.
+    matrices.  Cached: every (q, branch, r sign) of a sweep specializes
+    the same vector, and the tuple of immutable values is safe to share.
     """
     case = normalize_case(case)
     q, r = QF, RF_R
     n = q * q - 1
     if case == "i":
         a = -(n - 2)
-        return [a, a, a, RatFuncQ(2), RatFuncQ(2), RatFuncQ(2)]
+        return (a, a, a, RatFuncQ(2), RatFuncQ(2), RatFuncQ(2))
     if case == "ii":
         a01 = (q ** 3 - 3 * q * q - q + 7) / (q * q - 2 * q - 1)
         a13 = (-(q ** 3) + q * q + q + 3) / (q * q - 2 * q - 1)
-        return [a01, a01, -(n - 2), RatFuncQ(2), a13, a13]
+        return (a01, a01, -(n - 2), RatFuncQ(2), a13, a13)
     if case == "iii":
         a = 2 * (q * q - 6) / (q * q - 4)
-        return [a, RatFuncQ(-2), a, -a, RatFuncQ(2), -a]
+        return (a, RatFuncQ(-2), a, -a, RatFuncQ(2), -a)
     if case == "iv":
         a = -2 * (q * q - 2) / (q * q)
-        return [RatFuncQ(2), a, RatFuncQ(2), a, RatFuncQ(2), a]
+        return (RatFuncQ(2), a, RatFuncQ(2), a, RatFuncQ(2), a)
     if case == "v":
         a = -2 / q
         a12 = -2 * (q * q - 2) / (q * q)
-        return [a, a, RatFuncQ(2), a12, a, a]
+        return (a, a, RatFuncQ(2), a12, a, a)
     a01 = (-(q - 1) * (q - 2) + (q + 2) * r) / (2 * q * (q + 1))
     a02 = ((q + 2) * (q - 1) - (q - 2) * r) / (2 * q * (q - 3))
     a03 = (5 * q * q - 2 * q - 19 - (q - 1) * r) / (2 * (q + 1) * (q - 3))
     a12 = 2 * (-(q ** 4) + 2 * q ** 3 + 4 * q * q - 10 * q + 1 + (q - 1) * r) \
         / (q * q * (q + 1) * (q - 3))
-    return [a01, a02, a03, a12, -a02, -a01]
+    return (a01, a02, a03, a12, -a02, -a01)
 
 
 def case_a_values(case, q, r_value=None):

@@ -256,3 +256,23 @@ def test_embed_is_ring_homomorphism(x, y):
         # two enclosures of the same number must overlap
         assert direct.re.lo <= parts.re.hi and parts.re.lo <= direct.re.hi
         assert direct.im.lo <= parts.im.hi and parts.im.lo <= direct.im.hi
+
+
+# QQ < Q(sqrt2) < Q(sqrt2, sqrt3) < Q(sqrt2, sqrt3, sqrt(1 + sqrt2))
+CHAIN = (0, 1, 3, 4)
+
+
+@given(tower_elements(desc_pool=CHAIN))
+@settings(max_examples=60, deadline=None)
+def test_equal_elements_hash_alike(x):
+    forms = [x.lift(DESCS[i]) for i in CHAIN if x.desc.is_prefix_of(DESCS[i])]
+    forms.append(x.descend())
+    if x.is_rational():
+        c = x.as_rational()
+        forms.append(c)
+        if c.denominator == 1:
+            forms.append(int(c))
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)

@@ -3,13 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmhadamard.exactfield import QQ, adjoin_radical
+from bmhadamard.exactfield import (
+    QQ,
+    Reducible,
+    adjoin_radical,
+    field_sqrt,
+    rational_sqrt,
+)
 from bmhadamard.ratfunc import (
     InvalidRValue,
     PoleAtQ0,
     PolyQ,
     Q,
     QF,
+    RF_DESC,
     RF_R,
     RatFuncQ,
     RatQ,
@@ -98,18 +105,64 @@ small_coeffs = st.lists(st.integers(min_value=-5, max_value=5),
                         min_size=1, max_size=4)
 
 
-@given(small_coeffs, small_coeffs, small_coeffs, small_coeffs, rational_q)
+@given(small_coeffs, small_coeffs, small_coeffs, small_coeffs, small_coeffs,
+       small_coeffs, st.sampled_from((4, 10)) | rational_q)
 @settings(max_examples=50, deadline=None)
-def test_ratfunc_evaluation_is_a_homomorphism(n1, d1, n2, d2, q0):
+def test_ratfunc_evaluation_is_a_homomorphism(n1, d1, m1, n2, d2, m2, q0):
+    # r = sqrt(201) is irrational at q0 = 4; r = 39 at q0 = 10
     if not any(d1) or not any(d2):
         return
-    f = RatQ(PolyQ(n1), PolyQ(d1))
-    g = RatQ(PolyQ(n2), PolyQ(d2))
+    f = RatFuncQ(RatQ(PolyQ(n1), PolyQ(d1)), RatQ(PolyQ(m1), PolyQ(d1)))
+    g = RatFuncQ(RatQ(PolyQ(n2), PolyQ(d2)), RatQ(PolyQ(m2), PolyQ(d2)))
+    _, rv = r_value_at(q0)
+
+    def at(h):
+        return ratfunc_specialize(h, q0, rv)
+
     try:
-        fv, gv = f(q0), g(q0)
+        fv, gv = at(f), at(g)
     except PoleAtQ0:
         return
-    assert (f + g)(q0) == fv + gv
-    assert (f * g)(q0) == fv * gv
-    if not g.is_zero() and gv != 0:
-        assert (f / g)(q0) == fv / gv
+    assert at(f + g) == fv + gv
+    assert at(f * g) == fv * gv
+    if not gv.is_zero():
+        try:
+            quotient = at(f / g)
+        except PoleAtQ0:
+            # only when r is rational at q0: g's r-norm can vanish there
+            assert rational_sqrt(R_SQUARED(q0)) is not None
+            return
+        assert quotient == fv / gv
+
+
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(small_fraction, small_coeffs, small_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_alike(c, n, d):
+    f = RatQ(PolyQ(n), PolyQ(d)) if any(d) else RatQ(PolyQ(n))
+    forms = [c, PolyQ.const(c), RatQ(c), RatFuncQ(c), RatFuncQ(c).descend(),
+             PolyQ(n), RatQ(PolyQ(n)), f, RatFuncQ(f), RatFuncQ(f).descend(),
+             RatFuncQ(f, c), RatFuncQ(f, c).conj_r().conj_r()]
+    if c.denominator == 1:
+        forms.append(int(c))
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+def test_field_sqrt_over_q_of_q():
+    # squares in Q(q) and in Q(q)(r) are decided exactly
+    assert field_sqrt(RatFuncQ(R_SQUARED).descend()) is None
+    assert field_sqrt(RatFuncQ(R_SQUARED)) in (RF_R, -RF_R)
+    x = (QF + RF_R) / (QF - 1)
+    assert field_sqrt(x * x) in (x, -x)
+    y = (Q - 2) / (2 * Q)
+    assert field_sqrt(RatFuncQ(y * y).descend()) in (y, -y)
+    # adjoin_root's square test over Q(q) agrees with the directly built level
+    q_of_q = RF_DESC.prefix(0)
+    with pytest.raises(Reducible):
+        adjoin_radical(q_of_q, (Q - 1) * (Q - 1))
+    assert adjoin_radical(q_of_q, R_SQUARED)[0] == RF_DESC
