@@ -89,6 +89,13 @@ def _even_q(text):
     return q
 
 
+def _sweep_bound(text):
+    bound = int(text)
+    if bound < 4:
+        raise argparse.ArgumentTypeError("the sweep bound must be >= 4")
+    return bound
+
+
 def _n_range(text):
     lo, _, hi = text.partition("..")
     return int(lo), int(hi)
@@ -399,11 +406,19 @@ SUITES = {
 }
 SUITE_ORDER = ["scheme", "identities", "families", "section5", "section6",
                "appendixB", "sweeps", "isolation"]
+# suites that run on the dense 15 x 15 matrices, which exist only at q = 4
+DENSE_SUITES = ("section6", "isolation")
 
 
 def cmd_report(args):
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
-    bound = args.sweep_bound if args.sweep_bound else None
+    dense = [name for name in names if name in DENSE_SUITES]
+    if dense and args.q != 4:
+        needs = "suite needs" if len(dense) == 1 else "suites need"
+        raise NoConcreteScheme(
+            f"no concrete scheme at q = {args.q}; the {' and '.join(dense)} "
+            f"{needs} the dense matrices (q = 4)")
+    bound = args.sweep_bound
     records = []
     for name in names:
         fn = SUITES[name]
@@ -482,7 +497,7 @@ def build_parser():
     p.add_argument("--q", type=_even_q, default=4)
     p.add_argument("--range", type=_n_range, default=(-2, 2),
                    help="unit-power range for the appendixB suite, LO..HI")
-    p.add_argument("--sweep-bound", type=int, default=None)
+    p.add_argument("--sweep-bound", type=_sweep_bound, default=None)
     p.add_argument("--pretty", action="store_true",
                    help="also print one PASS/FAIL line per check to stderr")
     p.add_argument("--out", default=None)

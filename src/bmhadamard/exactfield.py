@@ -16,6 +16,7 @@ one more quadratic level for a unimodular weight).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 
@@ -561,6 +562,7 @@ def adjoin_radical(desc, radicand):
     return new_desc, TowerElement.generator(new_desc)
 
 
+@cache
 def embed_signature(desc):
     """Classify each level's root as real (+1) or imaginary (-1).
 
@@ -570,6 +572,9 @@ def embed_signature(desc):
     totally ordered (real) element, i.e. imaginary levels may only sit
     at positions where no later radicand depends on them.  Every tower
     this package builds satisfies that (imaginary level on top).
+    Cached per descriptor: ``complex_conj`` asks once per element, and
+    the interval refinement behind each answer depends only on the
+    levels; ``embed_signature.__wrapped__`` is the uncached function.
     """
     from .intervals import element_sign  # local import, avoids a cycle
 

@@ -88,22 +88,13 @@ class JonesGraph:
         m = len(weights)
         w = [x.lift(desc) if x.desc != desc else x for x in weights]
         w_inv = [x.inverse() for x in w]
-        vals = {}
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        vals[(i, j, k, l)] = flat.to_flat(
-                            w[i] * w_inv[j] * w[k] * w_inv[l])
-        den = 1
-        from math import gcd
-        for vec, d in vals.values():
-            den = den * d // gcd(den, d)
+        keys = [(i, j, k, l) for i in range(m) for j in range(m)
+                for k in range(m) for l in range(m)]
+        vecs, self.den = flat.int_coords(
+            [w[i] * w_inv[j] * w[k] * w_inv[l] for i, j, k, l in keys])
         self.dim = flat.dim
-        self.den = den
         self.flat = flat
-        self.table = {key: tuple(v * (den // d) for v in vec)
-                      for key, (vec, d) in vals.items()}
+        self.table = dict(zip(keys, vecs))
         self._labels = None
 
     def adjacent(self, ab, cd):

@@ -62,7 +62,9 @@ class PolyQ:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other)
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
+        if not isinstance(other, PolyQ):
+            return NotImplemented  # a RatQ compares itself with a PolyQ
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # a constant equals its Fraction, so it hashes like one

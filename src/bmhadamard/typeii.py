@@ -16,7 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
+from .fastfield import (
+    FlatTower,
+    coordinates_mod_p,
+    echelon_mod_p,
+    kernel_mod_p,
+    primes,
+    rational_reconstruct,
+)
 from .exactfield import (
     TowerElement,
     adjoin_radical,
@@ -511,39 +520,223 @@ def non_butson_witness(family):
 # isolation: the span condition
 
 def span_condition(dense, desc, return_rank=False):
-    """Exact rank test of the commutator span of a Hadamard matrix.
+    """Certified rank test of the commutator span of a Hadamard matrix.
 
-    Generators are [v, H* u H] over all diagonal units u, v; the matrix
-    is isolated when their span has dimension n^2 - 2n + 1.  The rank is
-    computed by sparse Gaussian elimination over the tower field, so the
-    verdict is a certificate, not a numerical estimate.
+    Generators are [v, H* u H] over all diagonal units u, v: the row
+    (w, v) has conj(H_wv) H_wy at coordinate (v, y) and -conj(H_wy) H_wv
+    at (y, v), for y != v.  The matrix is isolated when their span has
+    dimension (n - 1)^2.  The rank r over the tower field K is pinned
+    between a lower and an upper bound, both exact:
+
+    * Lower bound.  For a prime p that splits the tower, a choice of
+      roots mod p is a ring map from the elements with p-integral
+      coordinates onto F_p.  Every entry is such an element, so a
+      nonzero minor mod p is the image of a nonzero minor over K: the
+      rank mod p is at most r.
+    * Upper bound (n - 1)^2, when H*H is diagonal, which is checked
+      exactly.  The n sums of the rows of one w vanish identically, and
+      the n sums of the rows of one v are the off-diagonal entries of
+      H*H, so they vanish too.  The row and column indicator vectors of
+      an n x n grid span 2n - 1 dimensions, so r <= n^2 - (2n - 1).  A
+      rank mod p of (n - 1)^2 then settles r.
+    * Upper bound from a kernel certificate, in every other case.  The
+      reduced-echelon kernel mod p under every map of the tower gives
+      the K-coordinates of the kernel vectors mod p; they are combined
+      over primes by CRT and lifted by rational reconstruction, and each
+      lifted vector is checked to satisfy A x = 0 exactly.  Their
+      identity block on the free columns makes them independent, so r
+      is at most the number of columns minus the number of vectors,
+      which is the rank mod p.  A prime whose rank falls below the best
+      so far is dropped; a failed reconstruction or check asks for
+      another prime.
+
+    No step rounds, and no verdict rests on an unchecked prime.
     """
-    from .fastfield import FlatTower, sparse_rank
-
     n = len(dense)
     if any(len(row) != n for row in dense):
         raise NotSquare("dense matrix is not square")
-    H = [[e.lift(desc) if e.desc != desc else e for e in row] for row in dense]
-    Hc = [[complex_conj(e) for e in row] for row in H]
-    flat = FlatTower(desc)
-    Hf = [[flat.to_flat(e) for e in row] for row in H]
-    Hcf = [[flat.to_flat(e) for e in row] for row in Hc]
-
-    def generators():
-        for w in range(n):
-            hw = Hf[w]
-            hcw = Hcf[w]
-            for v in range(n):
-                row = {}
-                for y in range(n):
-                    if y == v:
-                        continue
-                    row[v * n + y] = flat.mul(hcw[v], hw[y])
-                    row[y * n + v] = flat.neg(flat.mul(hcw[y], hw[v]))
-                yield row
-
-    rank = sparse_rank(generators(), flat)
-    target = n * n - 2 * n + 1
+    H = [e.lift(desc) if e.desc != desc else e for row in dense for e in row]
+    span = _CommutatorSpan(FlatTower(desc), n, H)
+    target = (n - 1) ** 2
+    best, modulus, residues = None, 1, {}
+    for p in primes():
+        maps = span.embeddings(p)
+        if maps is None:
+            continue
+        images, roots = maps
+        echelons = [echelon_mod_p(span.rows_mod_p(images[0], p), p)]
+        if len(echelons[0]) == target and span.gram_is_diagonal():
+            rank = target
+            break
+        echelons += [echelon_mod_p(span.rows_mod_p(img, p), p)
+                     for img in images[1:]]
+        pivots = {tuple(sorted(e)) for e in echelons}
+        if len(pivots) > 1:
+            continue  # the maps of the tower disagree: p is unlucky
+        pivots = pivots.pop()
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, modulus, residues = pivots, 1, {}  # start over from p
+        elif pivots != best:
+            continue  # a lower rank or later pivots: p is unlucky
+        residues = _crt(residues, modulus, span.kernel_coordinates(
+            echelons, roots, p), p, span.flat.dim)
+        modulus *= p
+        vectors = _lift(residues, modulus)
+        if vectors is not None and span.annihilates(vectors):
+            rank = len(best)
+            break
     if return_rank:
         return rank == target, rank
     return rank == target
+
+
+class _CommutatorSpan:
+    """The generator matrix of ``span_condition``, mod p and exactly.
+
+    Entries are products conj(H_wv) H_wy of the integer coordinates of
+    H and conj(H) (row-major, over one denominator each).  The exact
+    products share the positive denominator of the two factors times
+    the structure constants', so zero tests on them are exact.
+    """
+
+    def __init__(self, flat, n, H):
+        self.flat = flat
+        self.n = n
+        self.h, self.hden = flat.int_coords(H)
+        self.hc, self.cden = flat.int_coords([complex_conj(e) for e in H])
+        self.columns = [v * n + y for v in range(n) for y in range(n)
+                        if v != y]
+        self._products = None
+
+    def embeddings(self, p):
+        """The tower's maps onto F_p, when p also spares every entry."""
+        if self.hden % p == 0 or self.cden % p == 0:
+            return None
+        return self.flat.embeddings(p)
+
+    def rows_mod_p(self, img, p):
+        """The generator rows under the map with basis images ``img``."""
+        n = self.n
+        hi, ci = pow(self.hden, -1, p), pow(self.cden, -1, p)
+        hr = [sum(a * b for a, b in zip(vec, img)) * hi % p for vec in self.h]
+        cr = [sum(a * b for a, b in zip(vec, img)) * ci % p
+              for vec in self.hc]
+        for base in range(0, n * n, n):  # the entries of row w of H
+            for v in range(n):
+                cv, hv = cr[base + v], hr[base + v]
+                row = {}
+                for y in range(n):
+                    if y != v:
+                        row[v * n + y] = cv * hr[base + y]
+                        row[y * n + v] = -cr[base + y] * hv
+                yield row
+
+    def products(self):
+        """Exact conj(H_wv) H_wy for v != y, keyed (w, v, y)."""
+        if self._products is None:
+            n, h, hc, mul = self.n, self.h, self.hc, self.flat.int_mul
+            self._products = {
+                (w, v, y): mul(hc[w * n + v], h[w * n + y])
+                for w in range(n) for v in range(n) for y in range(n)
+                if v != y}
+        return self._products
+
+    def rows(self):
+        """The generator rows exactly, {column: integer coordinates}."""
+        n, prod = self.n, self.products()
+        for w in range(n):
+            for v in range(n):
+                row = {}
+                for y in range(n):
+                    if y != v:
+                        row[v * n + y] = prod[(w, v, y)]
+                        row[y * n + v] = [-x for x in prod[(w, y, v)]]
+                yield row
+
+    def gram_is_diagonal(self):
+        """Exact: is H*H diagonal, sum_w conj(H_wv) H_wy = 0 for v != y?"""
+        n, prod = self.n, self.products()
+        for v in range(n):
+            for y in range(n):
+                if v != y and any(map(sum, zip(*(prod[(w, v, y)]
+                                                 for w in range(n))))):
+                    return False
+        return True
+
+    def kernel_coordinates(self, echelons, roots, p):
+        """Tower coordinates mod p of the reduced-echelon kernel vectors.
+
+        ``echelons`` holds one echelon form per map of ``embeddings``, in
+        order; returns {(free column, column): coordinates}.
+        """
+        kernels = [kernel_mod_p(e, self.columns, p) for e in echelons]
+        out = {}
+        for f in kernels[0]:
+            for c in set().union(*(k[f] for k in kernels)):
+                out[(f, c)] = coordinates_mod_p(
+                    [k[f].get(c, 0) for k in kernels], roots, p)
+        return out
+
+    def annihilates(self, vectors):
+        """Exact: A x = 0 for every vector {column: rational coordinates}.
+
+        The vectors are scaled to integer coordinates and packed side by
+        side into one integer per coordinate, in slots of ``bits`` bits.
+        A sum of packed values is zero iff every slot's sum is, because
+        each slot's sum is below 2^(bits - 1) in absolute value: the
+        lowest nonzero slot would otherwise survive modulo the next.
+        """
+        if not vectors:
+            return True
+        flat = self.flat
+        ints = []
+        for vec in vectors:
+            den = lcm(*(x.denominator for coords in vec.values()
+                        for x in coords))
+            ints.append({c: [int(x * den) for x in coords]
+                         for c, coords in vec.items()})
+        top_a = max(abs(x) for e in self.products().values() for x in e)
+        top_x = max(abs(x) for vec in ints for e in vec.values() for x in e)
+        top_t = max(abs(t) for *_, t in flat.triples)
+        terms = 2 * (self.n - 1) * len(flat.triples)
+        bits = (terms * top_a * top_x * top_t).bit_length() + 1
+        packed = {}
+        for slot, vec in enumerate(ints):
+            for c, coords in vec.items():
+                cur = packed.setdefault(c, [0] * flat.dim)
+                for k, x in enumerate(coords):
+                    cur[k] += x << (slot * bits)
+        for row in self.rows():
+            acc = [0] * flat.dim
+            for c, a in row.items():
+                x = packed.get(c)
+                if x is not None:
+                    for k, y in enumerate(flat.int_mul(a, x)):
+                        acc[k] += y
+            if any(acc):
+                return False
+        return True
+
+
+def _crt(residues, modulus, new, p, dim):
+    """Combine coordinates mod ``modulus`` with coordinates mod p."""
+    inv = pow(modulus, -1, p)
+    zero = [0] * dim
+    out = {}
+    for key in residues.keys() | new.keys():
+        old = residues.get(key, zero)
+        out[key] = [o + modulus * ((r - o) * inv % p)
+                    for o, r in zip(old, new.get(key, zero))]
+    return out
+
+
+def _lift(residues, modulus):
+    """Kernel vectors with rational coordinates, or None if one fails."""
+    vectors = {}
+    for (f, c), res in residues.items():
+        coords = [rational_reconstruct(u, modulus) if u else Fraction(0)
+                  for u in res]
+        if None in coords:
+            return None
+        vectors.setdefault(f, {})[c] = coords
+    return list(vectors.values())

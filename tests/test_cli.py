@@ -125,6 +125,27 @@ def test_env_sweep_bound(capsys, monkeypatch):
     assert data["checks"][0]["q_range"] == [4, 6]
 
 
+def test_report_isolation_off_q4_is_a_usage_error(capsys):
+    code = main(["report", "--suite", "isolation", "--q", "8"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "no concrete scheme at q = 8" in err
+
+
+def test_report_section6_off_q4_is_a_usage_error(capsys):
+    code = main(["report", "--suite", "section6", "--q", "6"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "no concrete scheme at q = 6" in err
+
+
+def test_report_sweeps_bound_below_4_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--suite", "sweeps", "--sweep-bound", "3"])
+    assert exc.value.code == 2
+    assert "the sweep bound must be >= 4" in capsys.readouterr().err
+
+
 def test_cli_rejects_odd_q():
     with pytest.raises(SystemExit):
         main(["construct", "--case", "i", "--q", "5"])

@@ -13,6 +13,7 @@ from bmhadamard.exactfield import (
     adjoin_radical,
     adjoin_root,
     complex_conj,
+    embed_signature,
     field_sqrt,
     is_real,
     rational_radical_parts,
@@ -178,6 +179,15 @@ def test_complex_conj_and_is_real():
     assert is_real(w * complex_conj(w))
     d2, s2 = sqrt_field(17)
     assert is_real(s2)  # real radical: conjugation fixes everything
+
+
+def test_cached_signature_agrees_with_uncached(families_q4):
+    for fam in families_q4.values():
+        want = embed_signature.__wrapped__(fam.desc)
+        assert embed_signature(fam.desc) == want
+        assert embed_signature(fam.desc) == want  # a cache hit
+        assert want[-1] == (-1 if fam.case in ("iii", "iv", "v") or
+                            (fam.case == "vi" and fam.r_sign > 0) else 1)
 
 
 # -- randomized field axioms -------------------------------------------------

@@ -3,7 +3,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
-from bmhadamard.fastfield import FlatTower, sparse_rank
+from bmhadamard.fastfield import (
+    FlatTower,
+    coordinates_mod_p,
+    primes,
+    rational_reconstruct,
+    sparse_rank,
+)
 from bmhadamard.typeii import family_coefficients
 
 
@@ -45,6 +51,28 @@ def test_flat_ops_agree_with_reference(data):
     assert flat.is_zero(fx) == x.is_zero()
     if not x.is_zero():
         assert flat.from_flat(flat.inv(fx)) == x.inverse()
+
+
+@given(pairs())
+@settings(max_examples=40, deadline=None)
+def test_embeddings_are_ring_maps_that_invert(data):
+    flat, x, y = data
+    p, (images, roots) = next((p, m) for p in primes()
+                              if (m := flat.embeddings(p)) is not None)
+    assert len(images) == flat.dim
+
+    def residues(el):
+        vec, den = flat.to_flat(el)
+        inv = pow(den, -1, p)
+        return [sum(a * b for a, b in zip(vec, img)) * inv % p
+                for img in images]
+
+    rx, ry = residues(x), residues(y)
+    assert residues(x * y) == [a * b % p for a, b in zip(rx, ry)]
+    assert residues(x + y) == [(a + b) % p for a, b in zip(rx, ry)]
+    coords = coordinates_mod_p(rx, roots, p)
+    assert [rational_reconstruct(c, p) for c in coords] == \
+        list(x.coefficients())
 
 
 def test_structure_constants_are_exact():

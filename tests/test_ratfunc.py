@@ -149,8 +149,10 @@ def test_equal_values_hash_alike(c, n, d):
         forms.append(int(c))
     for a in forms:
         for b in forms:
+            assert (a == b) == (b == a), (a, b)
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+    assert PolyQ.x() == Q and Q == PolyQ.x()
 
 
 def test_field_sqrt_over_q_of_q():

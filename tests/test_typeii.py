@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
+from bmhadamard import typeii
+from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
+from bmhadamard.fastfield import FlatTower, sparse_rank
 from bmhadamard.intervals import complex_embed
 from bmhadamard.identities import g_quadric, h_det
 from bmhadamard.typeii import (
@@ -338,3 +340,186 @@ def test_dense_matrix_needs_q4():
     fam = family_coefficients("i", 6)
     with pytest.raises(NotSquare):
         TypeIIMatrix(fam)
+
+
+# -- isolation: the certified rank against exact elimination ---------------
+
+def oracle_span_rank(dense, desc):
+    """The span rank by exact elimination over the tower (``sparse_rank``)."""
+    n = len(dense)
+    flat = FlatTower(desc)
+    H = [[flat.to_flat(e.lift(desc)) for e in row] for row in dense]
+    Hc = [[flat.to_flat(complex_conj(e.lift(desc))) for e in row]
+          for row in dense]
+    rows = []
+    for w in range(n):
+        for v in range(n):
+            row = {}
+            for y in range(n):
+                if y != v:
+                    row[v * n + y] = flat.mul(Hc[w][v], H[w][y])
+                    row[y * n + v] = flat.neg(flat.mul(Hc[w][y], H[w][v]))
+            rows.append(row)
+    return sparse_rank(rows, flat)
+
+
+def span_towers():
+    sqrt_m15, _ = adjoin_radical(QQ, -15)
+    return [QQ, sqrt_m15, family_coefficients("vi", 4, 1, 1).desc]
+
+
+SPAN_TOWERS = span_towers()
+
+
+def fourier(n, desc, root):
+    one = TowerElement.rational(1, desc)
+    return [[one * root ** (j * k % n) for k in range(n)] for j in range(n)]
+
+
+@st.composite
+def span_inputs(draw):
+    """Small matrices over depth 0, 1 and 2 towers, of every rank shape."""
+    shape = draw(st.sampled_from(
+        ("random", "rank_one", "zero_row", "equal_columns", "fourier")))
+    if shape == "fourier":
+        # Hadamard inputs: F_3 is isolated, F_4 is not; diagonal unimodular
+        # scalings keep both properties
+        n = draw(st.sampled_from((3, 4)))
+        desc, im = adjoin_radical(QQ, -3 if n == 3 else -1)
+        one = TowerElement.rational(1, desc)
+        root = (-one + im) / 2 if n == 3 else im
+        units = [one, root, (1 + 4 * im) / 7] if n == 3 else \
+            [one, im, (3 + 4 * im) / 5]
+        dense = fourier(n, desc, root)
+        rows = [draw(st.sampled_from(units)) for _ in range(n)]
+        cols = [draw(st.sampled_from(units)) for _ in range(n)]
+        return [[rows[j] * dense[j][k] * cols[k] for k in range(n)]
+                for j in range(n)], desc
+    desc = draw(st.sampled_from(SPAN_TOWERS))
+    n = draw(st.integers(3, 5))
+    basis = FlatTower(desc).basis
+    coord = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=3))
+
+    def entry():
+        return sum((b * draw(coord) for b in basis),
+                   TowerElement.rational(0, desc))
+
+    if shape == "rank_one":
+        u = [entry() for _ in range(n)]
+        v = [entry() for _ in range(n)]
+        return [[a * b for b in v] for a in u], desc
+    dense = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "zero_row":
+        dense[draw(st.integers(0, n - 1))] = [basis[0] * 0] * n
+    elif shape == "equal_columns":
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in dense:
+            row[k] = row[j]
+    return dense, desc
+
+
+@given(span_inputs())
+@settings(max_examples=60, deadline=None)
+def test_certified_span_rank_matches_exact_elimination(data):
+    dense, desc = data
+    n = len(dense)
+    rank = oracle_span_rank(dense, desc)
+    assert span_condition(dense, desc, return_rank=True) == \
+        (rank == (n - 1) ** 2, rank)
+
+
+def test_certified_span_rank_shapes():
+    # the three verdict routes all occur: rank above (n-1)^2 (non-Hadamard),
+    # exactly (n-1)^2 by the structural bound, and below it
+    d, im = adjoin_radical(QQ, -3)
+    one = TowerElement.rational(1, d)
+    f3 = fourier(3, d, (-one + im) / 2)
+    assert span_condition(f3, d, return_rank=True) == (True, 4)
+    tweaked = [row[:] for row in f3]
+    tweaked[0][0] = 2 * one
+    assert span_condition(tweaked, d, return_rank=True) == \
+        (False, oracle_span_rank(tweaked, d))
+    assert oracle_span_rank(tweaked, d) > 4
+    zero = [[one * 0] * 3 for _ in range(3)]
+    assert span_condition(zero, d, return_rank=True) == (False, 0)
+
+
+@pytest.mark.parametrize("key", [("iii", 1, 1), ("iv", 1, 1), ("v", 1, 1),
+                                 ("vi", 1, 1), ("i", 1, 1)])
+def test_span_relations_of_q4_families(families_q4, key):
+    """The 2n - 1 relations behind rank <= (n-1)^2, in exact arithmetic.
+
+    Generator rows of one w always sum to zero; rows of one v sum to the
+    off-diagonal of H*H, zero exactly for the Hadamard families and not
+    for the type-II-only family i.
+    """
+    fam = families_q4[key]
+    H = TypeIIMatrix(fam).dense()
+    n = len(H)
+    Hc = [[complex_conj(e) for e in row] for row in H]
+    zero = TowerElement.rational(0, fam.desc)
+    row_sums = [[zero] * (n * n) for _ in range(n)]
+    col_sums = [[zero] * (n * n) for _ in range(n)]
+    for w in range(n):
+        for v in range(n):
+            for y in range(n):
+                if y != v:
+                    for c, x in ((v * n + y, Hc[w][v] * H[w][y]),
+                                 (y * n + v, -(Hc[w][y] * H[w][v]))):
+                        row_sums[w][c] = row_sums[w][c] + x
+                        col_sums[v][c] = col_sums[v][c] + x
+    assert all(x.is_zero() for sums in row_sums for x in sums)
+    hadamard = key[0] != "i"
+    assert all(x.is_zero() for sums in col_sums for x in sums) == hadamard
+
+
+def non_hadamard_4x4():
+    d, s = adjoin_radical(QQ, -15)
+    one = TowerElement.rational(1, d)
+    return [[one * (j + 2 * k + 1) + s * (j * k % 3) for k in range(4)]
+            for j in range(4)], d
+
+
+def spoil_first_prime(monkeypatch, spoil):
+    """Eliminate honestly, except on the first prime tried, where
+    ``spoil(rows, p, call, honest)`` gives the echelon form of the
+    call-th map; returns the list of primes of every call."""
+    honest = typeii.echelon_mod_p
+    seen = []
+
+    def echelon(rows, p):
+        seen.append(p)
+        if p != seen[0]:
+            return honest(rows, p)
+        return spoil(rows, p, len(seen), honest)
+
+    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
+    return seen
+
+
+def test_lower_bound_alone_never_isolates_non_hadamard(monkeypatch):
+    """A prime whose rank drops to exactly (n-1)^2 decides nothing off
+    Hadamard input: the kernel certificate has the last word."""
+    dense, d = non_hadamard_4x4()
+    rank = oracle_span_rank(dense, d)
+    assert rank > 9
+
+    def keep_nine_pivots(rows, p, call, honest):
+        pivots = honest(rows, p)
+        return dict(sorted(pivots.items())[:9]) if call == 1 else pivots
+
+    seen = spoil_first_prime(monkeypatch, keep_nine_pivots)
+    assert span_condition(dense, d, return_rank=True) == (False, rank)
+    assert len(set(seen)) > 1  # the first prime was not the last word
+
+
+def test_kernel_check_rejects_a_low_rank_prime(monkeypatch):
+    """A prime whose rank is too low under every map gives kernel vectors
+    that are not in the kernel over K; the exact check refuses them."""
+    dense, d = non_hadamard_4x4()
+    rank = oracle_span_rank(dense, d)
+    seen = spoil_first_prime(
+        monkeypatch, lambda rows, p, call, honest: honest(list(rows)[:8], p))
+    assert span_condition(dense, d, return_rank=True) == (False, rank)
+    assert len(set(seen)) > 1
