@@ -14,7 +14,6 @@ from .exactfield import (
     adjoin_root,
     adjoin_radical,
     field_sqrt,
-    tower_arith,
     complex_conj,
     is_real,
     Reducible,
@@ -52,7 +51,8 @@ from .invariants import (
     check_inverse_inequivalence,
     distinguish,
     haagerup_bruteforce,
-    haagerup_symbolic,
+    haagerup_formula,
+    monomial_h_set,
 )
 from .nomura import check_symmetric, jones_structure_report, nomura_dimension
 from .pell import (
@@ -64,7 +64,7 @@ from .pell import (
 
 __all__ = [
     "TowerDescriptor", "TowerElement", "QQ", "adjoin_root", "adjoin_radical",
-    "field_sqrt", "tower_arith", "complex_conj", "is_real",
+    "field_sqrt", "complex_conj", "is_real",
     "Reducible", "DivisionByZero", "IncompatibleTowers",
     "complex_embed", "element_sign", "abs_is_one",
     "PolyQ", "RatQ", "RatFuncQ", "ratfunc_specialize", "r_value_at",
@@ -76,7 +76,7 @@ __all__ = [
     "e_polynomials", "scan_nonvanishing", "verify_converse",
     "verify_core_identities",
     "HaagerupData", "check_inverse_inequivalence", "distinguish",
-    "haagerup_bruteforce", "haagerup_symbolic",
+    "haagerup_bruteforce", "haagerup_formula", "monomial_h_set",
     "check_symmetric", "jones_structure_report", "nomura_dimension",
     "PellProblem", "base_solutions", "integral_r_q_values", "is_r_integer",
 ]

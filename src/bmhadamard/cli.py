@@ -33,13 +33,14 @@ from .identities import (
 from .intervals import abs_is_one
 from .ratfunc import ratfunc_specialize
 from .scheme import (
-    ParametricScheme,
-    build_petersen_line_scheme,
     distance_matrix,
     fused_eigenmatrix_12,
     fused_eigenmatrix_13,
+    parametric_scheme,
+    petersen_scheme,
 )
 from .typeii import (
+    NoConcreteScheme,
     NoWitness,
     TypeIIMatrix,
     all_families,
@@ -51,10 +52,6 @@ from .typeii import (
     normalize_case,
     span_condition,
 )
-
-
-class NoConcreteScheme(ValueError):
-    pass
 
 
 EXIT_CLASSES = {
@@ -201,14 +198,14 @@ def _chan_reference_weights():
 
 def suite_scheme(q=4, **_):
     checks = []
-    scheme = build_petersen_line_scheme()
+    scheme = petersen_scheme()
     rep = scheme.verify_axioms()
     checks.append(("scheme.axioms", rep.passed, None))
     dm = distance_matrix(scheme.adjacency_matrix(1))
     dm_ok = all(dm[i][j] == {0: 0, 1: 1, 2: 2, 3: 3}[scheme.rel[i][j]]
                 for i in range(15) for j in range(15))
     checks.append(("scheme.distance_identity", dm_ok, None))
-    ps = ParametricScheme()
+    ps = parametric_scheme()
     table_ok = ps.p_at(4) == [[[Fraction(scheme.p[h][i][j]) for j in range(4)]
                                for i in range(4)] for h in range(4)]
     checks.append(("scheme.intersection_table_q4", table_ok, None))
@@ -419,6 +416,12 @@ def cmd_report(args):
             f"no concrete scheme at q = {args.q}; the {' and '.join(dense)} "
             f"{needs} the dense matrices (q = 4)")
     bound = args.sweep_bound
+    if bound is None and "sweeps" in names:
+        try:
+            bound = sweep_bound()
+        except ValueError as exc:
+            sys.stderr.write(f"error: bad HW_SWEEP_BOUND: {exc}\n")
+            return 2
     records = []
     for name in names:
         fn = SUITES[name]
@@ -435,7 +438,7 @@ def cmd_report(args):
         "kind": "report",
         "suite": args.suite,
         "q": args.q,
-        "sweep_bound": bound or (sweep_bound() if "sweeps" in names else None),
+        "sweep_bound": bound,
         "checks": records,
         "passed": passed,
     }

@@ -442,23 +442,6 @@ class TowerElement:
 # ---------------------------------------------------------------------------
 # free-function operations
 
-def tower_arith(op, x, y=None):
-    """Dispatch-style field arithmetic ({add|sub|mul|div|neg|inv})."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def field_sqrt(x):
     """A square root of x inside its own tower, or None.
 

@@ -136,14 +136,6 @@ class FlatTower:
 
     # -- arithmetic on (vec, den) pairs ------------------------------------
 
-    def add(self, x, y):
-        xv, xd = x
-        yv, yd = y
-        if xd == yd:
-            return self._strip(tuple(a + b for a, b in zip(xv, yv)), xd)
-        return self._strip(tuple(a * yd + b * xd for a, b in zip(xv, yv)),
-                           xd * yd)
-
     def sub(self, x, y):
         xv, xd = x
         yv, yd = y

@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .exactfield import TowerElement
-from .ratfunc import RatQ, Q, RatFuncQ
-from .scheme import ParametricScheme, parametric_eigenmatrix
+from .ratfunc import RatQ, Q, RatFuncQ, r_value_at, ratfunc_specialize
+from .scheme import parametric_scheme
 from .typeii import (
     CASES,
     PAIRS,
@@ -333,7 +334,7 @@ class EPolynomial:
 def e_polynomials(P=None):
     """The d linear forms cutting out type-II points, k = 1..d."""
     if P is None:
-        P = parametric_eigenmatrix()
+        P = parametric_scheme().P
     d = len(P) - 1
     n = sum(P[0][j] for j in range(d + 1))
     out = []
@@ -382,7 +383,7 @@ def verify_converse(case):
 def ns_symbolic(case):
     """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3,
     as exact functions of q (and r for the sixth family)."""
-    ps = ParametricScheme()
+    ps = parametric_scheme()
     vals = _pair_values(case)
     out = []
     for i in range(1, 4):
@@ -487,28 +488,6 @@ def even_q_range(bound=None, start=4):
     return range(start, bound + 1, 2)
 
 
-def _rf_zero_at(f, q, r_sign):
-    """Exact: does A(q) + B(q)*r vanish for the chosen sign of r?"""
-    a = f.plain(q)
-    if f.r_part is None:
-        return a == 0
-    b = f.r_part(q)
-    from .ratfunc import R_SQUARED
-    from .exactfield import rational_sqrt
-    rho = R_SQUARED(q)
-    root = rational_sqrt(rho)
-    if root is None:
-        return a == 0 and b == 0
-    return a + b * (r_sign * root) == 0
-
-
-def _case_sign_pairs(case):
-    case = normalize_case(case)
-    if case == "vi":
-        return [(case, 1), (case, -1)]
-    return [(case, 1)]
-
-
 def scan_nonvanishing(expr_id, case, q_set=None):
     """Evaluate one family of nonvanishing claims over a q sweep.
 
@@ -525,48 +504,39 @@ def scan_nonvanishing(expr_id, case, q_set=None):
     case = normalize_case(case)
     if q_set is None:
         q_set = even_q_range()
-    results = []
-    violations = []
     if expr_id == "nomura_symmetric_k":
-        values = ns_symbolic(case)
-        for q in q_set:
-            ok = all(not _rf_zero_at(v, q, sign)
-                     for v in values
-                     for _, sign in _case_sign_pairs(case))
-            results.append((q, ok))
-            if not ok:
-                violations.append(q)
+        ok_at = partial(_symmetry_ok, case, ns_symbolic(case))
     elif expr_id == "jones_adjacency":
-        for q in q_set:
-            ok = _jones_adjacency_ok(case, q)
-            results.append((q, ok))
-            if not ok:
-                violations.append(q)
+        ok_at = partial(_jones_adjacency_ok, case)
     elif expr_id == "jones_component":
-        for q in q_set:
-            ok = _jones_component_ok(case, q)
-            results.append((q, ok))
-            if not ok:
-                violations.append(q)
+        ok_at = partial(_jones_component_ok, case)
     else:
         raise ValueError(f"unknown expression id {expr_id!r}")
+    results = [(q, ok_at(q)) for q in q_set]
+    violations = [q for q, ok in results if not ok]
     if violations:
         raise ViolationFound(f"{expr_id}/{case}: zero at q in {violations}")
     return results
 
 
+def _symmetry_ok(case, values, q):
+    """No symmetry value vanishes at q, for either sign of r."""
+    rs = [None]
+    if case == "vi":
+        rs = [r_value_at(q, sign)[1] for sign in (1, -1)]
+    return not any(ratfunc_specialize(v, q, r).is_zero()
+                   for v in values for r in rs)
+
+
 def _weight_variants(case, q):
     """All exact weight vectors of a family at q (branches x r signs)."""
-    out = []
-    for _, sign in _case_sign_pairs(case):
-        for branch in (1, -1):
-            out.append(family_coefficients(case, q, sign, branch))
-    return out
+    signs = (1, -1) if case == "vi" else (1,)
+    return [family_coefficients(case, q, sign, branch)
+            for sign in signs for branch in (1, -1)]
 
 
 def _jones_adjacency_ok(case, q):
-    ps = ParametricScheme()
-    p_at = ps.p_at(q)
+    p_at = parametric_scheme().p_at(q)
     for fam in _weight_variants(case, q):
         w = fam.weights
         w_inv = [x.inverse() for x in w]
@@ -598,8 +568,7 @@ def _jones_component_ok(case, q):
     p_jk^3.  Infeasibility of {marginals, both ratio sums = 0} over the
     weight field at q is exactly what the component argument needs.
     """
-    ps = ParametricScheme()
-    p_at = ps.p_at(q)
+    p_at = parametric_scheme().p_at(q)
     unknowns = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
     index = {t: n for n, t in enumerate(unknowns)}
 

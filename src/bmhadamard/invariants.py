@@ -5,9 +5,11 @@ K(W) = {w + 1/w : w in H(W) \\ {1}}.  Both are equivalence invariants, so
 exact set comparison separates inequivalent matrices.  Two independent
 routes compute H(W): an O(n^4) sweep over the dense matrix (factored
 through relation-class patterns) and the closed three-part union formula
-driven by intersection-number positivity.  The two must agree at q = 4,
-and the formula route also runs at the formal-monomial level for the
-all-q descriptions.
+driven by intersection-number positivity.  The union is written once,
+over formal monomials in w1, w2, w3 reduced to each family's independent
+weights; those monomials are the all-q descriptions, and evaluating them
+on a family's weights gives its H(W) without the dense matrix.  The two
+routes must agree at q = 4.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 
 from .exactfield import TowerElement
 from .intervals import element_sign
-from .scheme import ParametricScheme
-from .typeii import WeightFamily, family_coefficients, normalize_case
+from .scheme import parametric_scheme
+from .typeii import family_coefficients, normalize_case
 
 
 class TooLarge(ValueError):
@@ -96,8 +98,7 @@ def haagerup_bruteforce(mat):
 
 def _positivity(q):
     """p_{i,j}^k > 0 as a 3-index boolean table at a given rational q."""
-    ps = ParametricScheme()
-    p = ps.p_at(q)
+    p = parametric_scheme().p_at(q)
     pos = {}
     for i in range(4):
         for j in range(4):
@@ -126,72 +127,42 @@ def _check_union_hypotheses(q):
     return pos
 
 
-def haagerup_formula(family):
-    """H(W) from the three-part union for a constructed family.
-
-    {w_i^+-2} u {(w_i1 w_i2 / w_i3)^+-1 : p_{i2,i3}^{i1} > 0} u
-    {w_i1 w_i2 / (w_j1 w_j2)}, all indices in {1..3}, plus 1.
-    """
-    pos = _check_union_hypotheses(family.q)
-    w = family.weights
-    out = [TowerElement.rational(1, family.desc)]
-    for i in (1, 2, 3):
-        sq = w[i] * w[i]
-        out.append(sq)
-        out.append(sq.inverse())
-    for i1 in (1, 2, 3):
-        for i2 in (1, 2, 3):
-            for i3 in (1, 2, 3):
-                if not pos[(i2, i3, i1)]:
-                    continue
-                v = w[i1] * w[i2] / w[i3]
-                out.append(v)
-                out.append(v.inverse())
-    for i1 in (1, 2, 3):
-        for i2 in (1, 2, 3):
-            for j1 in (1, 2, 3):
-                for j2 in (1, 2, 3):
-                    out.append(w[i1] * w[i2] / (w[j1] * w[j2]))
-    return HaagerupData(out, "formula")
-
-
-def haagerup_symbolic(family_or_case, q=None):
-    """Formula route: concrete for a WeightFamily, formal for a case name.
-
-    With a case name this returns the all-q description as reduced
-    monomials in the independent weights (see ``monomial_h_set``).
-    """
-    if isinstance(family_or_case, WeightFamily):
-        return haagerup_formula(family_or_case)
-    if q is None:
-        raise ValueError("symbolic mode needs the q regime (4 or generic)")
-    return monomial_h_set(family_or_case, q)
-
-
 # ---------------------------------------------------------------------------
 # formal-monomial route (all even q at once)
+
+# Each family's independent weights (indices into (1, w1, w2, w3)), and
+# w1, w2, w3 written as (sign, exponents) over them.
+_INDEPENDENT_WEIGHTS = {
+    "i": ((1,), ((1, (1,)), (1, (1,)), (1, (1,)))),
+    "ii": ((1, 3), ((1, (1, 0)), (1, (1, 0)), (1, (0, 1)))),
+    "iii": ((1,), ((1, (1,)), (-1, (0,)), (1, (1,)))),
+    "iv": ((2,), ((1, (0,)), (1, (1,)), (1, (0,)))),
+    "v": ((1,), ((1, (1,)), (1, (-1,)), (1, (0,)))),
+    "vi": ((1, 2), ((1, (1, 0)), (1, (0, 1)), (-1, (1, 1)))),
+}
+
 
 def _monomial_reduce(case, e1, e2, e3):
     """Reduce w1^e1 w2^e2 w3^e3 through the family's weight relations.
 
     Returns (sign, exponents over the case's independent weights).
     """
-    case = normalize_case(case)
-    if case == "i":
-        return 1, (e1 + e2 + e3,)
-    if case == "ii":
-        return 1, (e1 + e2, e3)
-    if case == "iii":
-        return (-1) ** (e2 & 1), (e1 + e3,)
-    if case == "iv":
-        return 1, (e2,)
-    if case == "v":
-        return 1, (e1 - e2,)
-    return (-1) ** (e3 & 1), (e1 + e3, e2 + e3)
+    indices, forms = _INDEPENDENT_WEIGHTS[normalize_case(case)]
+    sign, reduced = 1, [0] * len(indices)
+    for e, (s, exps) in zip((e1, e2, e3), forms):
+        if s < 0 and e & 1:
+            sign = -sign
+        reduced = [r + e * x for r, x in zip(reduced, exps)]
+    return sign, tuple(reduced)
 
 
 def monomial_h_set(case, q):
-    """H(W) \\ {1} as formal monomials, at the positivity regime of q."""
+    """H(W) \\ {1} as formal monomials, at the positivity regime of q.
+
+    The three-part union {w_i^+-2} u {(w_i1 w_i2 / w_i3)^+-1 :
+    p_{i2,i3}^{i1} > 0} u {w_i1 w_i2 / (w_j1 w_j2)}, all indices in
+    {1..3}, reduced onto the case's independent weights.
+    """
     case = normalize_case(case)
     pos = _check_union_hypotheses(q)
     exps = []
@@ -275,19 +246,8 @@ def table_one_row(case):
 
 def evaluate_monomials(monomials, family):
     """Formal monomials -> exact tower elements for one family."""
-    case = normalize_case(family.case)
-    if case == "i":
-        basis = [family.weights[1]]
-    elif case == "ii":
-        basis = [family.weights[1], family.weights[3]]
-    elif case == "iii":
-        basis = [family.weights[1]]
-    elif case == "iv":
-        basis = [family.weights[2]]
-    elif case == "v":
-        basis = [family.weights[1]]
-    else:
-        basis = [family.weights[1], family.weights[2]]
+    indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
+    basis = [family.weights[i] for i in indices]
     out = []
     for sign, exps in monomials:
         v = TowerElement.rational(sign, family.desc)
@@ -295,6 +255,17 @@ def evaluate_monomials(monomials, family):
             v = v * b ** e
         out.append(v)
     return out
+
+
+def haagerup_formula(family):
+    """H(W) of a constructed family from the three-part union.
+
+    The union's monomials (``monomial_h_set`` at the family's q) are
+    evaluated on the family's independent weights, and 1 is added.
+    """
+    h = evaluate_monomials(monomial_h_set(family.case, family.q), family)
+    return HaagerupData([TowerElement.rational(1, family.desc)] + h,
+                        "formula")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +345,7 @@ def _fused_p11(q, blocks):
     blocks[0] must be [0]; relation 1 of the fused scheme is blocks[1].
     Returns {fused class k (>0): p value}, checking well-definedness.
     """
-    ps = ParametricScheme()
-    p = ps.p_at(q)
+    p = parametric_scheme().p_at(q)
     first = blocks[1]
     out = {}
     for kk, block in enumerate(blocks):

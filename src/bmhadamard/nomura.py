@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exactfield import TowerElement
 from .fastfield import FlatTower
-from .scheme import ParametricScheme
+from .scheme import parametric_scheme
 
 
 class NotSymmetricAlgebra(ValueError):
@@ -199,8 +199,7 @@ def check_symmetric(family):
 
 def symmetry_values(family):
     """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3."""
-    ps = ParametricScheme()
-    p_at = ps.p_at(family.q)
+    p_at = parametric_scheme().p_at(family.q)
     a = family.a_matrix()
     out = []
     for i in range(1, 4):

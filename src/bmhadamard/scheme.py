@@ -13,6 +13,7 @@ Class order is fixed throughout: valencies (1, q^2/2 - q, q^2/2, q-2).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import linalg
@@ -297,6 +298,12 @@ def build_petersen_line_scheme():
     return scheme
 
 
+@cache
+def petersen_scheme():
+    """The shared q = 4 scheme; callers read it and never mutate it."""
+    return build_petersen_line_scheme()
+
+
 def distance_matrix(adj):
     """BFS distances of a connected graph given as a 0/1 matrix."""
     n = len(adj)
@@ -445,3 +452,9 @@ class ParametricScheme:
             if row not in rows:
                 rows.append(row)
         return [list(r) for r in rows]
+
+
+@cache
+def parametric_scheme():
+    """The shared parametric family; callers read it and never mutate it."""
+    return ParametricScheme()

@@ -35,7 +35,7 @@ from .exactfield import (
 )
 from .intervals import element_sign, abs_is_one
 from .ratfunc import QF, RF_R, RatFuncQ, ratfunc_specialize, r_value_at
-from .scheme import build_petersen_line_scheme, ParametricScheme
+from .scheme import parametric_scheme, petersen_scheme
 
 CASES = ("i", "ii", "iii", "iv", "v", "vi")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -67,6 +67,10 @@ class NoWitness(ValueError):
 
 class NotSquare(ValueError):
     pass
+
+
+class NoConcreteScheme(ValueError):
+    """A dense matrix was asked for off q = 4, where no scheme is built."""
 
 
 def normalize_case(case):
@@ -327,23 +331,13 @@ def reconstruct_weights(a, i0, i1, w_pair):
 # ---------------------------------------------------------------------------
 # dense matrices and certificates
 
-_PETERSEN = None
-
-
-def petersen_scheme():
-    global _PETERSEN
-    if _PETERSEN is None:
-        _PETERSEN = build_petersen_line_scheme()
-    return _PETERSEN
-
-
 class TypeIIMatrix:
     """A weight family attached to a scheme, with a dense expansion."""
 
     def __init__(self, family, scheme=None):
         if scheme is None:
             if family.q != 4:
-                raise NotSquare("a concrete scheme exists only at q = 4")
+                raise NoConcreteScheme("a concrete scheme exists only at q = 4")
             scheme = petersen_scheme()
         self.family = family
         self.scheme = scheme
@@ -372,8 +366,7 @@ def is_type_ii(family, dense_check=None):
     W * (W^(-))^T = n I is verified as well and must agree.
     Returns (bool, certificate dict).
     """
-    ps = ParametricScheme()
-    P = ps.eigenmatrix_at(family.q)
+    P = parametric_scheme().eigenmatrix_at(family.q)
     n = family.n
     w = family.weights
     w_inv = [x.inverse() for x in w]

@@ -125,6 +125,22 @@ def test_env_sweep_bound(capsys, monkeypatch):
     assert data["checks"][0]["q_range"] == [4, 6]
 
 
+@pytest.mark.parametrize("value", ["3", "abc"])
+def test_env_sweep_bound_invalid_is_a_usage_error(capsys, monkeypatch,
+                                                  tmp_path, value):
+    monkeypatch.setenv("HW_SWEEP_BOUND", value)
+    out = tmp_path / "report.json"
+    code = main(["report", "--suite", "sweeps", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert "HW_SWEEP_BOUND" in capsys.readouterr().err
+
+
+def test_report_section5_off_q4(capsys):
+    code, data = run_json(capsys, "report", "--suite", "section5", "--q", "6")
+    assert code == 0 and data["passed"]
+    assert len(data["checks"]) == 11
+
+
 def test_report_isolation_off_q4_is_a_usage_error(capsys):
     code = main(["report", "--suite", "isolation", "--q", "8"])
     out, err = capsys.readouterr()

@@ -19,7 +19,6 @@ from bmhadamard.exactfield import (
     rational_radical_parts,
     rational_sqrt,
     squarefree_decompose,
-    tower_arith,
 )
 from bmhadamard.intervals import abs_is_one, complex_embed, element_sign
 
@@ -47,19 +46,6 @@ def test_inverse_of_unimodular_quadratic():
     w = (TowerElement.rational(5, d) + s) / 6
     assert w.inverse() == (TowerElement.rational(5, d) - s) / 6
     assert w.inverse() == w.galois_conj()
-
-
-def test_tower_arith_dispatch():
-    d, s = sqrt_field(17)
-    x = TowerElement.rational(1, d) + s
-    assert tower_arith("add", x, x) == 2 * x
-    assert tower_arith("sub", x, x).is_zero()
-    assert tower_arith("mul", x, x) == x * x
-    assert tower_arith("div", x, x) == TowerElement.rational(1, d)
-    assert tower_arith("neg", x) == -x
-    assert tower_arith("inv", x) * x == 1
-    with pytest.raises(ValueError):
-        tower_arith("pow", x, x)
 
 
 def test_division_by_zero():

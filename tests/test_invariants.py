@@ -1,25 +1,31 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmhadamard.exactfield import QQ, TowerElement
 from bmhadamard.invariants import (
-    HaagerupData,
     HypothesisFail,
+    _monomial_reduce,
     canonical_real_key,
     check_inverse_inequivalence,
     distinguish,
     evaluate_monomials,
     haagerup_bruteforce,
     haagerup_formula,
-    haagerup_symbolic,
     k_in_interval,
     k_interval_violator,
     k_set_keys,
     monomial_h_set,
     table_one_row,
 )
-from bmhadamard.typeii import CASES, TypeIIMatrix, WeightFamily
+from bmhadamard.typeii import (
+    CASES,
+    TypeIIMatrix,
+    WeightFamily,
+    family_coefficients,
+)
 
 
 def test_all_ones_matrix_has_trivial_haagerup_set():
@@ -90,15 +96,25 @@ def test_monomial_rows_match_table(case):
     assert monomial_h_set(case, 200) == table_one_row(case)
 
 
-def test_monomial_evaluation_matches_formula(families_q4):
-    for key in (("ii", 1, 1), ("vi", 1, 1)):
-        fam = families_q4[key]
-        mono = evaluate_monomials(monomial_h_set(fam.case, 4), fam)
-        mono.append(TowerElement.rational(1, fam.desc))
-        data = HaagerupData(mono, "table")
-        direct = haagerup_formula(fam)
-        assert [e.coefficients() for e in data.h_set] == \
-            [e.coefficients() for e in direct.h_set]
+_family = cache(family_coefficients)
+FAMILY_KEYS = [(case, r_sign, branch) for case in CASES
+               for r_sign in ((1, -1) if case == "vi" else (1,))
+               for branch in (1, -1)]
+exponents = st.integers(-3, 3)
+
+
+@given(q=st.sampled_from((4, 6, 10, 26, 50)),
+       e=st.tuples(exponents, exponents, exponents))
+@settings(max_examples=25, deadline=None)
+def test_monomial_reduction_holds_off_q4(q, e):
+    # the dense oracle runs only at q = 4; this checks the reduction
+    # through the weight relations of every family at other q as well
+    for case, r_sign, branch in FAMILY_KEYS:
+        fam = _family(case, q, r_sign, branch)
+        _, w1, w2, w3 = fam.weights
+        [reduced] = evaluate_monomials([_monomial_reduce(case, *e)], fam)
+        assert reduced == w1 ** e[0] * w2 ** e[1] * w3 ** e[2], \
+            (case, r_sign, branch)
 
 
 def test_haagerup_invariant_properties(families_q4):
@@ -195,10 +211,3 @@ def test_inverse_inequivalence_rejects_other_cases():
     with pytest.raises(HypothesisFail):
         check_inverse_inequivalence("iii", 4)
 
-
-def test_symbolic_dispatch(families_q4):
-    fam = families_q4[("iv", 1, 1)]
-    assert haagerup_symbolic(fam).provenance == "formula"
-    assert haagerup_symbolic("iv", 4) == table_one_row("iv")
-    with pytest.raises(ValueError):
-        haagerup_symbolic("iv")

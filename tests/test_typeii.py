@@ -12,6 +12,7 @@ from bmhadamard.typeii import (
     AllPlusMinusTwo,
     DenominatorZero,
     InvalidCase,
+    NoConcreteScheme,
     NoWitness,
     NotSquare,
     QTooSmall,
@@ -338,7 +339,7 @@ def test_span_condition_rejects_non_square():
 
 def test_dense_matrix_needs_q4():
     fam = family_coefficients("i", 6)
-    with pytest.raises(NotSquare):
+    with pytest.raises(NoConcreteScheme):
         TypeIIMatrix(fam)
 
 
