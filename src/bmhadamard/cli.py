@@ -95,7 +95,17 @@ def _sweep_bound(text):
 
 def _n_range(text):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError("the range LO..HI needs LO <= HI")
+    return lo, hi
+
+
+def _precision(text):
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError("the precision must be >= 0")
+    return digits
 
 
 def _write_out(text, path):
@@ -276,12 +286,12 @@ def suite_identities(**_):
 
 def suite_section5(q=4, **_):
     checks = []
-    fams = {}
+    formulas = {}
     for fam in all_families(q):
-        fams.setdefault((fam.case, fam.r_sign), fam)
-        bf = invariants.haagerup_bruteforce(TypeIIMatrix(fam)) if q == 4 else None
         fo = invariants.haagerup_formula(fam)
-        if bf is not None:
+        formulas.setdefault((fam.case, fam.r_sign), fo)
+        if q == 4:
+            bf = invariants.haagerup_bruteforce(TypeIIMatrix(fam))
             same = [e.coefficients() for e in bf.h_set] == \
                    [e.coefficients() for e in fo.h_set]
             label = fam.label().replace(",", ".").replace("=", "_")
@@ -291,20 +301,13 @@ def suite_section5(q=4, **_):
         mono = invariants.monomial_h_set(case, q)
         checks.append((f"haagerup.table_row.case_{case}",
                        mono == invariants.table_one_row(case), None))
-    keys = {}
-    for (case, r_sign), fam in fams.items():
-        keys[(case, r_sign)] = invariants.k_set_keys(
-            invariants.haagerup_formula(fam))
-    reps = [("i", 1), ("ii", 1), ("iii", 1), ("iv", 1), ("v", 1), ("vi", 1)]
-    distinct = all(keys[a] != keys[b]
-                   for i, a in enumerate(reps) for b in reps[i + 1:])
+    keys = [invariants.k_set_keys(formulas[case, 1]) for case in CASES]
+    distinct = all(a != b for i, a in enumerate(keys) for b in keys[i + 1:])
     checks.append(("haagerup.k_pairwise_distinct", distinct, None))
-    plus = invariants.haagerup_formula(fams[("vi", 1)])
-    minus = invariants.haagerup_formula(fams[("vi", -1)])
     checks.append(("haagerup.k_interval_r_plus",
-                   invariants.k_in_interval(plus), None))
+                   invariants.k_in_interval(formulas[("vi", 1)]), None))
     checks.append(("haagerup.k_interval_r_minus_violated",
-                   not invariants.k_in_interval(minus), None))
+                   not invariants.k_in_interval(formulas[("vi", -1)]), None))
     for case in ("i", "ii"):
         try:
             rep = invariants.check_inverse_inequivalence(case, q)
@@ -481,7 +484,7 @@ def build_parser():
     p.add_argument("--dense", action="store_true",
                    help="require the dense matrix (q = 4 only)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_precision, default=30)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_construct)
 

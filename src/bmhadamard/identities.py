@@ -19,8 +19,6 @@ import os
 from fractions import Fraction
 from functools import partial
 
-from . import linalg
-from .exactfield import TowerElement
 from .ratfunc import RatQ, Q, RatFuncQ, r_value_at, ratfunc_specialize
 from .scheme import parametric_scheme
 from .typeii import (
@@ -529,97 +527,93 @@ def _symmetry_ok(case, values, q):
 
 
 def _weight_variants(case, q):
-    """All exact weight vectors of a family at q (branches x r signs)."""
+    """Every exact weight vector of a family at q (branches x r signs),
+    each paired with the inverses of its weights."""
     signs = (1, -1) if case == "vi" else (1,)
-    return [family_coefficients(case, q, sign, branch)
-            for sign in signs for branch in (1, -1)]
+    for sign in signs:
+        for branch in (1, -1):
+            w = family_coefficients(case, q, sign, branch).weights
+            yield w, [x.inverse() for x in w]
+
+
+_TRIPLES = tuple(itertools.product(range(4), repeat=3))
+
+
+def _ratio_table(w, w_inv, keys):
+    """{(i, j, k): w_i^2 / (w_j w_k)} over the given keys, for weights w
+    with inverses w_inv."""
+    sq = [x * x for x in w]
+    pair = {}
+    for j, k in itertools.combinations_with_replacement(range(4), 2):
+        pair[j, k] = pair[k, j] = w_inv[j] * w_inv[k]
+    return {(i, j, k): sq[i] * pair[j, k] for i, j, k in keys}
 
 
 def _jones_adjacency_ok(case, q):
+    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) != 0 for m = 1, 2."""
     p_at = parametric_scheme().p_at(q)
-    for fam in _weight_variants(case, q):
-        w = fam.weights
-        w_inv = [x.inverse() for x in w]
-        zero = TowerElement.rational(0, fam.desc)
-        for m in (1, 2):
-            acc = zero
-            for i in range(4):
-                for j in range(4):
-                    pij = p_at[i][j][m]
-                    if pij == 0:
-                        continue
-                    for k in range(4):
-                        p3k = p_at[3][k][i]
-                        if p3k == 0:
-                            continue
-                        term = w[i] * w[i] * w_inv[j] * w_inv[k]
-                        acc = acc + term * (pij * p3k)
-            if acc.is_zero():
+    coeffs = [{(i, j, k): p_at[i][j][m] * p_at[3][k][i] for i, j, k in _TRIPLES
+               if p_at[i][j][m] and p_at[3][k][i]} for m in (1, 2)]
+    keys = coeffs[0].keys() | coeffs[1].keys()
+    for w, w_inv in _weight_variants(case, q):
+        ratio = _ratio_table(w, w_inv, keys)
+        for coeff in coeffs:
+            if sum(ratio[t] * c for t, c in coeff.items()).is_zero():
                 return False
     return True
 
 
-def _jones_component_ok(case, q):
-    """No field solution for the unknown counters c_{ijk}, i,j,k in {1,2}.
+# the unknown counters c_ijk, i, j, k in {1, 2}, ordered so that turning a
+# 2 of a counter into a 1 gives an earlier counter; and for each counter t,
+# the marginal lines through t along the slots where t holds a 2: the
+# line's other two indices and its counter with a 1 in that slot
+_COUNTERS = tuple(itertools.product((1, 2), repeat=3))
+_LINES = {t: [(t[:a] + t[a + 1:], t[:a] + (1,) + t[a + 1:])
+              for a in range(3) if t[a] == 2] for t in _COUNTERS}
 
-    Known counters: patterns containing 0 contribute only for the three
-    permutations of (0, 3, 3) (value 1); patterns containing 3 only for
-    (3, 3, 3) (value p_33^3 - 1); marginal sums over each slot equal
-    p_jk^3.  Infeasibility of {marginals, both ratio sums = 0} over the
-    weight field at q is exactly what the component argument needs.
+
+def _jones_component_ok(case, q):
+    """No field solution for the unknown counters c_ijk, i, j, k in {1, 2}.
+
+    Known counters: the three permutations of (0, 3, 3) are 1, (3, 3, 3)
+    is p_33^3 - 1, and every other pattern holding a 0 or a 3 is 0.  The
+    twelve marginals say that each line of the 2 x 2 x 2 array c sums to
+    p_jk^3, (j, k) being the indices off the line.  Infeasibility of
+    {marginals, both ratio sums = 0} over the weight field at q is what
+    the component argument needs, and it is decided without a solve:
+
+    * The line sums have rank 7 and kernel s_ijk = (-1)^(i+j+k): each
+      line holds one counter of each sign.  As s_111 != 0, consistent
+      marginals have one solution c0 with c0_111 = 0, found by walking
+      along lines from c_111.  They are consistent iff c0 meets all
+      twelve; inconsistent ones are infeasible for every weight variant.
+    * Else c = c0 + t*s, and the ratio sums over R = w_i^2/(w_j w_k) (ff)
+      and over the same R of the inverted weights (gg) read A + t*B, with
+      A the sum over c0 and the known counters and B = sum s_ijk R.
+    * A common root t exists iff A_ff*B_gg - A_gg*B_ff = 0, except when
+      B_ff = B_gg = 0, where it needs A_ff = A_gg = 0.
     """
     p_at = parametric_scheme().p_at(q)
-    unknowns = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
-    index = {t: n for n, t in enumerate(unknowns)}
-
-    for fam in _weight_variants(case, q):
-        w = fam.weights
-        w_inv = [x.inverse() for x in w]
-        zero = TowerElement.rational(0, fam.desc)
-        one = TowerElement.rational(1, fam.desc)
-
-        def known(i, j, k):
-            if 0 in (i, j, k):
-                return 1 if sorted((i, j, k)) == [0, 3, 3] else 0
-            if 3 in (i, j, k):
-                if (i, j, k) == (3, 3, 3):
-                    return p_at[3][3][3] - 1
-                return 0
-            return None
-
-        def ratio_ff(i, j, k):
-            return w[i] * w[i] * w_inv[j] * w_inv[k]
-
-        def ratio_gg(i, j, k):
-            return w[j] * w[k] * w_inv[i] * w_inv[i]
-
-        rows, rhs = [], []
-        # marginals: sum over first / second / third slot = p_jk^3
-        for j in (1, 2):
-            for k in (1, 2):
-                for slot in range(3):
-                    row = [zero] * 8
-                    for i in (1, 2):
-                        t = [j, k]
-                        t.insert(slot, i)
-                        row[index[tuple(t)]] = one
-                    rows.append(row)
-                    rhs.append(TowerElement.rational(
-                        Fraction(p_at[j][k][3]), fam.desc))
-        for ratio in (ratio_ff, ratio_gg):
-            row = [zero] * 8
-            const = zero
-            for i in range(4):
-                for j in range(4):
-                    for k in range(4):
-                        c = known(i, j, k)
-                        if c is None:
-                            row[index[(i, j, k)]] = ratio(i, j, k)
-                        elif c:
-                            const = const + ratio(i, j, k) * Fraction(c)
-            rows.append(row)
-            rhs.append(-const)
-        sol = linalg.solve(rows, rhs, zero=zero, one=one)
-        if sol is not None:
+    c0 = {(1, 1, 1): Fraction(0)}
+    for t in _COUNTERS[1:]:
+        (j, k), lower = _LINES[t][0]
+        c0[t] = p_at[j][k][3] - c0[lower]
+    if any(c0[t] + c0[lower] != p_at[j][k][3]
+           for t in _COUNTERS for (j, k), lower in _LINES[t]):
+        return True
+    known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
+             (3, 3, 3): p_at[3][3][3] - 1}
+    fixed = {t: c for t, c in {**known, **c0}.items() if c}
+    keys = set(known) | set(_COUNTERS)
+    for w, w_inv in _weight_variants(case, q):
+        (a_ff, b_ff), (a_gg, b_gg) = [
+            (sum(ratio[t] * c for t, c in fixed.items()),
+             sum(-ratio[t] if sum(t) % 2 else ratio[t] for t in _COUNTERS))
+            for ratio in (_ratio_table(w, w_inv, keys),
+                          _ratio_table(w_inv, w, keys))]
+        if b_ff.is_zero() and b_gg.is_zero():
+            if a_ff.is_zero() and a_gg.is_zero():
+                return False
+        elif (a_ff * b_gg - a_gg * b_ff).is_zero():
             return False
     return True

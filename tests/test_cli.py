@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from bmhadamard import identities
 from bmhadamard.cli import main
+from bmhadamard.identities import CASES, ViolationFound, scan_nonvanishing
+from bmhadamard.ratfunc import RatFuncQ
 from bmhadamard.serialize import decode_element
 
 
@@ -165,3 +168,35 @@ def test_report_sweeps_bound_below_4_is_a_usage_error(capsys):
 def test_cli_rejects_odd_q():
     with pytest.raises(SystemExit):
         main(["construct", "--case", "i", "--q", "5"])
+
+
+def test_construct_negative_precision_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--case", "iv", "--format", "csv",
+              "--precision", "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "the precision must be >= 0" in err
+
+
+def test_report_reversed_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--suite", "appendixB", "--range", "2..-2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "LO <= HI" in err
+
+
+def test_sweep_zero_is_a_failed_check(capsys, monkeypatch):
+    # a symmetry functional that vanishes identically meets a zero at
+    # every q: the scan raises, and the report records it as exit 9
+    monkeypatch.setattr(identities, "ns_symbolic",
+                        lambda case: [RatFuncQ(0)] * 3)
+    with pytest.raises(ViolationFound, match="nomura_symmetric_k/iv"):
+        scan_nonvanishing("nomura_symmetric_k", "iv", [4, 6])
+    code, data = run_json(capsys, "report", "--suite", "sweeps",
+                          "--sweep-bound", "6")
+    failed = {c["check_id"] for c in data["checks"] if not c["status"]}
+    assert code == 9 and not data["passed"]
+    assert failed == {f"sweep.nomura_symmetric_k.case_{case}"
+                      for case in CASES}

@@ -1,8 +1,12 @@
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bmhadamard import identities, linalg
+from bmhadamard.exactfield import TowerElement
 from bmhadamard.identities import (
     CASES,
     MPoly,
@@ -25,7 +29,7 @@ from bmhadamard.identities import (
     verify_core_identities,
 )
 from bmhadamard.ratfunc import Q, RatFuncQ, RatQ
-from bmhadamard.scheme import ParametricScheme
+from bmhadamard.scheme import ParametricScheme, parametric_scheme
 from bmhadamard.typeii import PAIRS, case_a_symbolic, family_coefficients
 
 
@@ -189,6 +193,101 @@ def test_adjacency_and_component_sweeps_small():
                    scan_nonvanishing("jones_adjacency", case, even_q_range(12)))
         assert all(ok for _, ok in
                    scan_nonvanishing("jones_component", case, even_q_range(12)))
+
+
+def _component_system_solution(p_at, ff, gg):
+    """linalg.solve on the full 14 x 8 system of the component argument.
+
+    Unknowns c_ijk, i, j, k in {1, 2}; twelve marginal rows (each line
+    sum of the array equals p_jk^3) and the two ratio rows
+    sum_ijk c_ijk R(i, j, k) = 0 with R = ff and R = gg, where the
+    counters outside {1, 2}^3 are known.
+    """
+    unknowns = list(itertools.product((1, 2), repeat=3))
+    index = {t: n for n, t in enumerate(unknowns)}
+
+    def known(i, j, k):
+        if 0 in (i, j, k):
+            return 1 if sorted((i, j, k)) == [0, 3, 3] else 0
+        if 3 in (i, j, k):
+            return p_at[3][3][3] - 1 if (i, j, k) == (3, 3, 3) else 0
+        return None
+
+    rows, rhs = [], []
+    for j in (1, 2):
+        for k in (1, 2):
+            for slot in range(3):
+                row = [Fraction(0)] * 8
+                for i in (1, 2):
+                    t = [j, k]
+                    t.insert(slot, i)
+                    row[index[tuple(t)]] = Fraction(1)
+                rows.append(row)
+                rhs.append(Fraction(p_at[j][k][3]))
+    for ratio in (ff, gg):
+        row, const = [Fraction(0)] * 8, Fraction(0)
+        for t in itertools.product(range(4), repeat=3):
+            c = known(*t)
+            if c is None:
+                row[index[t]] = ratio[t]
+            else:
+                const += c * ratio[t]
+        rows.append(row)
+        rhs.append(-const)
+    return linalg.solve(rows, rhs)
+
+
+_ratio_entries = st.lists(st.integers(-1, 1), min_size=64, max_size=64)
+
+
+def _table(entries):
+    return dict(zip(itertools.product(range(4), repeat=3),
+                    map(Fraction, entries)))
+
+
+def test_component_closed_form_matches_linear_solve(monkeypatch):
+    # The closed form of _jones_component_ok against linalg.solve on the
+    # full system.  Weights w_1..w_3 in {+-1, +-2, +-3} give no solvable
+    # system at these q, so the ratio tables are drawn directly: the drawn
+    # (ff, gg) pairs stand in for (weights, inverted weights), and
+    # _ratio_table hands its first argument back.  A gg row that is a
+    # multiple of the ff row makes solvable systems common; a skewed
+    # p_12^3 makes the marginals inconsistent.
+    real = parametric_scheme()
+    seen = set()
+    monkeypatch.setattr(identities, "_ratio_table",
+                        lambda num, den, keys: num)
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.sampled_from([4, 6, 10, 50]),
+           variants=st.lists(st.tuples(_ratio_entries, _ratio_entries,
+                                       st.sampled_from([None, 1, -2])),
+                             min_size=1, max_size=2),
+           skew=st.sampled_from([0, 0, 0, 1]))
+    # B_ff = B_gg = 0 with A_ff != 0; and a solvable system, with only
+    # R(1, 1, 1) = 1 (entry 21) and gg = ff
+    @example(q=4, variants=[([1] * 64, [1] * 64, None)], skew=0)
+    @example(q=6, variants=[([int(n == 21) for n in range(64)], [0] * 64, 1)],
+             skew=0)
+    def check(q, variants, skew):
+        p_at = real.p_at(q)
+        p_at[1][2][3] += skew
+        tables = [(_table(f), _table(g if scale is None else
+                                     [scale * v for v in f]))
+                  for f, g, scale in variants]
+        lifted = [tuple({t: TowerElement.rational(v) for t, v in tab.items()}
+                        for tab in pair) for pair in tables]
+        monkeypatch.setattr(identities, "parametric_scheme",
+                            lambda: SimpleNamespace(p_at=lambda q: p_at))
+        monkeypatch.setattr(identities, "_weight_variants",
+                            lambda case, q: iter(lifted))
+        want = all(_component_system_solution(p_at, ff, gg) is None
+                   for ff, gg in tables)
+        assert identities._jones_component_ok("i", q) == want
+        seen.add(want)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_scan_rejects_unknown_expression():
