@@ -406,18 +406,20 @@ SUITES = {
 }
 SUITE_ORDER = ["scheme", "identities", "families", "section5", "section6",
                "appendixB", "sweeps", "isolation"]
-# suites that run on the dense 15 x 15 matrices, which exist only at q = 4
-DENSE_SUITES = ("section6", "isolation")
+# suites that need the concrete scheme, which is built only at q = 4 (the
+# Petersen line graph): scheme checks its axioms and tables, section6 and
+# isolation run on the dense 15 x 15 matrices
+CONCRETE_SCHEME_SUITES = ("scheme", "section6", "isolation")
 
 
 def cmd_report(args):
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
-    dense = [name for name in names if name in DENSE_SUITES]
-    if dense and args.q != 4:
-        needs = "suite needs" if len(dense) == 1 else "suites need"
+    concrete = [name for name in names if name in CONCRETE_SCHEME_SUITES]
+    if concrete and args.q != 4:
+        needs = "suite needs" if len(concrete) == 1 else "suites need"
         raise NoConcreteScheme(
-            f"no concrete scheme at q = {args.q}; the {' and '.join(dense)} "
-            f"{needs} the dense matrices (q = 4)")
+            f"no concrete scheme at q = {args.q}; the "
+            f"{', '.join(concrete)} {needs} the concrete scheme (q = 4)")
     bound = args.sweep_bound
     if bound is None and "sweeps" in names:
         try:

@@ -526,9 +526,12 @@ def adjoin_root(desc, p, s):
 def adjoin_radical(desc, radicand):
     """Extend by a square root of ``radicand`` (pure quadratic, p = 0).
 
-    Radicands in Q are canonicalized to a squarefree integer: the
-    caller gets back (new descriptor, the requested sqrt as an element).
-    Raises Reducible when the radicand is already a square.
+    Radicands in the base field lose their square part: over Q the new
+    level adjoins the root of a squarefree integer, over Q(q) that of a
+    squarefree integer times a squarefree primitive polynomial
+    (``RatQ.radical_parts``).  The caller gets back (new descriptor, the
+    requested sqrt as an element).  Raises Reducible, with a root of the
+    radicand, when the radicand is already a square.
     """
     if not isinstance(radicand, TowerElement):
         radicand = TowerElement.rational(radicand, desc)
@@ -536,13 +539,17 @@ def adjoin_radical(desc, radicand):
         radicand = radicand.lift(desc)
     if radicand.is_zero():
         raise ValueError("radicand must be nonzero")
-    if desc.base is Fraction and radicand.is_rational():
-        m, scale = rational_radical_parts(radicand.as_rational())
+    if not radicand.is_rational():
+        new_desc = adjoin_root(desc, 0, radicand)
+        return new_desc, TowerElement.generator(new_desc)
+    x = radicand.as_rational()
+    m, scale = (rational_radical_parts(x) if desc.base is Fraction
+                else x.radical_parts())
+    try:
         new_desc = adjoin_root(desc, 0, m)
-        t = TowerElement.generator(new_desc)
-        return new_desc, t * scale
-    new_desc = adjoin_root(desc, 0, radicand)
-    return new_desc, TowerElement.generator(new_desc)
+    except Reducible as exc:
+        raise Reducible(str(exc), root=exc.root * scale) from None
+    return new_desc, TowerElement.generator(new_desc) * scale
 
 
 @cache

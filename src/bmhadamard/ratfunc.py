@@ -1,23 +1,39 @@
 """Rational functions of the scheme parameter q, optionally carrying r.
 
-``PolyQ``/``RatQ`` are plain dense univariate polynomials / reduced
-fractions over Q; ``RatQ`` is the field Q(q).  ``RatFuncQ`` is the
-working field for parametric computations: values A(q) + B(q)*r subject
-to r**2 = (17q-1)(q-1), i.e. Q(q) and its r-extension as a depth-1
+``PolyQ``/``RatQ`` are dense univariate polynomials / reduced fractions
+over Q; ``RatQ`` is the field Q(q).  ``RatFuncQ`` is the working field
+for parametric computations: values A(q) + B(q)*r subject to
+r**2 = (17q-1)(q-1), i.e. Q(q) and its r-extension as a depth-1
 `exactfield` tower over the base field ``RatQ``.  All identities "in q"
 proved by this package are equalities of reduced RatFuncQ values, so
 they hold identically, not just at sampled points.
+
+A ``PolyQ`` holds integer coefficients over one positive denominator,
+reduced so that gcd(content, denominator) = 1: arithmetic runs on
+Python ints and equality is structural.  ``RatQ`` reduces N/D with one
+integer gcd of the primitive parts of N and D.  That gcd is the
+heuristic GCDHEU of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989),
+falling back after six failed evaluation points to the primitive PRS of
+Collins (1967).  A GCDHEU candidate is accepted only when it divides
+both inputs exactly, and ``_heuristic_gcd`` proves that such a
+candidate is the gcd, not merely a common factor.  The quotients of
+those exact divisions are the reduced numerator and denominator, and
+the denominator is made monic, so a reduced value has one
+representation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
 from .exactfield import (
     TowerDescriptor,
     TowerElement,
     QQ,
     adjoin_radical,
+    rational_radical_parts,
     rational_sqrt,
 )
 
@@ -30,41 +46,256 @@ class InvalidRValue(ValueError):
     """Supplied r does not square to (17q-1)(q-1) at the given q."""
 
 
-class PolyQ:
-    """Dense univariate polynomial over Q, coefficients ascending."""
+# ---------------------------------------------------------------------------
+# integer polynomials: ascending coefficient lists without trailing zeros
 
-    __slots__ = ("coeffs",)
+def _trim(ints):
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints
+
+
+def _reduced(ints, den):
+    """(ints, den) as a PolyQ stores them: no trailing zero, den > 0
+    and gcd(content, den) = 1."""
+    _trim(ints)
+    if not ints:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [x // g for x in ints]
+            den //= g
+    return tuple(ints), den
+
+
+def _split(ints):
+    """(content, primitive part): ints = content * part, where the part
+    has a positive leading coefficient (the content carries the sign)."""
+    if not ints:
+        return 1, []
+    c = gcd(*ints)
+    if ints[-1] < 0:
+        c = -c
+    return c, [x // c for x in ints] if c != 1 else list(ints)
+
+
+def _primitive(ints):
+    return _split(ints)[1]
+
+
+def _mul_ints(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _eval_ints(ints, x):
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _pseudo_divmod(a, b):
+    """(quo, rem, k) with lc(b)**k * a = quo * b + rem, deg rem < deg b.
+
+    Once a is scaled by lc(b)**k, step s of the long division leaves
+    every remaining coefficient divisible by lc(b)**(k - s), so each
+    quotient coefficient is an exact integer division.
+    """
+    k = len(a) - len(b) + 1
+    if k <= 0:
+        return [], list(a), 0
+    lc, db = b[-1], len(b) - 1
+    scale = lc ** k
+    rem = [x * scale for x in a]
+    quo = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = rem[i + db] // lc
+        quo[i] = c
+        if c:
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return quo, _trim(rem[:db]), k
+
+
+def _exact_quotient(a, b):
+    """a / b when b divides a in Z[q], else None (b nonzero)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    lc = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c, m = divmod(rem[i + db], lc)
+        if m:
+            return None
+        quo[i] = c
+        if c:
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return None if any(rem[:db]) else quo
+
+
+def _heuristic_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet 1989) on primitive a, b of
+    degree >= 1: (g, a / g, b / g) with g = gcd(a, b), or None when six
+    evaluation points fail.
+
+    At an integer xi, h = gcd(a(xi), b(xi)) is read back as the
+    polynomial H of its symmetric base-xi digits (each of absolute value
+    at most xi/2), and the candidate is g = pp(H).  With
+    xi >= 2 * min(|a|_inf, |b|_inf) + 2, a candidate that divides both
+    a and b is the gcd G.  Proof: g divides G, say G = g * c with c
+    primitive (Gauss).  Every root z of G is a root of both inputs, so
+    Cauchy's bound gives |z| < 1 + min(|a|_inf, |b|_inf) <= xi/2; in
+    particular h != 0 and g(xi) != 0.  G(xi) divides a(xi) and b(xi),
+    hence h = H(xi) = cont(H) * g(xi), so c(xi) divides cont(H), which
+    is nonzero and at most xi/2.  A nonconstant c would have
+    |c(xi)| >= prod |xi - z| > (xi/2)**deg c >= xi/2 over its roots z, a
+    contradiction; so c = +-1 and g = G, whose leading coefficient is
+    positive.  The exact divisions that test the candidate give the
+    cofactors.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        h = gcd(_eval_ints(a, xi), _eval_ints(b, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive(digits)
+        qa = _exact_quotient(a, g)
+        if qa is not None:
+            qb = _exact_quotient(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = xi * 73794 // 27011  # CGG's growth factor, about 2.73
+    return None
+
+
+def _prs_gcd(a, b):
+    """gcd of primitive a, b by the primitive PRS (Collins 1967).
+
+    Each pseudo-remainder is replaced by its primitive part; the last
+    nonzero term is the gcd, primitive with a positive leading
+    coefficient.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _gcd(a, b):
+    """(g, a / g, b / g) for primitive a, b, not both zero, where g is
+    their gcd: primitive, with a positive leading coefficient.
+
+    GCDHEU first; after six failed points the primitive PRS, whose gcd
+    then divides both inputs exactly.
+    """
+    if not a:
+        return b, [], [1]
+    if not b:
+        return a, [1], []
+    if len(a) == 1 or len(b) == 1:
+        return [1], a, b
+    if a == b:
+        return a, [1], [1]
+    out = _heuristic_gcd(a, b)
+    if out is None:
+        g = _prs_gcd(a, b)
+        out = g, _exact_quotient(a, g), _exact_quotient(b, g)
+    return out
+
+
+def _squarefree_parts(f):
+    """Yun's squarefree decomposition of a primitive f of degree >= 1.
+
+    Returns [a_1, a_2, ...]: primitive, squarefree, pairwise coprime,
+    with f = prod a_i**i.  b and c are Yun's f / gcd(f, f') and
+    f' / gcd(f, f') and their successors; the gcds run on primitive
+    parts, so c gets its content back after each one.
+    """
+    cd, pd = _split([i * x for i, x in enumerate(f)][1:])
+    _, b, c = _gcd(f, pd)
+    c = [cd * x for x in c]
+    out = []
+    while len(b) > 1:
+        b_prime = [i * x for i, x in enumerate(b)][1:]
+        d = _trim([x - y for x, y in zip_longest(c, b_prime, fillvalue=0)])
+        cd, pd = _split(d)
+        a, b, c = _gcd(b, pd)
+        c = [cd * x for x in c]
+        out.append(a)
+    return out
+
+
+class PolyQ:
+    """Dense univariate polynomial over Q, coefficients ascending.
+
+    Stored as integers over one positive denominator: ``ints`` has no
+    trailing zero and gcd(content, ``den``) = 1, so every polynomial
+    has one representation and equality is structural.  ``coeffs`` is
+    the same polynomial as a tuple of Fractions.
+    """
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self.ints, self.den = _reduced(
+            [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def _make(ints, den=1):
+        out = object.__new__(PolyQ)
+        out.ints, out.den = _reduced(ints, den)
+        return out
 
     @staticmethod
     def const(c):
-        return PolyQ((Fraction(c),))
+        return PolyQ((c,))
 
     @staticmethod
     def x():
         return PolyQ((0, 1))
 
     @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.ints) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other)
         if not isinstance(other, PolyQ):
             return NotImplemented  # a RatQ compares itself with a PolyQ
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
         # a constant equals its Fraction, so it hashes like one
@@ -75,22 +306,33 @@ class PolyQ:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other)
-        a, b = self.coeffs, other.coeffs
+        elif not isinstance(other, PolyQ):
+            return NotImplemented
+        a, b = self.ints, other.ints
+        da, db = self.den, other.den
+        if da != db:
+            den = lcm(da, db)
+            a = [x * (den // da) for x in a]
+            b = [x * (den // db) for x in b]
+        else:
+            den = da
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return PolyQ(out)
+        return PolyQ._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return PolyQ._make([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other)
+        elif not isinstance(other, PolyQ):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -98,16 +340,13 @@ class PolyQ:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PolyQ(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(out)
+            c = Fraction(other)
+            return PolyQ._make([x * c.numerator for x in self.ints],
+                               self.den * c.denominator)
+        if not isinstance(other, PolyQ):
+            return NotImplemented
+        return PolyQ._make(_mul_ints(self.ints, other.ints),
+                           self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -124,58 +363,55 @@ class PolyQ:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            if c == 0:
-                continue
-            quo[i - d] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] -= c * oc
-        return PolyQ(quo), PolyQ(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
+        # over Z, lc(B)**k * A = quo * B + rem for A, B the two ints
+        quo, rem, k = _pseudo_divmod(self.ints, other.ints)
+        den = other.ints[-1] ** k * self.den
+        return (PolyQ._make([x * other.den for x in quo], den),
+                PolyQ._make(rem, den))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (1 / a.leading())
+        """The monic gcd over Q (zero when both are zero)."""
+        if self.is_zero() and other.is_zero():
+            return PolyQ()
+        g = _gcd(_primitive(self.ints), _primitive(other.ints))[0]
+        return PolyQ._make(g, g[-1])
 
     def sqrt(self):
-        """The square root over Q with a positive leading term, or None."""
+        """The square root over Q with a positive leading term, or None.
+
+        self = P / den**2 with P = ints * den.  A square root over Q of
+        the integer polynomial P is c times a primitive one with c**2 =
+        cont(P) (Gauss), so it has integer coefficients, and an inexact
+        division below proves that P is no square.
+        """
         if self.is_zero():
             return self
         if self.degree % 2:
             return None
-        lead = rational_sqrt(self.leading())
-        if lead is None:
+        big = [c * self.den for c in self.ints]
+        lead = isqrt(big[-1]) if big[-1] > 0 else 0
+        if lead * lead != big[-1]:
             return None
         n = self.degree // 2
-        g = [Fraction(0)] * n + [lead]
+        g = [0] * n + [lead]
         for k in range(n - 1, -1, -1):
             # the q^(n+k) coefficient of g^2 is 2*g[k]*g[n] plus known terms
             known = sum(g[i] * g[n + k - i] for i in range(k + 1, n))
-            g[k] = (self.coeffs[n + k] - known) / (2 * lead)
-        root = PolyQ(g)
+            g[k], rem = divmod(big[n + k] - known, 2 * lead)
+            if rem:
+                return None
+        root = PolyQ._make(g, self.den)
         return root if root * root == self else None
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading())
-
     def __call__(self, q0):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
+        q0 = Fraction(q0)
+        n, d = q0.numerator, q0.denominator
+        acc, dpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dpow
+            dpow *= d
+        # acc = sum c_i n^i d^(degree - i), and dpow = d^(degree + 1)
+        return Fraction(acc * d, dpow * self.den)
 
     def __repr__(self):
         if self.is_zero():
@@ -187,8 +423,16 @@ class PolyQ:
         return "PolyQ<" + " + ".join(terms) + ">"
 
 
+_ONE = PolyQ((1,))
+
+
 class RatQ:
-    """Reduced fraction of PolyQ with monic denominator."""
+    """Reduced fraction of PolyQ with monic denominator.
+
+    Reduction splits numerator and denominator into content and
+    primitive part over Z[q] and divides both primitive parts by their
+    one integer gcd (``_gcd``), so the representation is canonical.
+    """
 
     __slots__ = ("num", "den")
 
@@ -196,21 +440,20 @@ class RatQ:
         if not isinstance(num, PolyQ):
             num = PolyQ.const(num)
         if den is None:
-            den = PolyQ.const(1)
-        elif not isinstance(den, PolyQ):
+            self.num, self.den = num, _ONE
+            return
+        if not isinstance(den, PolyQ):
             den = PolyQ.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
+        cn, pn = _split(num.ints)
+        cd, pd = _split(den.ints)
+        _, pn, pd = _gcd(pn, pd)
+        # num / den = (cn/num.den) pn / ((cd/den.den) pd), den made monic
+        lc = pd[-1]
+        self.num = PolyQ._make([x * cn * den.den for x in pn],
+                               num.den * cd * lc)
+        self.den = PolyQ._make(pd, lc)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -295,6 +538,29 @@ class RatQ:
         if num is None or den is None:
             return None
         return RatQ(num, den)
+
+    def radical_parts(self):
+        """Split sqrt(self), self nonzero, as (m, scale) in Q(q).
+
+        sqrt(N/D) = sqrt(N*D)/D.  N*D is c times a primitive f, f =
+        prod a_i**i by Yun's algorithm, and c = k * s**2 with k a
+        squarefree integer, so sqrt(self) = scale * sqrt(m) with
+        m = k * prod_{i odd} a_i and scale = s * prod a_i**(i // 2) / D.
+        m is the canonical radicand: a squarefree integer times a
+        squarefree primitive polynomial with positive leading term.
+        """
+        prod = self.num * self.den
+        c, f = _split(prod.ints)
+        k, s = rational_radical_parts(Fraction(c, prod.den))
+        odd, square = [k], [1]
+        if len(f) > 1:
+            for i, a in enumerate(_squarefree_parts(f), 1):
+                if i % 2:
+                    odd = _mul_ints(odd, a)
+                for _ in range(i // 2):
+                    square = _mul_ints(square, a)
+        return (RatQ(PolyQ._make(odd)),
+                RatQ(PolyQ._make(square) * s, self.den))
 
     def __call__(self, q0):
         q0 = Fraction(q0)

@@ -399,21 +399,27 @@ def is_type_ii(family, dense_check=None):
 
 
 def _dense_type_ii_check(family):
-    mat = TypeIIMatrix(family)
-    W = mat.dense()
-    Winv = mat.dense_inverse_entrywise()
-    n = mat.scheme.n
-    zero = TowerElement.rational(0, family.desc)
-    target = Fraction(n)
-    for x in range(n):
-        row = W[x]
-        for y in range(n):
-            col = Winv[y]  # (W^(-))^T column y = row y of W^(-)
-            acc = zero
-            for t in range(n):
-                acc = acc + row[t] * col[t]
-            want = target if x == y else 0
-            if not acc == want:
+    """Exact dense identity W * (W^(-))^T = n I, on integer coordinates.
+
+    Entry (x, y) is the sum over t of w_rel[x][t] / w_rel[y][t].  The 16
+    products w_i * w_j^(-1) are formed once as integer vectors, scaled by
+    the positive tden * den**2 of ``FlatTower.int_mul`` over the common
+    denominator of ``int_coords``.  Each of the n**2 entries is the
+    integer-vector sum of its n terms, compared with n * scale * e_0.
+    """
+    scheme = TypeIIMatrix(family).scheme
+    flat = FlatTower(family.desc)
+    w = family.weights
+    coords, den = flat.int_coords(list(w) + [x.inverse() for x in w])
+    prod = [[flat.int_mul(coords[i], coords[4 + j]) for j in range(4)]
+            for i in range(4)]
+    zero = [0] * flat.dim
+    diagonal = [scheme.n * flat.tden * den * den] + zero[1:]
+    for x, row in enumerate(scheme.rel):
+        for y, col in enumerate(scheme.rel):
+            terms = (prod[i][j] for i, j in zip(row, col))
+            acc = [sum(c) for c in zip(*terms)]
+            if acc != (diagonal if x == y else zero):
                 return False
     return True
 

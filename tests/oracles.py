@@ -1,0 +1,55 @@
+"""Slow reference implementations that the package's fast paths are
+checked against.  No verdict of the package rests on them."""
+
+from fractions import Fraction
+
+from bmhadamard.exactfield import TowerElement
+from bmhadamard.typeii import TypeIIMatrix
+
+
+def _trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _remainder(a, b):
+    rem = list(a)
+    d, lead = len(b) - 1, b[-1]
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] / lead
+        if c:
+            for j, bc in enumerate(b):
+                rem[i - d + j] -= c * bc
+    return _trim(rem[:d])
+
+
+def euclid_gcd(a, b):
+    """Monic gcd over Q of two ascending coefficient sequences, by
+    Euclid's algorithm on Fractions; () when both are zero."""
+    a = _trim([Fraction(c) for c in a])
+    b = _trim([Fraction(c) for c in b])
+    while b:
+        a, b = b, _remainder(a, b)
+    if not a:
+        return ()
+    return tuple(c / a[-1] for c in a)
+
+
+def dense_type_ii_oracle(family):
+    """W * (W^(-))^T = n I, entry by entry in tower arithmetic."""
+    mat = TypeIIMatrix(family)
+    W = mat.dense()
+    Winv = mat.dense_inverse_entrywise()
+    n = mat.scheme.n
+    zero = TowerElement.rational(0, family.desc)
+    for x in range(n):
+        row = W[x]
+        for y in range(n):
+            col = Winv[y]  # (W^(-))^T column y = row y of W^(-)
+            acc = zero
+            for t in range(n):
+                acc = acc + row[t] * col[t]
+            if not acc == (Fraction(n) if x == y else 0):
+                return False
+    return True

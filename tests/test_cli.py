@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from bmhadamard.cli import main
 from bmhadamard.identities import CASES, ViolationFound, scan_nonvanishing
 from bmhadamard.ratfunc import RatFuncQ
 from bmhadamard.serialize import decode_element
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def run_json(capsys, *argv):
@@ -156,6 +159,23 @@ def test_report_section6_off_q4_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert "no concrete scheme at q = 6" in err
+
+
+@pytest.mark.parametrize("q", ["8", "6"])
+def test_report_scheme_off_q4_is_a_usage_error(capsys, q):
+    # the scheme suite checks the concrete q = 4 scheme only
+    code = main(["report", "--suite", "scheme", "--q", q])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"no concrete scheme at q = {q}" in err
+
+
+@pytest.mark.parametrize("suite", ["identities", "families", "scheme"])
+def test_report_bytes_match_the_golden_report(tmp_path, suite):
+    out = tmp_path / f"{suite}.json"
+    assert main(["report", "--suite", suite, "--q", "4",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{suite}.json").read_bytes()
 
 
 def test_report_sweeps_bound_below_4_is_a_usage_error(capsys):

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import euclid_gcd
+
+from bmhadamard import ratfunc
 
 from bmhadamard.exactfield import (
     QQ,
@@ -168,3 +172,83 @@ def test_field_sqrt_over_q_of_q():
     with pytest.raises(Reducible):
         adjoin_radical(q_of_q, (Q - 1) * (Q - 1))
     assert adjoin_radical(q_of_q, R_SQUARED)[0] == RF_DESC
+
+
+# -- the integer gcd against Euclid on Fractions ------------------------------
+
+small_poly = st.lists(small_fraction, min_size=1, max_size=5)
+
+
+@given(small_poly, small_poly, small_poly)
+@example([0, -3, 2], [0, 1, 1], [1])  # the first candidate, q^2 + q, fails
+@settings(max_examples=150, deadline=None)
+def test_integer_gcd_matches_euclid(a, b, c):
+    # a planted common factor c, so the gcd is mostly nontrivial
+    A, B = PolyQ(a) * PolyQ(c), PolyQ(b) * PolyQ(c)
+    assert A.gcd(B).coeffs == euclid_gcd(A.coeffs, B.coeffs)
+    if not B.is_zero():
+        quo, rem = A.divmod(B)
+        assert quo * B + rem == A and rem.degree < B.degree
+
+
+@given(small_poly, small_poly, small_poly)
+@settings(max_examples=60, deadline=None)
+def test_prs_fallback_matches_euclid(a, b, c):
+    A, B = PolyQ(a) * PolyQ(c), PolyQ(b) * PolyQ(c)
+    pa, pb = ratfunc._primitive(A.ints), ratfunc._primitive(B.ints)
+    if not pa or not pb:
+        return
+    want = euclid_gcd(A.coeffs, B.coeffs)
+    g = ratfunc._prs_gcd(pa, pb)
+    assert tuple(Fraction(x, g[-1]) for x in g) == want
+    reduced = RatQ(A, B)
+    with patch.object(ratfunc, "_heuristic_gcd", lambda a, b: None):
+        g, qa, qb = ratfunc._gcd(pa, pb)
+        assert ratfunc._mul_ints(g, qa) == pa
+        assert ratfunc._mul_ints(g, qb) == pb
+        assert RatQ(A, B) == reduced
+
+
+@given(small_poly, small_poly, small_poly)
+@settings(max_examples=100, deadline=None)
+def test_ratq_cancels_a_common_factor(a, b, c):
+    A, B, C = PolyQ(a), PolyQ(b), PolyQ(c)
+    if B.is_zero() or C.is_zero():
+        return
+    left, right = RatQ(A * C, B * C), RatQ(A, B)
+    assert left == right and hash(left) == hash(right)
+    assert left.den.leading() == 1
+
+
+@given(st.lists(small_poly, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_parts_rebuild_the_input(factors):
+    f = PolyQ((1,))
+    for i, cs in enumerate(factors, 1):
+        f = f * PolyQ(cs) ** i
+    f = ratfunc._primitive(f.ints)
+    if len(f) < 2:
+        return
+    parts = ratfunc._squarefree_parts(f)
+    rebuilt = [1]
+    for i, a in enumerate(parts, 1):
+        if len(a) > 1:  # squarefree: coprime to its derivative
+            deriv = [k * x for k, x in enumerate(a)][1:]
+            assert euclid_gcd(a, deriv) == (1,)
+        for _ in range(i):
+            rebuilt = ratfunc._mul_ints(rebuilt, a)
+    assert rebuilt == f
+
+
+def test_adjoin_radical_strips_square_factors_over_q_of_q():
+    q_of_q = RF_DESC.prefix(0)
+    desc, root = adjoin_radical(q_of_q, R_SQUARED * (Q + 1) ** 2)
+    assert desc == RF_DESC and root == (Q + 1) * RF_R
+    radicand = R_SQUARED * (Q + 1) ** 3 * Fraction(-12, 5) / (Q - 2) ** 4
+    desc, root = adjoin_radical(q_of_q, radicand)
+    assert root * root == radicand
+    assert desc.levels[0][1] == -15 * (Q + 1) * R_SQUARED
+    square = Fraction(4, 9) * (Q - 1) ** 2 / (Q + 3) ** 2
+    with pytest.raises(Reducible) as exc:
+        adjoin_radical(q_of_q, square)
+    assert exc.value.root * exc.value.root == square

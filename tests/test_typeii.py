@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dense_type_ii_oracle
 
 from bmhadamard import typeii
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
@@ -271,6 +272,27 @@ def test_all_ones_is_not_type_ii():
     fake = WeightFamily("iv", 4, 1, 1, QQ, ones, None)
     ok, cert = is_type_ii(fake)
     assert not ok and not cert["dense_identity"]
+
+
+def test_dense_check_matches_the_triple_loop(families_q4):
+    for key, fam in families_q4.items():
+        assert typeii._dense_type_ii_check(fam) is True, key
+        assert dense_type_ii_oracle(fam) is True, key
+
+
+@pytest.mark.parametrize("key", [("i", 1, 1), ("iv", 1, -1), ("vi", 1, 1),
+                                 ("vi", -1, -1)])
+def test_perturbed_weight_fails_every_type_ii_test(families_q4, key):
+    fam = families_q4[key]
+    w = list(fam.weights)
+    w[1] = w[1] * 2
+    fake = WeightFamily(fam.case, fam.q, fam.branch, fam.r_sign, fam.desc, w,
+                        fam.r_value)
+    assert not is_type_ii(fake, dense_check=False)[0]
+    assert typeii._dense_type_ii_check(fake) is False
+    assert dense_type_ii_oracle(fake) is False
+    ok, cert = is_type_ii(fake)
+    assert not ok and cert["dense_identity"] is False
 
 
 def test_hadamard_verdicts(families_q4):
