@@ -121,21 +121,20 @@ def _write_out(text, path):
 
 def cmd_construct(args):
     fam = family_coefficients(args.case, args.q, args.r_sign, args.branch)
-    dense_wanted = args.dense or (args.q == 4 and not args.weights_only)
-    if dense_wanted and args.q != 4:
-        raise NoConcreteScheme(
-            f"no concrete scheme at q = {args.q}; rerun with --weights-only")
-    if dense_wanted:
-        mat = TypeIIMatrix(fam)
-        if args.format == "csv":
-            _write_out(serialize.complex_csv(mat.dense(), args.precision),
-                       args.out)
-            return 0
-        payload = serialize.matrix_payload(mat)
-    else:
-        if args.format == "csv":
-            raise NoConcreteScheme("csv output needs a dense matrix (q = 4)")
+    dense_wanted = args.dense or args.format == "csv" or \
+        (args.q == 4 and not args.weights_only)
+    if not dense_wanted:
         payload = serialize.family_payload(fam)
+    elif args.q != 4:
+        flag = "--dense" if args.dense else "--format csv"
+        raise NoConcreteScheme(f"no concrete scheme at q = {args.q}; "
+                               f"{flag} needs the dense matrix (q = 4)")
+    elif args.format == "csv":
+        _write_out(serialize.complex_csv(TypeIIMatrix(fam).dense(),
+                                         args.precision), args.out)
+        return 0
+    else:
+        payload = serialize.matrix_payload(TypeIIMatrix(fam))
     _write_out(serialize.dump_json(payload), args.out)
     return 0
 
@@ -320,17 +319,14 @@ def suite_section5(q=4, **_):
 
 def suite_section6(q=4, **_):
     checks = []
-    for case in CASES:
-        signs = (1, -1) if case == "vi" else (1,)
-        for rs in signs:
-            fam = family_coefficients(case, q, rs, 1)
-            label = f"case_{case}" + ("" if case != "vi"
-                                      else f".r_{'+' if rs > 0 else '-'}")
-            sym = nomura.check_symmetric(fam)
-            checks.append((f"nomura.symmetric.{label}", sym, None))
-            rep = nomura.component_report(TypeIIMatrix(fam))
-            checks.append((f"nomura.dimension.{label}", rep["dim_N"] == 2,
-                           rep["component_sizes"]))
+    for fam in all_families(q, branches=(1,)):
+        label = f"case_{fam.case}" + ("" if fam.case != "vi" else
+                                      f".r_{'+' if fam.r_sign > 0 else '-'}")
+        sym = nomura.check_symmetric(fam)
+        checks.append((f"nomura.symmetric.{label}", sym, None))
+        rep = nomura.component_report(TypeIIMatrix(fam))
+        checks.append((f"nomura.dimension.{label}", rep["dim_N"] == 2,
+                       rep["component_sizes"]))
     for case, rs in (("iv", 1), ("vi", 1)):
         fam = family_coefficients(case, q, rs, 1)
         try:
@@ -531,7 +527,12 @@ def _merge_negative_range(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_negative_range(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_merge_negative_range(list(argv)))
+    if args.command == "construct" and args.weights_only and \
+            (args.dense or args.format == "csv"):
+        flag = "--dense" if args.dense else "--format csv"
+        parser.error(f"--weights-only cannot be combined with {flag}")
     try:
         return args.fn(args)
     except NoConcreteScheme as exc:

@@ -24,9 +24,10 @@ from .scheme import parametric_scheme
 from .typeii import (
     CASES,
     PAIRS,
+    all_families,
     case_a_symbolic,
     normalize_case,
-    family_coefficients,
+    family_coefficients,  # noqa: F401  the alias perfbench's tracer patches
 )
 
 DEFAULT_SWEEP_BOUND = 200
@@ -529,11 +530,8 @@ def _symmetry_ok(case, values, q):
 def _weight_variants(case, q):
     """Every exact weight vector of a family at q (branches x r signs),
     each paired with the inverses of its weights."""
-    signs = (1, -1) if case == "vi" else (1,)
-    for sign in signs:
-        for branch in (1, -1):
-            w = family_coefficients(case, q, sign, branch).weights
-            yield w, [x.inverse() for x in w]
+    for fam in all_families(q, (case,)):
+        yield fam.weights, [x.inverse() for x in fam.weights]
 
 
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))

@@ -297,10 +297,7 @@ def k_set_keys(data):
 
 def k_in_interval(data):
     """Exact: K(W) contained in [-2, 2] (endpoints allowed)."""
-    for x in data.k_set:
-        if element_sign(x + 2) < 0 or element_sign(2 - x) < 0:
-            return False
-    return True
+    return k_interval_violator(data) is None
 
 
 def k_interval_violator(data):

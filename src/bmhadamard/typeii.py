@@ -2,10 +2,13 @@
 
 A weight vector (1, w1, w2, w3) turns into the matrix
 W = A0 + w1*A1 + w2*A2 + w3*A3 of the 3-class scheme.  Each family
-fixes the pairwise values a_{i,j} = w_i/w_j + w_j/w_i as explicit
-rational functions of q (and of r with r^2 = (17q-1)(q-1) for the last
-family); the weights themselves are roots of unit quadratics
-w^2 - a*w + 1 built in a minimal tower, with the quadratic-root choice
+fixes the pairwise values a_{i,j} = w_i/w_j + w_j/w_i, a point in the
+image of the rational map phi, as explicit rational functions of q (and
+of r with r^2 = (17q-1)(q-1) for the last family).  Every family is
+built by the one explicit inverse of phi: its seed weight w_s (``SEEDS``)
+is a root of the unit quadratic w^2 - a_{0,s}*w + 1, adjoined in a
+minimal tower, and each other weight is
+w_i = (w_s^2 - 1)/(a_{s,i}*w_s - a_{0,i}).  The quadratic-root choice is
 recorded as ``branch`` and the sign of r as ``r_sign``.
 
 Everything decided here is an exact zero test; the interval arithmetic
@@ -39,6 +42,9 @@ from .scheme import parametric_scheme, petersen_scheme
 
 CASES = ("i", "ii", "iii", "iv", "v", "vi")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the seed index s of each family: w_s is a root of w^2 - a_{0,s} w + 1,
+# and the inverse of phi from (w_0, w_s) gives the other weights
+SEEDS = {"i": 3, "ii": 3, "iii": 1, "iv": 2, "v": 1, "vi": 1}
 
 
 class InvalidCase(ValueError):
@@ -200,72 +206,41 @@ def unit_quadratic_root(a, branch):
     return desc2, (a.lift(desc2) + rt * branch) / 2
 
 
+@cache
 def family_coefficients(case, q, r_sign=1, branch=1):
-    """Construct one family exactly at an even rational q >= 4."""
+    """Construct one family exactly at an even rational q >= 4.
+
+    The seed weight w_s is the ``branch`` root of w^2 - a_{0,s} w + 1,
+    and the inverse of phi from the pair (w_0, w_s) = (1, w_s) gives the
+    other weights.  Cached, as ``case_a_symbolic`` is: scans and suites
+    ask for the same variants at the same q, and a family is never
+    mutated.
+    """
     case = normalize_case(case)
     q = Fraction(q)
     if q < 4:
         raise QTooSmall(f"q = {q} < 4")
     if branch not in (1, -1) or r_sign not in (1, -1):
         raise InvalidCase("branch and r_sign must be +-1")
-
-    if case == "vi":
-        _, r_val = r_value_at(q, r_sign)
-    else:
-        r_val = None
-    avals = case_a_values(case, q, r_val)
-    a01, a02, a03, a12, a13, a23 = avals
-
-    if case in ("i", "ii"):
-        desc, w3 = unit_quadratic_root(a03, branch)
-        if case == "i":
-            w1 = w2 = w3
-        else:
-            w1 = (-(q - 3) * w3 + (q - 1)) / (q * q - 2 * q - 1)
-            w2 = w1
-    elif case == "iii":
-        desc, w1 = unit_quadratic_root(a01, branch)
-        w2 = TowerElement.rational(-1, desc)
-        w3 = w1
-    elif case == "iv":
-        desc, w2 = unit_quadratic_root(a02, branch)
-        w1 = w3 = TowerElement.rational(1, desc)
-    elif case == "v":
-        desc, w1 = unit_quadratic_root(a01, branch)
-        w2 = w1.inverse()
-        w3 = TowerElement.rational(1, desc)
-    else:
-        desc, w1 = unit_quadratic_root(a01, branch)
-        lifted = [v.lift(desc) if v.desc != desc else v for v in avals]
-        a01l, a02l, a03l, a12l, a13l, _ = lifted
-        num = w1 * w1 - 1
-        den2 = a12l * w1 - a02l
-        den3 = a13l * w1 - a03l
-        if den2.is_zero() or den3.is_zero():
-            raise DenominatorZero("weight reconstruction denominator vanished")
-        w2 = num / den2
-        w3 = num / den3
-        if not (w1 * w2 == -w3):
-            raise InvalidCase("w1*w2 = -w3 failed; inconsistent construction")
-        if r_val is not None and r_val.desc != desc:
-            r_val = r_val.lift(desc)
-
-    w0 = TowerElement.rational(1, desc)
-    weights = [w.lift(desc) if w.desc != desc else w for w in (w0, w1, w2, w3)]
+    r_val = r_value_at(q, r_sign)[1] if case == "vi" else None
+    a = [[None] * 4 for _ in range(4)]
+    for (i, j), v in zip(PAIRS, case_a_values(case, q, r_val)):
+        a[i][j] = a[j][i] = v
+    s = SEEDS[case]
+    desc, w_s = unit_quadratic_root(a[0][s], branch)
+    weights = _weights_from_seed(a, 0, s, TowerElement.rational(1, desc), w_s)
+    if case == "vi" and not weights[1] * weights[2] == -weights[3]:
+        raise InvalidCase("w1*w2 = -w3 failed; inconsistent construction")
+    if r_val is not None and r_val.desc != desc:
+        r_val = r_val.lift(desc)
     return WeightFamily(case, q, branch, r_sign, desc, weights, r_val)
 
 
-def all_families(q, cases=CASES, branches=(1, -1), r_signs=(1, -1)):
-    """Every family at q: both branches, and both r signs for case vi."""
-    out = []
-    for case in cases:
-        for branch in branches:
-            if normalize_case(case) == "vi":
-                for rs in r_signs:
-                    out.append(family_coefficients(case, q, rs, branch))
-            else:
-                out.append(family_coefficients(case, q, 1, branch))
-    return out
+def all_families(q, cases=CASES, branches=(1, -1)):
+    """Every family variant at q: each branch, and both r signs for vi."""
+    return [family_coefficients(case, q, r_sign, branch)
+            for case in map(normalize_case, cases) for branch in branches
+            for r_sign in ((1, -1) if case == "vi" else (1,))]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +288,16 @@ def reconstruct_weights(a, i0, i1, w_pair):
             scale = w_pair[0] / section[i0]
             return [s * scale for s in section]
         raise AllPlusMinusTwo("a[i0][i1] = +-2 but the matrix is not degenerate")
-    out = [None] * d1
+    return _weights_from_seed(a, i0, i1, w0, w1)
+
+
+def _weights_from_seed(a, i0, i1, w0, w1):
+    """The weights w_i = (w1^2 - w0^2)/(a_{i1,i} w1 - a_{i0,i} w0) for
+    every i other than the seed indices i0 and i1."""
+    out = [None] * len(a)
     out[i0], out[i1] = w0, w1
     diff = w1 * w1 - w0 * w0
-    for i in range(d1):
+    for i in range(len(a)):
         if i in (i0, i1):
             continue
         den = a[i1][i] * w1 - a[i0][i] * w0
@@ -352,10 +333,6 @@ class TypeIIMatrix:
             w = self.weights
             self._dense = [[w[c] for c in row] for row in self.scheme.rel]
         return self._dense
-
-    def dense_inverse_entrywise(self):
-        w = [x.inverse() for x in self.weights]
-        return [[w[c] for c in row] for row in self.scheme.rel]
 
 
 def is_type_ii(family, dense_check=None):
@@ -487,26 +464,16 @@ def is_algebraic_integer(x):
 
 
 def non_butson_witness(family):
-    """An a_{i,j} that is not an algebraic integer (families iii-vi).
+    """a_{0,s}, s the family's seed index, when it is not an algebraic
+    integer (families iii-vi; for i and ii it is -(q^2 - 3)).
 
     Such a witness rules out all entries being roots of unity.  Returns
     (pair, element, reason).
     """
-    case = family.case
-    a = family.a_matrix()
-    if case == "iii":
-        pair = (0, 1)
-    elif case == "iv":
-        pair = (0, 2)
-    elif case == "v":
-        pair = (0, 1)
-    elif case == "vi":
-        pair = (0, 1)
-    else:
-        raise NoWitness(f"case {case} is not covered by the witness argument")
-    witness = a[pair[0]][pair[1]].descend()
+    pair = (0, SEEDS[family.case])
+    witness = family.a_matrix()[0][pair[1]].descend()
     if is_algebraic_integer(witness):
-        raise NoWitness("expected witness is an algebraic integer")
+        raise NoWitness(f"case {family.case}: a{pair} is an algebraic integer")
     if witness.desc.depth == 0:
         reason = f"rational with denominator {witness.rep.denominator}"
     else:

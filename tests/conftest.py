@@ -1,7 +1,7 @@
 import pytest
 
 from bmhadamard.scheme import build_petersen_line_scheme
-from bmhadamard.typeii import family_coefficients
+from bmhadamard.typeii import all_families
 
 
 @pytest.fixture(scope="session")
@@ -12,12 +12,5 @@ def petersen():
 @pytest.fixture(scope="session")
 def families_q4():
     """All 14 exact families at q = 4, keyed by (case, r_sign, branch)."""
-    out = {}
-    for case in ("i", "ii", "iii", "iv", "v"):
-        for branch in (1, -1):
-            out[(case, 1, branch)] = family_coefficients(case, 4, 1, branch)
-    for r_sign in (1, -1):
-        for branch in (1, -1):
-            out[("vi", r_sign, branch)] = family_coefficients(
-                "vi", 4, r_sign, branch)
-    return out
+    return {(fam.case, fam.r_sign, fam.branch): fam
+            for fam in all_families(4)}

@@ -40,7 +40,8 @@ def dense_type_ii_oracle(family):
     """W * (W^(-))^T = n I, entry by entry in tower arithmetic."""
     mat = TypeIIMatrix(family)
     W = mat.dense()
-    Winv = mat.dense_inverse_entrywise()
+    w_inv = [x.inverse() for x in family.weights]
+    Winv = [[w_inv[c] for c in row] for row in mat.scheme.rel]
     n = mat.scheme.n
     zero = TowerElement.rational(0, family.desc)
     for x in range(n):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import dense_type_ii_oracle
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
 from bmhadamard.intervals import abs_is_one
@@ -63,28 +64,13 @@ class Budget:
         return False
 
 
-def _dense_identity_holds(fam):
-    mat = TypeIIMatrix(fam)
-    W = mat.dense()
-    Winv = mat.dense_inverse_entrywise()
-    n = 15
-    for x in range(n):
-        for y in range(n):
-            acc = TowerElement.rational(0, fam.desc)
-            for t in range(n):
-                acc = acc + W[x][t] * Winv[y][t]
-            if not acc == (n if x == y else 0):
-                return False
-    return True
-
-
 def test_criterion_01_dense_hadamard_identity(families_q4):
     with Budget("01 dense-hadamard-identity", 5):
         keys = [(c, 1, b) for c in ("iii", "iv", "v") for b in (1, -1)]
         keys += [("vi", 1, 1), ("vi", 1, -1)]
         for key in keys:
             fam = families_q4[key]
-            assert _dense_identity_holds(fam), key
+            assert dense_type_ii_oracle(fam), key
             for w in fam.weights:
                 assert abs_is_one(w, 12), key
 

@@ -47,9 +47,21 @@ def test_construct_weights_only_at_q10(capsys):
 
 
 def test_construct_dense_fails_off_q4(capsys):
-    code = main(["construct", "--case", "i", "--q", "10", "--dense"])
-    assert code == 3
-    assert "no concrete scheme" in capsys.readouterr().err
+    for flags in (["--dense"], ["--format", "csv"]):
+        code = main(["construct", "--case", "i", "--q", "10", *flags])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert f"no concrete scheme at q = 10; {' '.join(flags)} needs" in err
+
+
+@pytest.mark.parametrize("flags", [["--dense"], ["--format", "csv"]])
+def test_construct_weights_only_conflict_is_a_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--case", "iv", "--q", "4", "--weights-only",
+              *flags])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"--weights-only cannot be combined with {' '.join(flags)}" in err
 
 
 def test_construct_csv(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,8 @@ def test_case_a_values_need_r_for_vi():
 def test_all_families_count():
     fams = all_families(4)
     assert len(fams) == 14  # 5 cases x 2 branches + vi x 2 signs x 2 branches
+    # memoised: every enumeration hands out the same family objects
+    assert fams[-1] is family_coefficients("vi", 4, -1, -1)
 
 
 @pytest.mark.parametrize("q", [4, 6, 8, 10])
@@ -167,12 +170,12 @@ def test_phi_rejects_zero_weight():
 
 
 def test_reconstruct_case_ii_closed_form():
-    # seeds (w0, w3) recover w1 = (-(q-3) w3 + (q-1)) / (q^2 - 2q - 1)
-    for q in (4, 6, 8):
-        fam = family_coefficients("ii", q)
-        a = fam.a_matrix()
-        w = reconstruct_weights(a, 0, 3, (fam.weights[0], fam.weights[3]))
-        assert w == list(fam.weights)
+    # the inverse of phi from (w0, w3) gives the closed form
+    # w1 = w2 = (-(q-3) w3 + (q-1)) / (q^2 - 2q - 1)
+    for q, branch in itertools.product((4, 6, 8, 10, 26), (1, -1)):
+        w0, w1, w2, w3 = family_coefficients("ii", q, 1, branch).weights
+        assert w0 == 1
+        assert w1 == (-(q - 3) * w3 + (q - 1)) / (q * q - 2 * q - 1) == w2
 
 
 def test_reconstruct_degenerate_section():
@@ -320,8 +323,9 @@ def test_non_butson_witnesses(families_q4):
     assert pair == (0, 2) and w.as_rational() == Fraction(-7, 4)
     pair, w, reason = non_butson_witness(families_q4[("vi", 1, 1)])
     assert pair == (0, 1) and "trace -3/10" in reason
-    with pytest.raises(NoWitness):
-        non_butson_witness(families_q4[("i", 1, 1)])
+    for case in ("i", "ii"):  # a_{0,3} = -(q^2 - 3) is an integer
+        with pytest.raises(NoWitness):
+            non_butson_witness(families_q4[(case, 1, 1)])
 
 
 def test_unit_quadratic_root_identity():
