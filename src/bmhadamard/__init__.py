@@ -11,7 +11,6 @@ from .exactfield import (
     TowerDescriptor,
     TowerElement,
     QQ,
-    adjoin_root,
     adjoin_radical,
     field_sqrt,
     complex_conj,
@@ -63,7 +62,7 @@ from .pell import (
 )
 
 __all__ = [
-    "TowerDescriptor", "TowerElement", "QQ", "adjoin_root", "adjoin_radical",
+    "TowerDescriptor", "TowerElement", "QQ", "adjoin_radical",
     "field_sqrt", "complex_conj", "is_real",
     "Reducible", "DivisionByZero", "IncompatibleTowers",
     "complex_embed", "element_sign", "abs_is_one",

@@ -30,7 +30,6 @@ from .identities import (
     verify_core_identities,
     ViolationFound,
 )
-from .intervals import abs_is_one
 from .ratfunc import ratfunc_specialize
 from .scheme import (
     distance_matrix,
@@ -245,13 +244,13 @@ def suite_families(q=4, **_):
         if q == 4:
             checks.append((f"typeii.dense.{label}",
                            bool(cert.get("dense_identity")), None))
-        had, _ = is_hadamard(fam, check_type_ii=False)
+        had, had_cert = is_hadamard(fam, check_type_ii=False)
         want_had = fam.case in ("iii", "iv", "v") or \
             (fam.case == "vi" and fam.r_sign > 0)
         checks.append((f"hadamard.verdict.{label}", had == want_had, None))
         if had:
-            guard = all(abs_is_one(w, 12) for w in fam.weights)
-            checks.append((f"hadamard.unimodular_guard.{label}", guard, None))
+            checks.append((f"hadamard.unimodular_guard.{label}",
+                           had_cert["numeric_guard_1e-12"], None))
         key = (fam.case, fam.branch)
         if q == 4 and key in refs:
             ok = tuple(fam.weights[1:]) == tuple(refs[key])

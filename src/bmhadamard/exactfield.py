@@ -1,8 +1,10 @@
 """Exact arithmetic in towers of quadratic extensions of a base field.
 
 A tower is a chain K_0 < K_1 < ... < K_m where each level K_j is
-K_{j-1}[t] / (t^2 - p*t - s) for some p, s in K_{j-1} with t^2 - p*t - s
-irreducible over K_{j-1}.  Elements are stored as nested pairs (a, b)
+K_{j-1}[t] / (t^2 - s) for a radicand s in K_{j-1} that is not a square
+there.  Every weight this package builds is a root of a unit quadratic
+w^2 - a*w + 1, i.e. (a +- sqrt(a^2 - 4))/2, so square roots are the
+only levels it needs.  Elements are stored as nested pairs (a, b)
 meaning a + b*t, bottoming out at the base field K_0: `fractions.Fraction`
 for towers over Q, or `ratfunc.RatQ` for the tower Q(q)(r) behind
 `ratfunc.RatFuncQ`.  Equality is structural on reduced coefficients, so
@@ -133,42 +135,30 @@ def _neg(x):
 
 
 def _mul(levels, depth, x, y):
-    # (a + b t)(c + d t) = ac + bd s + (ad + bc + bd p) t  with t^2 = p t + s
+    # (a + b t)(c + d t) = ac + bd s + (ad + bc) t  with t^2 = s
     if depth == 0:
         return x * y
     a, b = x
     c, d = y
     low = depth - 1
-    p, s = levels[low]
     ac = _mul(levels, low, a, c)
     bd = _mul(levels, low, b, d)
     ad_bc = _add(_mul(levels, low, a, d), _mul(levels, low, b, c))
-    re = _add(ac, _mul(levels, low, bd, s))
-    if _is_zero(p):  # pure radical level: the bd*p term vanishes
-        return (re, ad_bc)
-    return (re, _add(ad_bc, _mul(levels, low, bd, p)))
+    return (_add(ac, _mul(levels, low, bd, levels[low])), ad_bc)
 
 
-def _conj(levels, depth, x):
-    # galois conjugate at the top level: t -> p - t
+def _conj(x):
+    # galois conjugate at the top level: t -> -t
     a, b = x
-    p, _ = levels[depth - 1]
-    if _is_zero(p):
-        return (a, _neg(b))
-    return (_add(a, _mul(levels, depth - 1, b, p)), _neg(b))
+    return (a, _neg(b))
 
 
 def _norm(levels, depth, x):
-    # x * conj(x) = a^2 + a b p - b^2 s, an element one level down
+    # x * conj(x) = a^2 - b^2 s, an element one level down
     a, b = x
     low = depth - 1
-    p, s = levels[low]
-    aa = _mul(levels, low, a, a)
     bb = _mul(levels, low, b, b)
-    norm = _sub(aa, _mul(levels, low, bb, s))
-    if _is_zero(p):
-        return norm
-    return _add(norm, _mul(levels, low, _mul(levels, low, a, b), p))
+    return _sub(_mul(levels, low, a, a), _mul(levels, low, bb, levels[low]))
 
 
 def _inv(levels, depth, x):
@@ -179,15 +169,9 @@ def _inv(levels, depth, x):
     if _is_zero(x):
         raise DivisionByZero("inverse of zero")
     n_inv = _inv(levels, depth - 1, _norm(levels, depth, x))
-    ca, cb = _conj(levels, depth, x)
+    ca, cb = _conj(x)
     return (_mul(levels, depth - 1, ca, n_inv),
             _mul(levels, depth - 1, cb, n_inv))
-
-
-def _scale(x, q):
-    if isinstance(x, tuple):
-        return (_scale(x[0], q), _scale(x[1], q))
-    return x * q
 
 
 def _flatten(x, out):
@@ -205,8 +189,8 @@ def _flatten(x, out):
 class TowerDescriptor:
     """An ordered chain of quadratic levels over a base field.
 
-    ``levels`` is a tuple of (p, s) pairs; level j adjoins a root of
-    t^2 - p*t - s where p and s are raw reps at depth j.  ``base`` is
+    ``levels`` is a tuple of radicands; level j adjoins a root t of
+    t^2 = s where s is a raw rep at depth j.  ``base`` is
     the class of the level-0 values: ``Fraction`` for Q, ``RatQ`` for
     Q(q).  Descriptors are immutable and compare structurally.
     """
@@ -216,8 +200,7 @@ class TowerDescriptor:
     def __init__(self, levels=(), base=Fraction):
         self.levels = tuple(levels)
         self.base = base
-        self._hash = hash(tuple((tuple(_flatten(p, [])), tuple(_flatten(s, [])))
-                                for p, s in self.levels))
+        self._hash = hash(tuple(tuple(_flatten(s, [])) for s in self.levels))
 
     @property
     def depth(self):
@@ -414,8 +397,8 @@ class TowerElement:
     def galois_conj(self, level=None):
         """Conjugate at one tower level (default: the top level).
 
-        Flips the sign of the coefficient of that level's root relative
-        to its minimal polynomial (t -> p - t).
+        Flips the sign of the coefficient of that level's root
+        (t -> -t).
         """
         depth = self.desc.depth
         if depth == 0:
@@ -427,7 +410,7 @@ class TowerElement:
 
         def walk(d, rep):
             if d - 1 == level:
-                return _conj(self.desc.levels, d, rep)
+                return _conj(rep)
             a, b = rep
             return (walk(d - 1, a), walk(d - 1, b))
 
@@ -446,9 +429,8 @@ def field_sqrt(x):
     """A square root of x inside its own tower, or None.
 
     Decides "is x a square in K" exactly, level by level.  At a level
-    t^2 = p*t + s we first rewrite in the shifted basis u = t - p/2
-    (u^2 = s + p^2/4 lies one level down), where (c + d*u)^2 = x
-    reduces to a quadratic in d^2 over the level below.
+    t^2 = m, (c + d*t)^2 = x reduces to a quadratic in d^2 over the
+    level below.
     """
     desc = x.desc
     depth = desc.depth
@@ -459,33 +441,25 @@ def field_sqrt(x):
         r = rational_sqrt(x.rep) if desc.base is Fraction else x.rep.sqrt()
         return None if r is None else TowerElement(desc, r)
 
-    levels = desc.levels
     low_desc = desc.prefix(depth - 1)
-    p, s = levels[-1]
-    half_p = TowerElement(low_desc, _scale(p, Fraction(1, 2)))
-    # u = t - p/2, u^2 = m where m = s + p^2/4
-    m = TowerElement(low_desc, s) + half_p * half_p
+    m = TowerElement(low_desc, desc.levels[-1])
     a_raw, b_raw = x.rep
     a = TowerElement(low_desc, a_raw)
     b = TowerElement(low_desc, b_raw)
-    # x = a + b t = (a + b p/2) + b u
-    a = a + b * half_p
 
     def build(c, d):
-        # c + d u = (c - d p/2) + d t
-        re = c - d * half_p
-        return TowerElement(desc, (re.rep, d.rep))
+        return TowerElement(desc, (c.rep, d.rep))
 
     if b.is_zero():
         c = field_sqrt(a)
         if c is not None:
             return c.lift(desc)
-        # sqrt(a) = d*u with d^2 = a/m
+        # sqrt(a) = d*t with d^2 = a/m
         dd = field_sqrt(a / m)
         if dd is not None:
             return build(TowerElement.rational(0, low_desc), dd)
         return None
-    # (c + d u)^2 = c^2 + d^2 m + 2 c d u:  2cd = b, c^2 + d^2 m = a
+    # (c + d t)^2 = c^2 + d^2 m + 2 c d t:  2cd = b, c^2 + d^2 m = a
     # => c = b/(2d), and m*(d^2)^2 - a*(d^2) + b^2/4 = 0
     disc = a * a - m * (b * b)
     root = field_sqrt(disc)
@@ -501,37 +475,17 @@ def field_sqrt(x):
     return None
 
 
-def adjoin_root(desc, p, s):
-    """Extend ``desc`` by a root of t^2 - p*t - s.
-
-    p and s are TowerElements of (a prefix of) ``desc``'s field, or
-    rationals.  Raises Reducible (with a root attached) when the
-    quadratic already splits, so the caller can stay at the current
-    depth; this keeps descriptors minimal and equality decidable.
-    """
-    if not isinstance(p, TowerElement):
-        p = TowerElement.rational(p, desc)
-    if not isinstance(s, TowerElement):
-        s = TowerElement.rational(s, desc)
-    p = p.lift(desc) if p.desc != desc else p
-    s = s.lift(desc) if s.desc != desc else s
-    disc = p * p + 4 * s
-    root = field_sqrt(disc)
-    if root is not None:
-        half = (p + root) / 2
-        raise Reducible("quadratic splits in the current field", root=half)
-    return TowerDescriptor(desc.levels + ((p.rep, s.rep),), desc.base)
-
-
 def adjoin_radical(desc, radicand):
-    """Extend by a square root of ``radicand`` (pure quadratic, p = 0).
+    """Extend ``desc`` by a square root of ``radicand``.
 
     Radicands in the base field lose their square part: over Q the new
     level adjoins the root of a squarefree integer, over Q(q) that of a
     squarefree integer times a squarefree primitive polynomial
     (``RatQ.radical_parts``).  The caller gets back (new descriptor, the
     requested sqrt as an element).  Raises Reducible, with a root of the
-    radicand, when the radicand is already a square.
+    radicand, when the radicand is already a square, so the caller can
+    stay at the current depth; this keeps descriptors minimal and
+    equality decidable.
     """
     if not isinstance(radicand, TowerElement):
         radicand = TowerElement.rational(radicand, desc)
@@ -539,16 +493,17 @@ def adjoin_radical(desc, radicand):
         radicand = radicand.lift(desc)
     if radicand.is_zero():
         raise ValueError("radicand must be nonzero")
-    if not radicand.is_rational():
-        new_desc = adjoin_root(desc, 0, radicand)
-        return new_desc, TowerElement.generator(new_desc)
-    x = radicand.as_rational()
-    m, scale = (rational_radical_parts(x) if desc.base is Fraction
-                else x.radical_parts())
-    try:
-        new_desc = adjoin_root(desc, 0, m)
-    except Reducible as exc:
-        raise Reducible(str(exc), root=exc.root * scale) from None
+    scale = 1
+    if radicand.is_rational():
+        x = radicand.as_rational()
+        m, scale = (rational_radical_parts(x) if desc.base is Fraction
+                    else x.radical_parts())
+        radicand = TowerElement.rational(m, desc)
+    root = field_sqrt(radicand)
+    if root is not None:
+        raise Reducible("radicand is a square in the current field",
+                        root=root * scale)
+    new_desc = TowerDescriptor(desc.levels + (radicand.rep,), desc.base)
     return new_desc, TowerElement.generator(new_desc) * scale
 
 
@@ -556,12 +511,12 @@ def adjoin_radical(desc, radicand):
 def embed_signature(desc):
     """Classify each level's root as real (+1) or imaginary (-1).
 
-    Level j with t^2 = p*t + s has roots (p +- sqrt(p^2+4s))/2; they are
-    a complex-conjugate pair exactly when the shifted radicand
-    m = s + p^2/4 is a negative real.  Requires every radicand to be a
-    totally ordered (real) element, i.e. imaginary levels may only sit
-    at positions where no later radicand depends on them.  Every tower
-    this package builds satisfies that (imaginary level on top).
+    Level j with t^2 = s has roots +-sqrt(s); they are a
+    complex-conjugate pair exactly when s is a negative real.  Requires
+    every radicand to be a totally ordered (real) element, i.e.
+    imaginary levels may only sit at positions where no later radicand
+    depends on them.  Every tower this package builds satisfies that
+    (imaginary level on top).
     Cached per descriptor: ``complex_conj`` asks once per element, and
     the interval refinement behind each answer depends only on the
     levels; ``embed_signature.__wrapped__`` is the uncached function.
@@ -569,17 +524,13 @@ def embed_signature(desc):
     from .intervals import element_sign  # local import, avoids a cycle
 
     signs = []
-    for j, (p, s) in enumerate(desc.levels):
-        low = desc.prefix(j)
+    for j, s in enumerate(desc.levels):
         if any(sg < 0 for sg in signs):
             raise IncompatibleTowers(
                 "imaginary level below another level: embedding undefined")
-        p_el = TowerElement(low, p)
-        s_el = TowerElement(low, s)
-        m = s_el + (p_el * p_el) * Fraction(1, 4)
-        sg = element_sign(m, tuple(signs))
+        sg = element_sign(TowerElement(desc.prefix(j), s), tuple(signs))
         if sg == 0:
-            raise ValueError("degenerate level (zero discriminant)")
+            raise ValueError("degenerate level (zero radicand)")
         signs.append(sg)
     return tuple(signs)
 
@@ -597,7 +548,7 @@ def is_real(x):
 def complex_conj(x):
     """Complex conjugation as a tower automorphism.
 
-    Fixes real levels, applies t -> p - t at imaginary levels.  Only
+    Fixes real levels, applies t -> -t at imaginary levels.  Only
     meaningful for towers with a well-defined default embedding.
     """
     sig = embed_signature(x.desc)

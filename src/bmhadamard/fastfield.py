@@ -2,11 +2,11 @@
 
 A depth-k tower is a Q-algebra of dimension D = 2**k with basis the
 products of the adjoined roots; multiplication is bilinear with
-*rational* structure constants (the defining p, s of upper levels expand
-over the basis).  Elements here are (tuple-of-D ints, positive int
-denominator), or integer vectors over one shared denominator, so the
-inner loops run on machine integers; results convert back to
-TowerElement losslessly.
+*rational* structure constants (the radicand s of each upper level,
+t^2 = s, expands over the basis).  Elements here are (tuple-of-D ints,
+positive int denominator), or integer vectors over one shared
+denominator, so the inner loops run on machine integers; results
+convert back to TowerElement losslessly.
 
 Ranks are found mod p: ``FlatTower.embeddings`` maps the tower onto F_p
 for a prime that splits it completely, ``echelon_mod_p`` eliminates on
@@ -105,24 +105,22 @@ class FlatTower:
         quadratic under the i-th map of the levels below it; map 2i + b
         of a level extends map i below it by root b.  Returns None unless
         p splits the tower completely: p must not divide a denominator of
-        a level's p or s, and under every map below it each level's
-        discriminant must be a nonzero square mod p.
+        a level's radicand s, and under every map below it each level's
+        s must be a nonzero square mod p.  The roots are then (r, p - r)
+        with r^2 = s.
         """
         images, roots = [[1]], []
-        half = (p + 1) // 2
-        for j, (lp, ls) in enumerate(self.desc.levels):
-            low = self.desc.prefix(j)
-            pc = TowerElement(low, lp).coefficients()
-            sc = TowerElement(low, ls).coefficients()
+        for j, ls in enumerate(self.desc.levels):
+            sc = TowerElement(self.desc.prefix(j), ls).coefficients()
             pairs, nxt = [], []
             for img in images:
-                a, b = _residue(pc, img, p), _residue(sc, img, p)
-                if a is None or b is None:
+                s = _residue(sc, img, p)
+                if s is None:
                     return None
-                r = _sqrt_mod((a * a + 4 * b) % p, p)
+                r = _sqrt_mod(s, p)
                 if r is None:
                     return None
-                pair = ((a + r) * half % p, (a - r) * half % p)
+                pair = (r, p - r)
                 pairs.append(pair)
                 nxt.extend(img + [x * t % p for x in img] for t in pair)
             images = nxt

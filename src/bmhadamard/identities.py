@@ -482,9 +482,9 @@ def sweep_bound(default=DEFAULT_SWEEP_BOUND):
     return default
 
 
-def even_q_range(bound=None, start=4):
+def even_q_range(bound=None):
     bound = sweep_bound() if bound is None else bound
-    return range(start, bound + 1, 2)
+    return range(4, bound + 1, 2)
 
 
 def scan_nonvanishing(expr_id, case, q_set=None):

@@ -131,21 +131,17 @@ class ComplexInterval:
 def _embed_roots(desc, signs, digits):
     """Values of each level's adjoined root under the chosen embedding."""
     roots = []
-    for j, (p, s) in enumerate(desc.levels):
-        p_val = _embed_rep(p, roots, digits)
-        s_val = _embed_rep(s, roots, digits)
-        # t = p/2 + sign * sqrt(m), m = s + p^2/4
-        m = s_val + (p_val * p_val).scale(Fraction(1, 4))
+    for j, s in enumerate(desc.levels):
+        # t = sign * sqrt(s): real for s >= 0, imaginary for s <= 0
+        m = _embed_rep(s, roots, digits)
         if not m.is_real():
             raise ValueError("radicand not certified real; embedding unsupported")
-        half_p = p_val.scale(Fraction(1, 2))
         sign = signs[j] if j < len(signs) else 1
         if m.re.lo >= 0:
-            rt = sqrt_interval(m.re, digits)
-            root = ComplexInterval(half_p.re + rt.scale(sign), half_p.im)
+            root = ComplexInterval(sqrt_interval(m.re, digits).scale(sign))
         elif m.re.hi <= 0:
-            rt = sqrt_interval(-m.re, digits)
-            root = ComplexInterval(half_p.re, half_p.im + rt.scale(sign))
+            root = ComplexInterval(
+                0, sqrt_interval(-m.re, digits).scale(sign))
         else:
             raise PrecisionExhausted
         roots.append(root)
@@ -174,15 +170,13 @@ def _rep_depth(rep):
     return d
 
 
-def complex_embed(x, precision=30, signs=None):
+def complex_embed(x, precision=30):
     """ComplexInterval enclosure of x with width <= 10**-precision.
 
-    ``signs`` picks the branch of each level's root (+1 principal:
-    positive real part, or positive imaginary part for an imaginary
-    level); defaults to all +1.
+    Every level's root takes its principal branch: positive real part,
+    or positive imaginary part for an imaginary level.
     """
-    if signs is None:
-        signs = (1,) * x.desc.depth
+    signs = (1,) * x.desc.depth
     target = Fraction(1, 10 ** precision)
     digits = precision + 8
     while True:
@@ -224,11 +218,9 @@ def element_sign(x, level_signs=None):
         digits *= 2
 
 
-def abs_is_one(x, tol_digits=12, precision=None):
+def abs_is_one(x, tol_digits=12):
     """Certify | |embed(x)| - 1 | <= 10**-tol_digits."""
-    if precision is None:
-        precision = tol_digits + 6
-    z = complex_embed(x, precision)
+    z = complex_embed(x, tol_digits + 6)
     tol = Fraction(1, 10 ** tol_digits)
     sq = z.abs_squared()
     return (1 - tol) ** 2 <= sq.lo and sq.hi <= (1 + tol) ** 2

@@ -15,6 +15,7 @@ routes must agree at q = 4.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactfield import TowerElement
 from .intervals import element_sign
@@ -71,10 +72,23 @@ def haagerup_bruteforce(mat):
     involved, so the n^4 sweep collects patterns first and divides in
     the tower once per distinct pattern.
     """
-    scheme = mat.scheme
-    n = scheme.n
-    if n > 64:
+    if mat.scheme.n > 64:
         raise TooLarge("the quartic sweep is limited to n <= 64")
+    w = mat.weights
+    values = []
+    for (c11, c22, c21, c12) in _class_patterns(mat.scheme):
+        values.append(w[c11] * w[c22] / (w[c21] * w[c12]))
+    return HaagerupData(values, "bruteforce")
+
+
+@cache
+def _class_patterns(scheme):
+    """The distinct class patterns of the n^4 sweep over ``scheme``.
+
+    They depend only on the scheme, so every family over the shared
+    ``petersen_scheme()`` object reuses one sweep.
+    """
+    n = scheme.n
     rel = scheme.rel
     patterns = set()
     for x1 in range(n):
@@ -86,11 +100,7 @@ def haagerup_bruteforce(mat):
                 c = r2[y1]
                 for y2 in range(n):
                     patterns.add((a, r2[y2], c, r1[y2]))
-    w = mat.weights
-    values = []
-    for (c11, c22, c21, c12) in patterns:
-        values.append(w[c11] * w[c22] / (w[c21] * w[c12]))
-    return HaagerupData(values, "bruteforce")
+    return tuple(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +291,8 @@ def canonical_real_key(x):
     if x.desc.depth == 0:
         return ("rat", x.rep)
     if x.desc.depth == 1:
-        p, s = x.desc.levels[0]
-        if p == 0:
-            a, b = x.rep
-            return ("quad", s, a, b)
-        # shift a general quadratic level to its pure-radical presentation
         a, b = x.rep
-        return ("quad", s + Fraction(p, 2) ** 2, a + b * Fraction(p, 2), b)
+        return ("quad", x.desc.levels[0], a, b)
     raise ValueError("K-set element did not descend to degree <= 2")
 
 

@@ -163,9 +163,10 @@ def pell_chain_identity():
     return lhs
 
 
-def orbit_congruences(n_range=range(-6, 7)):
+def orbit_congruences():
     """a mod 34 for the three base orbits, against the sign pattern.
 
+    Checked for -6 <= n <= 6:
     unit^n * 8       -> a =  8 * (-1)^n
     unit^n * (9+s)   -> a =  9 * (-1)^n
     unit^n * (26+6s) -> a = -8 * (-1)^n
@@ -176,7 +177,7 @@ def orbit_congruences(n_range=range(-6, 7)):
     report = {}
     for base, lead in expected.items():
         ok = True
-        for n in n_range:
+        for n in range(-6, 7):
             a, _ = unit_multiply(PROBLEM_17_64, base, n)
             if (a - lead * (-1) ** n) % 34:
                 ok = False

@@ -589,9 +589,9 @@ R_SQUARED = (17 * Q - 1) * (Q - 1)
 
 
 # (17q-1)(q-1) has the two distinct roots 1/17 and 1, so it is not a
-# square in Q(q): t^2 - R_SQUARED is irreducible and the level is built
-# directly rather than through adjoin_root's square test.
-RF_DESC = TowerDescriptor(((RatQ(0), R_SQUARED),), RatQ)
+# square in Q(q): the level r^2 = R_SQUARED is irreducible and is built
+# directly rather than through adjoin_radical's square test.
+RF_DESC = TowerDescriptor((R_SQUARED,), RatQ)
 
 
 class RatFuncQ(TowerElement):

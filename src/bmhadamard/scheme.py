@@ -61,15 +61,14 @@ class SpectralData:
 class ConcreteScheme:
     """A symmetric association scheme given by its relation partition."""
 
-    def __init__(self, rel, check=True):
+    def __init__(self, rel):
         self.rel = tuple(tuple(row) for row in rel)
         self.n = len(self.rel)
         self.d = max(max(row) for row in self.rel)
         self.p = self._intersection_numbers()
-        if check:
-            report = self.verify_axioms()
-            if not report.passed:
-                raise InternalConsistency("; ".join(report.violations))
+        report = self.verify_axioms()
+        if not report.passed:
+            raise InternalConsistency("; ".join(report.violations))
         self.valencies = tuple(self.p[i][i][0] if i else 1
                                for i in range(self.d + 1))
 

@@ -1,10 +1,13 @@
 """Canonical JSON encodings for exact values, matrices and reports.
 
 Rationals encode as {"q": "num/den"}; an extension element a + b*t with
-t^2 = p*t + s encodes as {"a": ..., "b": ..., "min": [p, s]} where p and
-s are themselves encoded one level down.  Encoding then decoding is the
-identity, and identical inputs produce byte-identical files (sorted
-keys, no locale-dependent formatting).
+t^2 = s encodes as {"a": ..., "b": ..., "min": [p, s]} where p and s are
+themselves encoded one level down.  p is the coefficient of t in the
+level's defining relation t^2 = p*t + s.  Every level is a square root,
+so p is always 0; it is kept only so the format stays stable, and
+decoding rejects a nonzero p.  Encoding then decoding is the identity,
+and identical inputs produce byte-identical files (sorted keys, no
+locale-dependent formatting).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactfield import TowerDescriptor, TowerElement
+from .exactfield import TowerDescriptor, TowerElement, _is_zero, _zero
 from .intervals import complex_embed
 
 FORMAT_VERSION = "bmhadamard/1"
@@ -22,13 +25,17 @@ def _encode_rep(rep, levels, depth):
     if depth == 0:
         return {"q": f"{rep.numerator}/{rep.denominator}"}
     a, b = rep
-    p, s = levels[depth - 1]
     return {
         "a": _encode_rep(a, levels, depth - 1),
         "b": _encode_rep(b, levels, depth - 1),
-        "min": [_encode_rep(p, levels, depth - 1),
-                _encode_rep(s, levels, depth - 1)],
+        "min": _encode_level(levels, depth - 1),
     }
+
+
+def _encode_level(levels, j):
+    # [p, s] of t^2 = p*t + s, with p = 0
+    return [_encode_rep(_zero(j, Fraction), levels, j),
+            _encode_rep(levels[j], levels, j)]
 
 
 def encode_element(el):
@@ -45,7 +52,9 @@ def _decode_rep(obj):
     s, ds, ls = _decode_rep(obj["min"][1])
     if not (da == db == dp == ds and la == lb == lp == ls):
         raise ValueError("ragged element encoding")
-    return (a, b), da + 1, la + [(p, s)]
+    if not _is_zero(p):
+        raise ValueError("level with nonzero p: only t^2 = s is supported")
+    return (a, b), da + 1, la + [s]
 
 
 def decode_element(obj):
@@ -54,8 +63,7 @@ def decode_element(obj):
 
 
 def encode_descriptor(desc):
-    return [[_encode_rep(p, desc.levels, i), _encode_rep(s, desc.levels, i)]
-            for i, (p, s) in enumerate(desc.levels)]
+    return [_encode_level(desc.levels, j) for j in range(desc.depth)]
 
 
 def family_payload(family):

@@ -455,10 +455,10 @@ def is_algebraic_integer(x):
         return x.rep.denominator == 1
     if x.desc.depth == 1:
         a, b = x.rep
-        p_rep, s_rep = x.desc.levels[0]
+        s = x.desc.levels[0]
         # minimal polynomial t^2 - trace t + norm
-        trace = 2 * a + b * p_rep
-        norm = a * a + a * b * p_rep - b * b * s_rep
+        trace = 2 * a
+        norm = a * a - b * b * s
         return trace.denominator == 1 and norm.denominator == 1
     raise ValueError("witness test implemented for degree <= 2 only")
 

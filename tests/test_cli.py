@@ -27,7 +27,7 @@ def test_construct_dense_chan1(tmp_path):
     assert data["kind"] == "dense_matrix" and data["n"] == 15
     # entries lie in the quadratic field with radicand -15
     w2 = decode_element(data["weights"][2])
-    assert w2.desc.levels[0][1] == -15
+    assert w2.desc.levels[0] == -15
     assert data["format"] == "bmhadamard/1"
 
 

@@ -11,7 +11,6 @@ from bmhadamard.exactfield import (
     TowerDescriptor,
     TowerElement,
     adjoin_radical,
-    adjoin_root,
     complex_conj,
     embed_signature,
     field_sqrt,
@@ -66,7 +65,7 @@ def test_incompatible_towers():
 
 def test_adjoin_square_is_reducible():
     with pytest.raises(Reducible) as exc:
-        adjoin_root(QQ, 0, 4)
+        adjoin_radical(QQ, 4)
     assert exc.value.root.as_rational() == 2
 
 
@@ -74,9 +73,9 @@ def test_adjoin_201_and_depth_two_extension():
     d201, s201 = sqrt_field(201)
     # z with z + 1/z = (53 - 3 sqrt(201))/10, a genuine depth-2 tower
     z_trace = (TowerElement.rational(53, d201) - 3 * s201) / 10
-    dz = adjoin_root(d201, z_trace, -1)
+    dz, root = adjoin_radical(d201, z_trace * z_trace - 4)
     assert dz.depth == 2
-    z = TowerElement.generator(dz)
+    z = (z_trace + root) / 2
     assert z + z.inverse() == z_trace.lift(dz)
 
 
@@ -180,13 +179,13 @@ def test_cached_signature_agrees_with_uncached(families_q4):
 
 def _depth2_descriptor():
     d1, _ = sqrt_field(2)
-    return adjoin_root(d1, 0, TowerElement.rational(3, d1))  # Q(sqrt2, sqrt3)
+    return adjoin_radical(d1, 3)[0]  # Q(sqrt2, sqrt3)
 
 
 def _depth3_descriptor():
     d2 = _depth2_descriptor()
     s2 = TowerElement.generator(TowerDescriptor(d2.levels[:1])).lift(d2)
-    return adjoin_root(d2, 0, 1 + s2)  # adjoin sqrt(1 + sqrt2)
+    return adjoin_radical(d2, 1 + s2)[0]  # adjoin sqrt(1 + sqrt2)
 
 
 DESCS = [QQ, sqrt_field(2)[0], sqrt_field(-15)[0], _depth2_descriptor(),

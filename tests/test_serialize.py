@@ -1,6 +1,8 @@
 import json
 
-from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, adjoin_root
+import pytest
+
+from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.invariants import haagerup_formula
 from bmhadamard.serialize import (
     complex_csv,
@@ -32,10 +34,18 @@ def test_quadratic_roundtrip():
 def test_depth_two_roundtrip():
     d201, s201 = adjoin_radical(QQ, 201)
     z_trace = (TowerElement.rational(53, d201) - 3 * s201) / 10
-    dz = adjoin_root(d201, z_trace, -1)
-    z = TowerElement.generator(dz)
+    dz, root = adjoin_radical(d201, z_trace * z_trace - 4)
+    z = (z_trace + root) / 2
     x = z * z - z + 1
     assert decode_element(encode_element(x)) == x
+
+
+def test_decode_rejects_nonzero_p():
+    d, s = adjoin_radical(QQ, -15)
+    enc = encode_element((TowerElement.rational(-7, d) + s) / 8)
+    enc["min"][0] = {"q": "1/1"}  # t^2 = t - 15
+    with pytest.raises(ValueError):
+        decode_element(enc)
 
 
 def test_family_and_matrix_payloads(families_q4):
