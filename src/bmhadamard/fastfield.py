@@ -5,16 +5,18 @@ products of the adjoined roots; multiplication is bilinear with
 *rational* structure constants (the radicand s of each upper level,
 t^2 = s, expands over the basis).  Elements here are (tuple-of-D ints,
 positive int denominator), or integer vectors over one shared
-denominator, so the inner loops run on machine integers; results
-convert back to TowerElement losslessly.
+denominator; results convert back to TowerElement losslessly.
 
 Ranks are found mod p: ``FlatTower.embeddings`` maps the tower onto F_p
 for a prime that splits it completely, ``echelon_mod_p`` eliminates on
 residues, ``kernel_mod_p`` reads the reduced-echelon kernel off the same
 pivot rows, and ``coordinates_mod_p`` with ``rational_reconstruct`` lift
-its vectors back to the tower.  A rank mod p is only a lower bound; the
-caller (``typeii.span_condition``) turns it into a verdict with an exact
-upper bound.
+its vectors back to the tower.  Both eliminations hold each row as one
+packed Python int, a fixed-width slot per column, so reducing a row is
+one big-integer multiply-add and slots are reduced mod p only when a
+row is final (``_slot_bits`` bounds the slots).  A rank mod p is only a
+lower bound; the caller (``typeii.span_condition``) turns it into a
+verdict with an exact upper bound.
 
 Every exact operation agrees with :mod:`bmhadamard.exactfield`, which
 remains the semantic reference (the test suite checks them against each
@@ -323,31 +325,101 @@ def _is_prime(n):
     return True
 
 
+def _slot_bits(p, m):
+    """Slot width s = 2*bitlen(p) + bitlen(m) + 1 of a packed row that
+    takes at most m multiply-adds (the bound in ``echelon_mod_p``)."""
+    return 2 * p.bit_length() + m.bit_length() + 1
+
+
+class PackedRow:
+    """A pivot row of ``echelon_mod_p``: its residues, each below p, in
+    slots of ``bits`` bits, slot k at column ``columns[start + k]``."""
+
+    __slots__ = ("packed", "bits", "columns", "start")
+
+    def __init__(self, packed, bits, columns, start):
+        self.packed = packed
+        self.bits = bits
+        self.columns = columns
+        self.start = start
+
+    def residues(self):
+        """{column: residue} of the row's nonzero entries."""
+        cols, start = self.columns, self.start
+        return {cols[start + k]: r
+                for k, r in enumerate(_slots(self.packed, self.bits)) if r}
+
+
+def _slots(x, s):
+    """The slot values of packed row x, lowest slot first."""
+    mask = (1 << s) - 1
+    out = []
+    while x:
+        out.append(x & mask)
+        x >>= s
+    return out
+
+
+def _pack(values, s):
+    """The packed row with slot k = values[k], each below 2^s."""
+    x = 0
+    for v in reversed(values):
+        x = (x << s) | v
+    return x
+
+
 def echelon_mod_p(rows, p):
     """Row echelon form mod p of sparse integer rows {column: value}.
 
     The same least-coordinate pivoting as ``sparse_rank``, on residues.
-    Returns {pivot column: pivot row}, each row scaled to 1 at its pivot,
-    its least column; the rank is the number of pivot rows.
+    Returns {pivot column: ``PackedRow``}, each row scaled to 1 at its
+    pivot, its least column; the rank is the number of pivot rows.
+
+    Each row is one Python int over the m columns that occur: the entry
+    at column position j sits in bits [j*s, (j + 1)*s), with
+    s = 2*bitlen(p) + bitlen(m) + 1.  Reducing a row against a pivot is
+    one multiply-add x += (p - f) * pivot, with no per-entry %.  The row
+    shifts right one slot per column, so slot 0 is always the column at
+    hand; a pivot is stored shifted to start at its own column, and
+    residues are unpacked only when a row becomes a pivot.
+
+    No slot carries into the next.  A row starts with every slot below
+    p.  Each update, with 0 < f < p and a pivot of residues b below p,
+    adds (p - f) * b <= (p - 1)^2 to a slot, and a row meets at most one
+    pivot per column, so it takes at most m updates.  A slot then stays
+    at most (p - 1) + m * (p - 1)^2 < (m + 1) * p^2
+    <= 2^(bitlen(m) + 2*bitlen(p)) < 2^s, and it is never negative.  So
+    each slot mod p is the residue at its column.
     """
+    rows = list(rows)
+    columns = sorted(set().union(*rows))
+    pos = {c: j for j, c in enumerate(columns)}
+    s = _slot_bits(p, len(columns))
+    mask = (1 << s) - 1
     pivots = {}
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
-                break
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc != c:
-                    nv = (row.get(cc, 0) - f * vv) % p
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
+        x = 0
+        for c, v in row.items():
+            x += (v % p) << (pos[c] * s)
+        j = 0
+        while x:
+            low = x & mask
+            if not low:  # skip the run of zero slots at once
+                k = ((x & -x).bit_length() - 1) // s
+                x >>= k * s
+                j += k
+                continue
+            f = low % p
+            if f:
+                piv = pivots.get(columns[j])
+                if piv is None:
+                    inv = pow(f, -1, p)
+                    x = _pack([v * inv % p for v in _slots(x, s)], s)
+                    pivots[columns[j]] = PackedRow(x, s, columns, j)
+                    break
+                x += (p - f) * piv.packed
+            x >>= s
+            j += 1
     return pivots
 
 
@@ -359,23 +431,31 @@ def kernel_mod_p(pivots, columns, p):
     f entry of pivot row c after back substitution.  Back substitution
     only changes free entries: row c loses v times reduced row c' for
     each pivot c' > c, where v is row c's original entry at c'.
+
+    The free entries of a row are packed into one int, a slot per free
+    column, and each back substitution step is one multiply-add
+    acc += (p - v) * reduced[c'].  Each reduced row is brought back below
+    p before it is used, and a row takes fewer updates than there are
+    pivots, so by the argument of ``echelon_mod_p`` slots of
+    ``_slot_bits(p, len(pivots))`` bits never carry.
     """
     free = [f for f in columns if f not in pivots]
+    slot = {f: i for i, f in enumerate(free)}
+    s = _slot_bits(p, len(pivots))
+    kernel = {f: {f: 1} for f in free}
     reduced = {}
     for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        acc = [row.get(f, 0) for f in free]
-        for cc, v in row.items():
-            if cc != c and cc in pivots:
-                acc = [(a - v * b) % p for a, b in zip(acc, reduced[cc])]
-        reduced[c] = acc
-    kernel = {}
-    for i, f in enumerate(free):
-        vec = {f: 1}
-        for c, acc in reduced.items():
-            if acc[i]:
-                vec[c] = p - acc[i]
-        kernel[f] = vec
+        acc = 0
+        for cc, v in pivots[c].residues().items():
+            if cc in slot:
+                acc += v << (slot[cc] * s)
+            elif cc in reduced:
+                acc += (p - v) * reduced[cc]
+        res = [v % p for v in _slots(acc, s)]
+        for i, r in enumerate(res):
+            if r:
+                kernel[free[i]][c] = p - r
+        reduced[c] = _pack(res, s)
     return kernel
 
 

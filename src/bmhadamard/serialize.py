@@ -4,10 +4,11 @@ Rationals encode as {"q": "num/den"}; an extension element a + b*t with
 t^2 = s encodes as {"a": ..., "b": ..., "min": [p, s]} where p and s are
 themselves encoded one level down.  p is the coefficient of t in the
 level's defining relation t^2 = p*t + s.  Every level is a square root,
-so p is always 0; it is kept only so the format stays stable, and
-decoding rejects a nonzero p.  Encoding then decoding is the identity,
-and identical inputs produce byte-identical files (sorted keys, no
-locale-dependent formatting).
+so p is always 0; it is kept only so the format stays stable.
+Decoding raises ValueError on a nonzero p, on a radicand s that is 0 or
+a square in the field below, and on any other malformed node.  Encoding
+then decoding is the identity, and identical inputs produce
+byte-identical files (sorted keys, no locale-dependent formatting).
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactfield import TowerDescriptor, TowerElement, _is_zero, _zero
+from .exactfield import (
+    TowerDescriptor,
+    TowerElement,
+    _is_zero,
+    _zero,
+    field_sqrt,
+)
 from .intervals import complex_embed
 
 FORMAT_VERSION = "bmhadamard/1"
@@ -43,18 +50,35 @@ def encode_element(el):
 
 
 def _decode_rep(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"element encoding must be an object: {obj!r}")
     if "q" in obj:
-        num, den = obj["q"].split("/")
-        return Fraction(int(num), int(den)), 0, []
+        return _decode_rational(obj["q"]), 0, []
+    if not {"a", "b", "min"} <= obj.keys():
+        raise ValueError('extension node needs "a", "b" and "min"')
+    level = obj["min"]
+    if not (isinstance(level, list) and len(level) == 2):
+        raise ValueError(f'"min" must be a list [p, s]: {level!r}')
     a, da, la = _decode_rep(obj["a"])
     b, db, lb = _decode_rep(obj["b"])
-    p, dp, lp = _decode_rep(obj["min"][0])
-    s, ds, ls = _decode_rep(obj["min"][1])
+    p, dp, lp = _decode_rep(level[0])
+    s, ds, ls = _decode_rep(level[1])
     if not (da == db == dp == ds and la == lb == lp == ls):
         raise ValueError("ragged element encoding")
     if not _is_zero(p):
         raise ValueError("level with nonzero p: only t^2 = s is supported")
+    # the same square test as adjoin_radical; 0 is a square too
+    if field_sqrt(TowerElement(TowerDescriptor(tuple(ls)), s)) is not None:
+        raise ValueError("level radicand is 0 or a square in the field below")
     return (a, b), da + 1, la + [s]
+
+
+def _decode_rational(text):
+    try:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f'malformed rational "q": {text!r}') from exc
 
 
 def decode_element(obj):

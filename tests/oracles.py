@@ -54,3 +54,50 @@ def dense_type_ii_oracle(family):
             if not acc == (Fraction(n) if x == y else 0):
                 return False
     return True
+
+
+def echelon_mod_p_oracle(rows, p):
+    """Row echelon form mod p of sparse rows {column: value}, one dict
+    per row and one % per entry; least-column pivoting, each pivot row
+    {column: residue} scaled to 1 at its pivot."""
+    pivots = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
+                break
+            f = row.pop(c)
+            for cc, vv in piv.items():
+                if cc != c:
+                    nv = (row.get(cc, 0) - f * vv) % p
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+    return pivots
+
+
+def kernel_mod_p_oracle(pivots, columns, p):
+    """The reduced-echelon kernel basis of the pivot rows, by back
+    substitution on lists of free-column residues."""
+    free = [f for f in columns if f not in pivots]
+    reduced = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        acc = [row.get(f, 0) for f in free]
+        for cc, v in row.items():
+            if cc != c and cc in pivots:
+                acc = [(a - v * b) % p for a, b in zip(acc, reduced[cc])]
+        reduced[c] = acc
+    kernel = {}
+    for i, f in enumerate(free):
+        vec = {f: 1}
+        for c, acc in reduced.items():
+            if acc[i]:
+                vec[c] = p - acc[i]
+        kernel[f] = vec
+    return kernel

@@ -6,11 +6,14 @@ from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.fastfield import (
     FlatTower,
     coordinates_mod_p,
+    echelon_mod_p,
+    kernel_mod_p,
     primes,
     rational_reconstruct,
     sparse_rank,
 )
 from bmhadamard.typeii import family_coefficients
+from oracles import echelon_mod_p_oracle, kernel_mod_p_oracle
 
 
 def towers():
@@ -100,3 +103,41 @@ def test_sparse_rank_small_cases():
     assert sparse_rank(rows, flat) == 2
     assert sparse_rank([], flat) == 0
     assert sparse_rank([{}], flat) == 0
+
+
+PRIMES = (3, 7, 101, 2 ** 61 - 1)
+
+
+@st.composite
+def modular_systems(draw):
+    """(p, columns, rows): sparse rows with values of any size and sign,
+    among them empty rows and rows whose values are all 0 mod p, or dense
+    rows of residues, half of them p - 1, the largest slot updates."""
+    p = draw(st.sampled_from(PRIMES))
+    columns = list(range(0, 3 * draw(st.integers(0, 14)), 3))
+    if columns and draw(st.booleans()):
+        residue = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+        rows = draw(st.lists(st.fixed_dictionaries(
+            {c: residue for c in columns}), max_size=16))
+    else:
+        col = st.sampled_from(columns) if columns else st.nothing()
+        rows = draw(st.lists(st.one_of(
+            st.dictionaries(col, st.integers(-2 ** 130, 2 ** 130)),
+            st.dictionaries(col, st.integers(-3, 3).map(lambda k: k * p)),
+        ), max_size=16))
+    return p, columns, rows
+
+
+@given(modular_systems())
+@settings(max_examples=200, deadline=None)
+def test_packed_elimination_matches_oracle(system):
+    p, columns, rows = system
+    pivots = echelon_mod_p((row for row in rows), p)
+    expected = echelon_mod_p_oracle(rows, p)
+    assert {c: row.residues() for c, row in pivots.items()} == expected
+    kernel = kernel_mod_p(pivots, columns, p)
+    assert kernel == kernel_mod_p_oracle(expected, columns, p)
+    assert len(pivots) + len(kernel) == len(columns)
+    for vec in kernel.values():
+        for row in rows:
+            assert sum(v * vec.get(c, 0) for c, v in row.items()) % p == 0

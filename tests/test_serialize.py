@@ -48,6 +48,51 @@ def test_decode_rejects_nonzero_p():
         decode_element(enc)
 
 
+def depth_one_node(radicand):
+    return {"a": {"q": "-2/1"}, "b": {"q": "1/1"},
+            "min": [{"q": "0/1"}, {"q": radicand}]}
+
+
+def depth_two_node_over_its_own_square():
+    d, _ = adjoin_radical(QQ, -15)
+    one = encode_element(TowerElement.rational(1, d))
+    return {"a": one, "b": one,
+            "min": [encode_element(TowerElement.rational(0, d)),
+                    encode_element(TowerElement.rational(-15, d))]}
+
+
+@pytest.mark.parametrize("enc", [
+    depth_one_node("0/1"),
+    depth_one_node("4/1"),
+    depth_two_node_over_its_own_square(),
+], ids=["zero", "square", "square_one_level_down"])
+def test_decode_rejects_degenerate_radicand(enc):
+    # such a level is no field: (-2 + t)(2 + t) = t^2 - 4 = 0 for t^2 = 4
+    with pytest.raises(ValueError, match="radicand"):
+        decode_element(enc)
+
+
+@pytest.mark.parametrize("enc", [
+    {"b": {"q": "1/1"}, "min": [{"q": "0/1"}, {"q": "-15/1"}]},
+    {"a": {"q": "1/1"}, "min": [{"q": "0/1"}, {"q": "-15/1"}]},
+    {"a": {"q": "1/1"}, "b": {"q": "1/1"}},
+    {"a": {"q": "1/1"}, "b": {"q": "1/1"}, "min": [{"q": "-15/1"}]},
+    {"a": {"q": "1/1"}, "b": {"q": "1/1"}, "min": {"q": "-15/1"}},
+    {"q": "1/0"},
+    {"q": "1.5/2"},
+    {"q": "x/1"},
+    {"q": "1/2/3"},
+    {"q": "7"},
+    {"q": 7},
+    "1/2",
+], ids=["no_a", "no_b", "no_min", "min_one_item", "min_not_list",
+        "zero_den", "decimal", "letter", "two_slashes", "no_slash",
+        "q_not_string", "not_object"])
+def test_decode_rejects_malformed_node(enc):
+    with pytest.raises(ValueError):
+        decode_element(enc)
+
+
 def test_family_and_matrix_payloads(families_q4):
     fam = families_q4[("vi", 1, 1)]
     pay = family_payload(fam)
