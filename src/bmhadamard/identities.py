@@ -1,11 +1,12 @@
 """Symbolic verification engine: quadric/determinant identities and the
 converse direction of the classification, all over exact function fields.
 
-Two kinds of arithmetic live here.  Small multivariate rational
-functions (MPoly / MultiRat, <= 5 variables) carry the foundational
-identities behind the reconstruction map.  The per-family work happens
-in Q(q)[r]/(r^2-(17q-1)(q-1)) via RatFuncQ, so "vanishes identically in
-q" is literal.  The one thing this module does *not* do is recompute
+Two kinds of arithmetic live here.  Small multivariate Laurent
+polynomials (MPoly, <= 4 variables) carry the foundational identities
+behind the reconstruction map: their denominators are monomials, bar
+one pair that is cleared by cross-multiplying.  The per-family work
+happens in Q(q)[r]/(r^2-(17q-1)(q-1)) via RatFuncQ, so "vanishes
+identically in q" is literal.  The one thing this module does *not* do is recompute
 ideal-membership certificates: those are replaced by identical
 vanishing of the explicit substitutions plus nonvanishing sweeps over
 even q (default bound 200), which is what the downstream consumers
@@ -38,10 +39,16 @@ class ViolationFound(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q
+# sparse multivariate Laurent polynomials over Q
 
 class MPoly:
-    """Multivariate polynomial with a fixed variable tuple."""
+    """Multivariate Laurent polynomial over Q with a fixed variable tuple.
+
+    Exponent tuples may be negative, so a single nonzero term c*x^e is a
+    unit with inverse c^-1*x^-e.  Division is defined by such terms only:
+    a divisor with two or more terms raises ValueError, so an identity
+    with a polynomial denominator is checked by cross-multiplying.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -118,7 +125,24 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def inverse(self):
+        """c^-1*x^-e for a single term c*x^e, the only units."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        if len(self.terms) > 1:
+            raise ValueError("only a single term is invertible")
+        (e, c), = self.terms.items()
+        return MPoly(self.vars, {tuple(-a for a in e): 1 / c})
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
         out = MPoly.const(self.vars, 1)
         base = self
         while k:
@@ -130,103 +154,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({len(self.terms)} terms in {self.vars})"
-
-
-class MultiRat:
-    """Fraction of MPoly with lazy reduction (monomial content only).
-
-    Equality is decided by cross-multiplication, so the lack of a full
-    multivariate gcd costs nothing but intermediate size; the identities
-    handled here stay tiny.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = MPoly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num, self.den = _strip_content(num, den)
-
-    @classmethod
-    def var(cls, vars, name):
-        return cls(MPoly.var(vars, name))
-
-    @classmethod
-    def const(cls, vars, c):
-        return cls(MPoly.const(vars, c))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiRat.const(self.num.vars, other)
-        return other
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return MultiRat(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiRat(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return MultiRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return MultiRat(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = MultiRat.const(self.num.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-
-def _strip_content(num, den):
-    if num.is_zero():
-        return num, MPoly.const(den.vars, 1)
-    nvars = len(num.vars)
-    shift = tuple(min(min(e[i] for e in num.terms),
-                      min(e[i] for e in den.terms)) for i in range(nvars))
-    if any(shift):
-        num = MPoly(num.vars, {tuple(a - s for a, s in zip(e, shift)): c
-                               for e, c in num.terms.items()})
-        den = MPoly(den.vars, {tuple(a - s for a, s in zip(e, shift)): c
-                               for e, c in den.terms.items()})
-    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +175,9 @@ def h_four(lookup, i, j, k, l):
     """The four-index determinant constraint on X_{i,j} = lookup((i,j)).
 
     Up to sign and relabeling this equals ``h_det``; evaluated over all
-    permutations of four indices it cuts out the same constraints.
+    permutations of four indices it cuts out the same constraints.  It
+    is symmetric under i <-> j and under k <-> l, so the permutations
+    give only the values at the six splits in ``H_SPLITS``.
     """
     X = lookup
     return ((X(k, l) * X(k, l) - 4) * X(i, j)
@@ -256,34 +185,48 @@ def h_four(lookup, i, j, k, l):
             + 2 * (X(k, i) * X(k, j) + X(l, i) * X(l, j)))
 
 
+# the splits {i, j} | {k, l} of the four indices, as (i, j, k, l)
+H_SPLITS = tuple(p for p in itertools.permutations(range(4))
+                 if p[0] < p[1] and p[2] < p[3])
+
+
 # ---------------------------------------------------------------------------
 # the four foundational identities
 
 def verify_core_identities():
-    """Exact rational-function checks behind the reconstruction map.
+    """Exact Laurent-polynomial checks behind the reconstruction map.
 
     lemma_g:      g vanishes on (X/Y+Y/X, X/Z+Z/X, Z/Y+Y/Z)
     lemma_ww:     the product expansion of w*w' in four indeterminates
     lemma_h:      the 3x3 determinant vanishes on pair ratios
     lemma_w1w2w3: the multiplier identity tying w1*w2 + w3 to the quadric
+
+    Every denominator is a monomial except in lemma_ww, whose two sides
+    num/den and rnum/rden are compared as num*rden == rnum*den with den
+    and rden checked nonzero, so each True is an identity in the field
+    of rational functions.
     """
     out = {}
 
     vs = ("X", "Y", "Z")
-    X, Y, Z = (MultiRat.var(vs, v) for v in vs)
+    X, Y, Z = (MPoly.var(vs, v) for v in vs)
     out["lemma_g"] = g_quadric(X / Y + Y / X, X / Z + Z / X, Z / Y + Y / Z) == 0
 
     vs = ("X", "Y", "Z", "z")
-    X, Y, Z, z = (MultiRat.var(vs, v) for v in vs)
+    X, Y, Z, z = (MPoly.var(vs, v) for v in vs)
     f = z * z - z * X + 1
     g = g_quadric(X, Y, Z)
-    w = (z * z - 1) / (z * Z - Y)
-    wp = (z ** (-2) - 1) / (z ** (-1) * Z - Y)
-    rhs = 1 + (z * z * g + (2 * z * X - z * Y * Z + f) * f) / (z * (z * Z - Y) * (z * Y - Z))
-    out["lemma_ww"] = (w * wp) == rhs
+    # w = (z^2 - 1)/(zZ - Y) and w' = (z^-2 - 1)/(z^-1 Z - Y)
+    num = (z * z - 1) * (z ** -2 - 1)
+    den = (z * Z - Y) * (z ** -1 * Z - Y)
+    # the right side 1 + (z^2 g + (2zX - zYZ + f) f)/rden
+    rden = z * (z * Z - Y) * (z * Y - Z)
+    rnum = rden + z * z * g + (2 * z * X - z * Y * Z + f) * f
+    out["lemma_ww"] = (not den.is_zero() and not rden.is_zero()
+                       and num * rden == rnum * den)
 
     vs = ("X0", "X1", "X2", "X3")
-    xs = [MultiRat.var(vs, v) for v in vs]
+    xs = [MPoly.var(vs, v) for v in vs]
 
     def ratio(i, j):
         return xs[i] / xs[j] + xs[j] / xs[i]
@@ -292,8 +235,8 @@ def verify_core_identities():
                            ratio(1, 2), ratio(1, 3), ratio(2, 3)) == 0
 
     vs = ("X1", "X2", "X3")
-    X1, X2, X3 = (MultiRat.var(vs, v) for v in vs)
-    one = MultiRat.const(vs, 1)
+    X1, X2, X3 = (MPoly.var(vs, v) for v in vs)
+    one = MPoly.const(vs, 1)
     ys = [one, X1, X2, X3]
 
     def r2(i, j):
@@ -359,8 +302,8 @@ def converse_constraints(values):
     for tri in itertools.combinations(range(4), 3):
         out.append(g_quadric(X(tri[0], tri[1]), X(tri[0], tri[2]),
                              X(tri[1], tri[2])))
-    for perm in itertools.permutations(range(4)):
-        out.append(h_four(X, *perm))
+    for split in H_SPLITS:
+        out.append(h_four(X, *split))
     for e in e_polynomials():
         out.append(e.evaluate(values))
     return out

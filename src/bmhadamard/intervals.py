@@ -170,25 +170,33 @@ def _rep_depth(rep):
     return d
 
 
+def _enclosures(x, signs, digits):
+    """Ever tighter enclosures of x under the embedding ``signs``.
+
+    The first try works to ``digits`` digits and each next one to twice
+    as many; a try whose roots could not be placed (PrecisionExhausted)
+    yields nothing.
+    """
+    while True:
+        try:
+            roots = _embed_roots(x.desc, signs, digits)
+        except PrecisionExhausted:
+            pass
+        else:
+            yield _embed_rep(x.rep, roots, digits)
+        digits *= 2
+
+
 def complex_embed(x, precision=30):
     """ComplexInterval enclosure of x with width <= 10**-precision.
 
     Every level's root takes its principal branch: positive real part,
     or positive imaginary part for an imaginary level.
     """
-    signs = (1,) * x.desc.depth
     target = Fraction(1, 10 ** precision)
-    digits = precision + 8
-    while True:
-        try:
-            roots = _embed_roots(x.desc, signs, digits)
-            val = _embed_rep(x.rep, roots, digits)
-        except PrecisionExhausted:
-            digits *= 2
-            continue
-        if val.width() <= target:
-            return val
-        digits *= 2
+    return next(val for val in _enclosures(x, (1,) * x.desc.depth,
+                                           precision + 8)
+                if val.width() <= target)
 
 
 def element_sign(x, level_signs=None):
@@ -202,20 +210,12 @@ def element_sign(x, level_signs=None):
         return 0
     if level_signs is None:
         level_signs = (1,) * x.desc.depth
-    digits = 20
-    while True:
-        try:
-            roots = _embed_roots(x.desc, level_signs, digits)
-            val = _embed_rep(x.rep, roots, digits)
-        except PrecisionExhausted:
-            digits *= 2
-            continue
+    for val in _enclosures(x, level_signs, 20):
         if not val.is_real():
             raise ValueError("element is not real")
         s = val.re.sign()
         if s is not None:
             return s
-        digits *= 2
 
 
 def abs_is_one(x, tol_digits=12):

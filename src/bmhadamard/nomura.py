@@ -33,24 +33,6 @@ class StepFailed(AssertionError):
         self.step = step
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def unite(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 # ---------------------------------------------------------------------------
 # exact ratio vectors (reference implementation, used by tests)
 
@@ -214,28 +196,25 @@ def symmetry_values(family):
     return out
 
 
-def nomura_dimension(mat, _graph=None):
+def nomura_dimension(mat):
     """dim N(W) = number of Jones-graph components, symmetry checked first."""
-    if not check_symmetric(mat.family):
-        raise NotSymmetricAlgebra(
-            "symmetry functional vanished; component method not applicable")
-    graph = _graph if _graph is not None else jones_graph_for(mat)
-    labels = graph.component_labels()
-    n = graph.n
-    diag = {labels[a * n + a] for a in range(n)}
-    if len(diag) != 1:
-        raise AssertionError("diagonal vertices split across components")
-    return graph.component_count()
+    return component_report(mat)["dim_N"]
 
 
 def component_report(mat):
+    if not check_symmetric(mat.family):
+        raise NotSymmetricAlgebra(
+            "symmetry functional vanished; component method not applicable")
     graph = jones_graph_for(mat)
-    dim = nomura_dimension(mat, _graph=graph)
+    labels = graph.component_labels()
+    n = graph.n
+    if len({labels[a * n + a] for a in range(n)}) != 1:
+        raise AssertionError("diagonal vertices split across components")
     return {
-        "n": graph.n,
+        "n": n,
         "num_components": graph.component_count(),
         "component_sizes": graph.component_sizes(),
-        "dim_N": dim,
+        "dim_N": graph.component_count(),
     }
 
 
@@ -243,15 +222,19 @@ def component_report(mat):
 # the three-step structure of the component argument (q = 4 only)
 
 def _r03_classes(scheme):
-    uf = UnionFind(scheme.n)
+    """The R0 u R3 classes, read off the rows of ``scheme.rel``.
+
+    Ordered by least member, each class sorted; raises StepFailed when
+    the rows do not partition the points.
+    """
+    rows = {}
     for x in range(scheme.n):
-        for y in range(scheme.n):
-            if scheme.rel[x][y] in (0, 3):
-                uf.unite(x, y)
-    classes = {}
-    for x in range(scheme.n):
-        classes.setdefault(uf.find(x), []).append(x)
-    return list(classes.values())
+        cls = [y for y in range(scheme.n) if scheme.rel[x][y] in (0, 3)]
+        rows.setdefault(tuple(cls), cls)
+    classes = list(rows.values())
+    if sum(map(len, classes)) != scheme.n:
+        raise StepFailed("r03_classes", "rows of R0 u R3 overlap")
+    return classes
 
 
 def triangle_counters(scheme, x, y, z):

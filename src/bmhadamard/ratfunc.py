@@ -351,6 +351,8 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
         out = PolyQ.const(1)
         base = self
         while k:

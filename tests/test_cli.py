@@ -182,7 +182,8 @@ def test_report_scheme_off_q4_is_a_usage_error(capsys, q):
     assert f"no concrete scheme at q = {q}" in err
 
 
-@pytest.mark.parametrize("suite", ["identities", "families", "scheme"])
+@pytest.mark.parametrize("suite", ["identities", "families", "scheme",
+                                   "section5", "section6", "appendixB"])
 def test_report_bytes_match_the_golden_report(tmp_path, suite):
     out = tmp_path / f"{suite}.json"
     assert main(["report", "--suite", suite, "--q", "4",

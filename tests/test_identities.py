@@ -9,8 +9,8 @@ from bmhadamard import identities, linalg
 from bmhadamard.exactfield import TowerElement
 from bmhadamard.identities import (
     CASES,
+    H_SPLITS,
     MPoly,
-    MultiRat,
     NS_FACTOR_FIXTURES,
     converse_constraints,
     e_polynomials,
@@ -42,7 +42,7 @@ def test_core_identities_all_hold():
 def test_h_four_matches_determinant_form():
     # the 4-index form at (2,3,0,1) is minus the determinant form
     vs = tuple(f"X{i}{j}" for i, j in PAIRS)
-    vals = {p: MultiRat.var(vs, f"X{p[0]}{p[1]}") for p in PAIRS}
+    vals = {p: MPoly.var(vs, f"X{p[0]}{p[1]}") for p in PAIRS}
 
     def lookup(i, j):
         return vals[(min(i, j), max(i, j))]
@@ -88,7 +88,21 @@ def test_converse_constraint_count():
     vec = case_a_symbolic("i")
     vals = {p: vec[t] for t, p in enumerate(PAIRS)}
     cons = converse_constraints(vals)
-    assert len(cons) == 4 + 24 + 3  # g triples, h permutations, e_k
+    assert len(cons) == 4 + 6 + 3  # g triples, h splits, e_k
+
+
+def test_h_splits_give_every_permutation_value():
+    # h_four over symbolic X_ij: the 24 permutations take exactly the
+    # six values of the splits {i, j} | {k, l}
+    vs = tuple(f"X{i}{j}" for i, j in PAIRS)
+
+    def lookup(i, j):
+        return MPoly.var(vs, f"X{min(i, j)}{max(i, j)}")
+
+    perms = {h_four(lookup, *p) for p in itertools.permutations(range(4))}
+    splits = {h_four(lookup, *s) for s in H_SPLITS}
+    assert len(H_SPLITS) == len(splits) == 6
+    assert perms == splits
 
 
 def test_perturbed_vector_fails_converse():
@@ -315,7 +329,7 @@ def test_sweep_bound_env(monkeypatch):
         sweep_bound()
 
 
-# -- MPoly / MultiRat basics -----------------------------------------------------
+# -- Laurent MPoly basics -------------------------------------------------------
 
 def test_mpoly_arithmetic():
     vs = ("x", "y")
@@ -323,16 +337,29 @@ def test_mpoly_arithmetic():
     y = MPoly.var(vs, "y")
     assert (x + y) * (x - y) == x * x - y * y
     assert (x + 1) ** 3 == x ** 3 + 3 * x * x + 3 * x + 1
-
-
-def test_multirat_cross_equality():
-    vs = ("x", "y")
-    x = MultiRat.var(vs, "x")
-    y = MultiRat.var(vs, "y")
-    assert (x * x - y * y) / (x - y) == x + y
     assert ((x / y) + (y / x)) * (x * y) == x * x + y * y
+    assert x ** -2 == 1 / (x * x)
+
+
+_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(p=st.dictionaries(_exponents, _coeffs, max_size=6),
+       m=st.tuples(_exponents, _coeffs.filter(bool)))
+@settings(max_examples=60, deadline=None)
+def test_laurent_division_by_monomials(p, m):
+    vs = ("x", "y")
+    x = MPoly.var(vs, "x")
+    p = MPoly(vs, p)
+    m = MPoly(vs, {m[0]: m[1]})
+    assert (p / m) * m == p
+    assert m * m.inverse() == 1
+    assert m ** -3 * m ** 3 == 1
+    with pytest.raises(ValueError):
+        p / (m * (1 + x))
     with pytest.raises(ZeroDivisionError):
-        (x - x).inverse()
+        p / (m - m)
 
 
 small = st.integers(min_value=-3, max_value=3)

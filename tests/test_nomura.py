@@ -1,10 +1,13 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.nomura import (
     NotSymmetricAlgebra,
+    StepFailed,
+    _r03_classes,
     check_symmetric,
     component_report,
     jones_graph_dense,
@@ -179,3 +182,14 @@ def test_labels_partition(families_q4):
     diag = {labels[a * 15 + a] for a in range(15)}
     assert len(diag) == 1
     assert graph.component_count() >= 2
+
+
+def test_r03_classes_partition_the_points(petersen):
+    classes = _r03_classes(petersen)
+    assert sorted(x for cls in classes for x in cls) == list(range(15))
+    assert [cls[0] for cls in classes] == sorted(min(c) for c in classes)
+    assert all(cls == sorted(cls) and len(cls) == 3 for cls in classes)
+    # rows of R0 u R3 that overlap are not classes
+    chain = SimpleNamespace(n=3, rel=[[0, 3, 1], [3, 0, 3], [1, 3, 0]])
+    with pytest.raises(StepFailed):
+        _r03_classes(chain)

@@ -40,6 +40,15 @@ def test_poly_basic():
     assert quo == p and rem == q
 
 
+def test_poly_negative_power_raises():
+    # a polynomial has no inverse in Q[q]; the quotient lives in RatQ
+    q = PolyQ.x()
+    with pytest.raises(ValueError):
+        (q - 1) ** -1
+    assert (q - 1) ** 0 == PolyQ.const(1)
+    assert (Q - 1) ** -1 == 1 / (Q - 1)
+
+
 def test_ratq_reduction_and_monic_denominator():
     q = Q
     f = (q * q - 1) / (q - 1)
