@@ -285,7 +285,10 @@ class TowerElement:
         return self, NotImplemented
 
     def lift(self, desc):
-        """Reinterpret inside a taller tower having this one as a prefix."""
+        """Reinterpret inside a taller tower having this one as a prefix;
+        ``self`` when ``desc`` is already its tower."""
+        if desc == self.desc:
+            return self
         if not self.desc.is_prefix_of(desc):
             raise IncompatibleTowers("not a prefix")
         rep = self.rep
@@ -489,8 +492,7 @@ def adjoin_radical(desc, radicand):
     """
     if not isinstance(radicand, TowerElement):
         radicand = TowerElement.rational(radicand, desc)
-    if radicand.desc != desc:
-        radicand = radicand.lift(desc)
+    radicand = radicand.lift(desc)
     if radicand.is_zero():
         raise ValueError("radicand must be nonzero")
     scale = 1

@@ -66,9 +66,7 @@ class FlatTower:
     # -- conversions ------------------------------------------------------
 
     def to_flat(self, el):
-        if el.desc != self.desc:
-            el = el.lift(self.desc)
-        coeffs = el.coefficients()
+        coeffs = el.lift(self.desc).coefficients()
         den = 1
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)

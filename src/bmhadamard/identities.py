@@ -16,11 +16,10 @@ actually rely on.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import partial
 
-from .ratfunc import RatQ, Q, RatFuncQ, r_value_at, ratfunc_specialize
+from .ratfunc import RatQ, RatFuncQ, r_value_at, ratfunc_specialize
 from .scheme import parametric_scheme
 from .typeii import (
     CASES,
@@ -81,6 +80,10 @@ class MPoly:
         return isinstance(other, MPoly) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that Fraction
+        zero = (0,) * len(self.vars)
+        if self.terms.keys() <= {zero}:
+            return hash(self.terms.get(zero, Fraction(0)))
         return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other):
@@ -339,36 +342,6 @@ def ns_symbolic(case):
     return out
 
 
-# appendix factor lists for the eliminated-q polynomials of the symmetry
-# functional; recorded as *untrusted* fixtures and only consulted by
-# divisibility spot-checks, never by any verdict
-NS_FACTOR_FIXTURES = {
-    "i": ["(q-2)*(q-1)*(q+1)*(q+2)"] * 3,
-    "ii": ["(q-2)*(q-1)*(q+1)*(q^4-10*q^2+4*q+17)",
-           "(q-2)*(q-1)*(q+1)*(q^4-10*q^2+4*q+17)",
-           "(q-2)*(q-1)*(q+1)*(q+2)"],
-    "iii": ["q^6-13*q^4+28*q^2+64", "q^4-9*q^2+24", "q^6-13*q^4+28*q^2+64"],
-    "iv": ["(q-2)*(q-1)*(q+1)*(q+2)"] * 3,
-    "v": ["(q-2)*(q-1)*(q+1)*(q^2-2*q-4)",
-          "(q-2)*(q-1)*(q+1)*(q^2-2*q-4)",
-          "(q-2)*(q-1)*(q+1)*(q+2)"],
-    "vi": ["q^3*(q-3)^2*(q-1)*(q+1)^2*(q^9-q^8-12*q^7+14*q^6+49*q^5"
-           "+51*q^4-894*q^3-464*q^2+4664*q-272)",
-           "q^3*(q-3)^2*(q-2)*(q-1)*(q+1)^2*(q^7+3*q^6-4*q^5+2*q^4"
-           "+57*q^3-q^2-86*q+92)",
-           "q^2*(q-3)^2*(q-1)*(q+1)^2*(q^8-2*q^7+66*q^5-273*q^4"
-           "-288*q^3+1344*q^2-288*q+16)"],
-}
-
-
-def parse_poly(text):
-    """Tiny evaluator for the fixture strings (products/powers in q)."""
-    env = {"q": Q, "__builtins__": {}}
-    expr = text.replace("^", "**")
-    val = eval(expr, env)  # noqa: S307 - fixed fixture strings only
-    return val if isinstance(val, RatQ) else RatQ(val)
-
-
 def ns_norm_numerator(case, i):
     """Numerator of the i-th symmetry value, after eliminating r.
 
@@ -384,49 +357,10 @@ def ns_norm_numerator(case, i):
     return norm.plain.num
 
 
-def poly_roots_contained(num, fixture):
-    """Every irreducible factor of num divides fixture (multiplicity-free).
-
-    Used to reconcile reduced numerators with the recorded fixtures: the
-    fixtures come from cleared (unreduced) denominators, so they may
-    carry extra linear factors and different multiplicities, but the
-    zero sets must agree in this direction.
-    """
-    rem = num
-    while rem.degree > 0:
-        g = rem.gcd(fixture)
-        if g.degree == 0:
-            return False
-        rem = rem.divmod(g)[0]
-    return True
-
-
-def ns_fixture_report(case, i):
-    """Compare the i-th symmetry numerator against the recorded fixture."""
-    num = ns_norm_numerator(case, i)
-    fixture = parse_poly(NS_FACTOR_FIXTURES[normalize_case(case)][i - 1]).num
-    quo, rem = num.divmod(fixture)
-    return {
-        "fixture_divides_numerator": rem.is_zero(),
-        "numerator_roots_in_fixture": poly_roots_contained(num, fixture),
-    }
-
-
 # ---------------------------------------------------------------------------
 # nonvanishing sweeps
 
-def sweep_bound(default=DEFAULT_SWEEP_BOUND):
-    env = os.environ.get("HW_SWEEP_BOUND")
-    if env:
-        b = int(env)
-        if b < 4:
-            raise ValueError("HW_SWEEP_BOUND must be >= 4")
-        return b
-    return default
-
-
-def even_q_range(bound=None):
-    bound = sweep_bound() if bound is None else bound
+def even_q_range(bound=DEFAULT_SWEEP_BOUND):
     return range(4, bound + 1, 2)
 
 

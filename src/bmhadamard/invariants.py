@@ -47,9 +47,6 @@ class HaagerupData:
         if [e.coefficients() for e in inv] != [e.coefficients() for e in self.h_set]:
             raise AssertionError("H(W) must be inversion-closed")
 
-    def h_without_one(self):
-        return tuple(x for x in self.h_set if not x == 1)
-
     def __repr__(self):
         return (f"HaagerupData(|H|={len(self.h_set)}, |K|={len(self.k_set)}, "
                 f"{self.provenance})")

@@ -65,17 +65,15 @@ class JonesGraph:
     def __init__(self, scheme_rel, weights, desc):
         self.rel = scheme_rel
         self.n = len(scheme_rel)
-        self.desc = desc
         flat = FlatTower(desc)
         m = len(weights)
-        w = [x.lift(desc) if x.desc != desc else x for x in weights]
+        w = [x.lift(desc) for x in weights]
         w_inv = [x.inverse() for x in w]
         keys = [(i, j, k, l) for i in range(m) for j in range(m)
                 for k in range(m) for l in range(m)]
-        vecs, self.den = flat.int_coords(
+        vecs, _ = flat.int_coords(
             [w[i] * w_inv[j] * w[k] * w_inv[l] for i, j, k, l in keys])
         self.dim = flat.dim
-        self.flat = flat
         self.table = dict(zip(keys, vecs))
         self._labels = None
 
@@ -95,19 +93,6 @@ class JonesGraph:
                 for t in range(self.dim):
                     acc[t] += vec[t]
         return any(acc)
-
-    def inner_product(self, ab, cd):
-        """The same sum as an exact tower element."""
-        a, b = ab
-        c, d = cd
-        rel = self.rel
-        acc = [0] * self.dim
-        for x in range(self.n):
-            rx = rel[x]
-            vec = self.table[(rx[a], rx[b], rx[c], rx[d])]
-            for t in range(self.dim):
-                acc[t] += vec[t]
-        return self.flat.from_flat((tuple(acc), self.den))
 
     def vertices(self):
         return [(a, b) for a in range(self.n) for b in range(self.n)]
@@ -154,20 +139,6 @@ class JonesGraph:
 
 def jones_graph_for(mat):
     return JonesGraph(mat.scheme.rel, mat.weights, mat.family.desc)
-
-
-def jones_graph_dense(dense, desc):
-    """Jones graph of an arbitrary dense type-II matrix (no scheme).
-
-    Treats every entry pattern individually (the "scheme" is the trivial
-    one with one class per entry position); used for hand-entered
-    matrices such as character tables.
-    """
-    n = len(dense)
-    rel = [[i * n + j for j in range(n)] for i in range(n)]
-    weights = [dense[i][j].lift(desc) if dense[i][j].desc != desc else dense[i][j]
-               for i in range(n) for j in range(n)]
-    return JonesGraph(rel, weights, desc)
 
 
 # ---------------------------------------------------------------------------

@@ -217,16 +217,6 @@ class ConcreteScheme:
         except InternalConsistency as exc:
             raise NotAFusion(str(exc)) from exc
 
-    def to_jsonable(self, q=None):
-        return {
-            "format": "scheme/1",
-            "n": self.n,
-            "d": self.d,
-            "q": None if q is None else str(q),
-            "valencies": list(self.valencies),
-            "relations": [list(row) for row in self.rel],
-        }
-
 
 def _combination_streams(d):
     yield (1,) + (0,) * (d - 1)

@@ -134,16 +134,6 @@ def dump_json(payload):
                       separators=(",", ": ")) + "\n"
 
 
-def haagerup_payload(data):
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "haagerup",
-        "provenance": data.provenance,
-        "h_set": [encode_element(x) for x in data.h_set],
-        "k_set": [encode_element(x) for x in data.k_set],
-    }
-
-
 def check_record(check_id, status, witness=None, q_range=None):
     rec = {"check_id": check_id, "status": bool(status)}
     if witness is not None:

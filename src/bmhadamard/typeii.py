@@ -137,7 +137,7 @@ def case_a_values(case, q, r_value=None):
         raise InvalidCase("the sixth family needs an exact r value")
     vec = [ratfunc_specialize(f, q, r_value) for f in case_a_symbolic(case)]
     desc = vec[0].desc
-    return [v.lift(desc) if v.desc != desc else v for v in vec]
+    return [v.lift(desc) for v in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +161,6 @@ class WeightFamily:
 
     def a_matrix(self):
         return phi(self.weights)
-
-    def a_vector(self):
-        a = self.a_matrix()
-        return [a[i][j] for i, j in PAIRS]
 
     def label(self):
         bits = [f"case={self.case}", f"q={self.q}",
@@ -231,7 +227,7 @@ def family_coefficients(case, q, r_sign=1, branch=1):
     weights = _weights_from_seed(a, 0, s, TowerElement.rational(1, desc), w_s)
     if case == "vi" and not weights[1] * weights[2] == -weights[3]:
         raise InvalidCase("w1*w2 = -w3 failed; inconsistent construction")
-    if r_val is not None and r_val.desc != desc:
+    if r_val is not None:
         r_val = r_val.lift(desc)
     return WeightFamily(case, q, branch, r_sign, desc, weights, r_val)
 
@@ -253,7 +249,7 @@ def phi(weights):
     for w in ws:
         if w.desc.depth > desc.depth:
             desc = w.desc
-    ws = [w.lift(desc) if w.desc != desc else w for w in ws]
+    ws = [w.lift(desc) for w in ws]
     if any(w.is_zero() for w in ws):
         raise ZeroWeight("phi needs nonzero weights")
     m = len(ws)
@@ -401,7 +397,7 @@ def _dense_type_ii_check(family):
     return True
 
 
-def is_hadamard(family, check_type_ii=True, numeric_guard=True):
+def is_hadamard(family, check_type_ii=True):
     """Exact complex-Hadamard test for a constructed family.
 
     Primary criterion: every a_{i,j} is real and every weight has unit
@@ -437,7 +433,7 @@ def is_hadamard(family, check_type_ii=True, numeric_guard=True):
         "interval/criterion": interval_criterion,
         "interval_witness": interval_hit,
     }
-    if numeric_guard and unimodular:
+    if unimodular:
         cert["numeric_guard_1e-12"] = all(abs_is_one(w, 12)
                                           for w in family.weights)
         if not cert["numeric_guard_1e-12"]:
@@ -521,7 +517,7 @@ def span_condition(dense, desc, return_rank=False):
     n = len(dense)
     if any(len(row) != n for row in dense):
         raise NotSquare("dense matrix is not square")
-    H = [e.lift(desc) if e.desc != desc else e for row in dense for e in row]
+    H = [e.lift(desc) for row in dense for e in row]
     span = _CommutatorSpan(FlatTower(desc), n, H)
     target = (n - 1) ** 2
     best, modulus, residues = None, 1, {}

@@ -82,8 +82,7 @@ def test_criterion_02_type_ii_only_cases(families_q4):
                 fam = families_q4[(case, 1, branch)]
                 ok, _ = is_type_ii(fam, dense_check=False)
                 assert ok, (case, branch)
-                had, _ = is_hadamard(fam, check_type_ii=False,
-                                     numeric_guard=False)
+                had, _ = is_hadamard(fam, check_type_ii=False)
                 assert not had, (case, branch)
                 w3 = fam.weights[3]
                 assert not (w3 * complex_conj(w3) == 1), (case, branch)

@@ -98,6 +98,7 @@ def test_descend_and_lift_roundtrip():
     low = x.descend()
     assert low.desc.depth == 0
     assert low.lift(d) == x
+    assert x.lift(d) is x
 
 
 def test_rational_sqrt_and_squarefree():

@@ -41,7 +41,7 @@ def test_chan1_haagerup_powers_of_w2(families_q4):
     data = haagerup_bruteforce(TypeIIMatrix(fam))
     w2 = fam.weights[2]
     want = {w2, w2.inverse(), w2 * w2, (w2 * w2).inverse()}
-    got = set(data.h_without_one())
+    got = {x for x in data.h_set if not x == 1}
     assert got == want
 
 
@@ -49,6 +49,7 @@ def test_case_i_k_set(families_q4):
     # Table row: -q^2+3 and q^4-6q^2+7 at q = 4 give -13, 167
     data = haagerup_formula(families_q4[("i", 1, 1)])
     assert k_set_keys(data) == {("rat", Fraction(-13)), ("rat", Fraction(167))}
+    assert len(data.h_set) == 5 and data.provenance == "formula"
 
 
 def test_case_v_haagerup_powers(families_q4):
@@ -59,7 +60,7 @@ def test_case_v_haagerup_powers(families_q4):
     for e in (1, 2, 3, 4):
         want.add(w1 ** e)
         want.add(w1 ** (-e))
-    assert set(data.h_without_one()) == want
+    assert {x for x in data.h_set if not x == 1} == want
 
 
 def test_case_iii_haagerup_row(families_q4):
@@ -71,7 +72,7 @@ def test_case_iii_haagerup_row(families_q4):
     for s0 in (1, -1):
         for e in (1, -1, 2, -2):
             want.add(w1 ** e * s0)
-    assert set(data.h_without_one()) == want
+    assert {x for x in data.h_set if not x == 1} == want
 
 
 @pytest.mark.parametrize("case", CASES)

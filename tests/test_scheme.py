@@ -133,15 +133,6 @@ def test_symbolic_fusion_rows():
     assert ps.fused_rows([[0], [1, 3], [2]]) == fused_eigenmatrix_13()
 
 
-def test_scheme_json_export(petersen):
-    payload = petersen.to_jsonable(q=4)
-    assert payload["n"] == 15 and payload["d"] == 3
-    assert payload["valencies"] == [1, 4, 8, 2]
-    assert len(payload["relations"]) == 15
-    # relation matrix is row-major class indices
-    assert all(payload["relations"][i][i] == 0 for i in range(15))
-
-
 def test_eigen_rows_are_intersection_eigenvectors(petersen):
     # oracle: each row of P is a simultaneous eigenvector of every B_i
     data = petersen.eigen_data()

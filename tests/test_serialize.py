@@ -3,14 +3,12 @@ import json
 import pytest
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
-from bmhadamard.invariants import haagerup_formula
 from bmhadamard.serialize import (
     complex_csv,
     decode_element,
     dump_json,
     encode_element,
     family_payload,
-    haagerup_payload,
     matrix_payload,
 )
 from bmhadamard.typeii import TypeIIMatrix, family_coefficients
@@ -122,10 +120,3 @@ def test_complex_csv(families_q4):
     first = lines[0].split(",")
     assert len(first) == 15
     assert first[0].startswith("1")
-
-
-def test_haagerup_payload(families_q4):
-    data = haagerup_formula(families_q4[("i", 1, 1)])
-    pay = haagerup_payload(data)
-    assert pay["provenance"] == "formula"
-    assert len(pay["h_set"]) == 5 and len(pay["k_set"]) == 2
