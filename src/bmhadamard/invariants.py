@@ -36,15 +36,15 @@ class HaagerupData:
 
     def __init__(self, h_elements, provenance):
         h = _dedup_sorted(h_elements)
+        inverses = [x.inverse() for x in h]
         self.h_set = h
-        one = 1
         self.k_set = _dedup_sorted(
-            x + x.inverse() for x in h if not x == one)
+            x + x_inv for x, x_inv in zip(h, inverses) if not x == 1)
         self.provenance = provenance
-        if not any(x == 1 for x in self.h_set):
+        if not any(x == 1 for x in h):
             raise AssertionError("1 must lie in H(W)")
-        inv = _dedup_sorted(x.inverse() for x in self.h_set)
-        if [e.coefficients() for e in inv] != [e.coefficients() for e in self.h_set]:
+        inv = _dedup_sorted(inverses)
+        if [e.coefficients() for e in inv] != [e.coefficients() for e in h]:
             raise AssertionError("H(W) must be inversion-closed")
 
     def __repr__(self):
@@ -66,15 +66,19 @@ def haagerup_bruteforce(mat):
     """All cross ratios of the dense matrix, via class patterns.
 
     The value of a quadruple depends only on the four relation classes
-    involved, so the n^4 sweep collects patterns first and divides in
-    the tower once per distinct pattern.
+    involved, so the n^4 sweep collects patterns first.  Pattern
+    (c11, c22, c21, c12) has the value ratio[c11][c21] * ratio[c22][c12]
+    of the ratios w_i / w_j (one inverse per weight), formed once per
+    unordered pair of ratio indices.
     """
     if mat.scheme.n > 64:
         raise TooLarge("the quartic sweep is limited to n <= 64")
     w = mat.weights
-    values = []
-    for (c11, c22, c21, c12) in _class_patterns(mat.scheme):
-        values.append(w[c11] * w[c22] / (w[c21] * w[c12]))
+    w_inv = [x.inverse() for x in w]
+    ratio = [[wi * wj for wj in w_inv] for wi in w]
+    pairs = {tuple(sorted(((c11, c21), (c22, c12))))
+             for c11, c22, c21, c12 in _class_patterns(mat.scheme)}
+    values = [ratio[i][j] * ratio[k][l] for (i, j), (k, l) in pairs]
     return HaagerupData(values, "bruteforce")
 
 
@@ -255,11 +259,12 @@ def evaluate_monomials(monomials, family):
     """Formal monomials -> exact tower elements for one family."""
     indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
     basis = [family.weights[i] for i in indices]
+    inverses = [b.inverse() for b in basis]
     out = []
     for sign, exps in monomials:
         v = TowerElement.rational(sign, family.desc)
-        for b, e in zip(basis, exps):
-            v = v * b ** e
+        for b, b_inv, e in zip(basis, inverses, exps):
+            v = v * (b ** e if e >= 0 else b_inv ** -e)
         out.append(v)
     return out
 

@@ -34,65 +34,48 @@ class StepFailed(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# exact ratio vectors (reference implementation, used by tests)
-
-def y_vector(dense, a, b):
-    """(Y_ab)_x = W_xa / W_xb as exact tower elements."""
-    return [row[a] / row[b] for row in dense]
-
-
-def y_inner(dense, ab, cd):
-    """Ordinary (non-Hermitian) scalar product <Y_ab, Y_cd>."""
-    ya = y_vector(dense, *ab)
-    yc = y_vector(dense, *cd)
-    acc = ya[0] * yc[0]
-    for x in range(1, len(ya)):
-        acc = acc + ya[x] * yc[x]
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # fast adjacency oracle
 
 class JonesGraph:
     """Adjacency oracle and component labels on the n^2 pair vertices.
 
-    Inner products reduce to 15-term sums over a 4-index ratio table
-    w_i w_k / (w_j w_l); the table is precomputed as integer vectors
-    over one common denominator so each test is pure integer work.
+    With m weights and ratio[i*m + j] = w_i / w_j, the x-th term of
+    <Y_ab, Y_cd> is ratio[u] * ratio[v], u = R(x,a)*m + R(x,b) and
+    v = R(x,c)*m + R(x,d).  The m^2 ratios (one inverse per weight) get
+    integer coordinates over one denominator den, and
+    ``FlatTower.int_mul`` forms their m^2 x m^2 product table: each
+    entry is the true product times the same tden * den^2 > 0.
+
+    Each entry is packed into one int, coordinate k in a signed slot of
+    ``bits`` bits.  A sum of n entries is sum_k S_k * 2^(k*bits), and
+    n * max|coordinate| < 2^(bits - 1) keeps every |S_k| below
+    2^(bits - 1).  For the lowest nonzero S_k the sum is
+    2^(k*bits) * (S_k + 2^bits * R), R an integer, which is nonzero as
+    0 < |S_k| < 2^bits.  So a test is exact: n ints summed against 0.
     """
 
     def __init__(self, scheme_rel, weights, desc):
-        self.rel = scheme_rel
-        self.n = len(scheme_rel)
+        self.n = n = len(scheme_rel)
         flat = FlatTower(desc)
         m = len(weights)
         w = [x.lift(desc) for x in weights]
         w_inv = [x.inverse() for x in w]
-        keys = [(i, j, k, l) for i in range(m) for j in range(m)
-                for k in range(m) for l in range(m)]
-        vecs, _ = flat.int_coords(
-            [w[i] * w_inv[j] * w[k] * w_inv[l] for i, j, k, l in keys])
-        self.dim = flat.dim
-        self.table = dict(zip(keys, vecs))
+        ratios, _ = flat.int_coords([wi * wj for wi in w for wj in w_inv])
+        products = [[flat.int_mul(x, y) for y in ratios] for x in ratios]
+        top = max(abs(c) for row in products for vec in row for c in vec)
+        bits = (n * top).bit_length() + 1
+        self.table = [[sum(c << (k * bits) for k, c in enumerate(vec))
+                       for vec in row] for row in products]
+        # vertex (a, b) -> its ratio index R(x,a)*m + R(x,b) for each x
+        self.ratio_index = {(a, b): [r[a] * m + r[b] for r in scheme_rel]
+                            for a in range(n) for b in range(n)}
         self._labels = None
 
     def adjacent(self, ab, cd):
         """Exact: is <Y_ab, Y_cd> nonzero?"""
-        a, b = ab
-        c, d = cd
-        rel = self.rel
         table = self.table
-        acc = None
-        for x in range(self.n):
-            rx = rel[x]
-            vec = table[(rx[a], rx[b], rx[c], rx[d])]
-            if acc is None:
-                acc = list(vec)
-            else:
-                for t in range(self.dim):
-                    acc[t] += vec[t]
-        return any(acc)
+        return sum(table[u][v] for u, v in
+                   zip(self.ratio_index[ab], self.ratio_index[cd])) != 0
 
     def vertices(self):
         return [(a, b) for a in range(self.n) for b in range(self.n)]

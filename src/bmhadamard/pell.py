@@ -96,24 +96,25 @@ def descend(problem, xy):
 def descent_oracle(problem, x_limit):
     """Enumerate all solutions with x <= x_limit and certify the descent.
 
-    Returns the solution count; raises if any solution fails to reduce
-    to a base solution (which would disprove the descent lemma).
+    x runs, in increasing order, only through the residues r mod d with
+    r^2 = a (mod d).  Returns the solution count; raises if any solution
+    fails to reduce to a base solution (disproving the descent lemma).
     """
     bases = set(base_solutions(problem))
     count = 0
     d, a = problem.d, problem.a
-    x = isqrt(a) if isqrt(a) ** 2 == a else isqrt(a) + 1
-    while x <= x_limit:
-        t = x * x - a
-        if t % d == 0:
-            y2 = t // d
+    x0 = isqrt(a) if isqrt(a) ** 2 == a else isqrt(a) + 1
+    roots = [r for r in range(d) if (r * r - a) % d == 0]
+    starts = range(x0 - x0 % d, x_limit + 1, d)
+    for x in (s + r for s in starts for r in roots):
+        if x0 <= x <= x_limit:
+            y2 = (x * x - a) // d
             y = isqrt(y2)
             if y * y == y2:
                 count += 1
                 base, _ = descend(problem, (x, y))
                 if base not in bases:
                     raise AssertionError(f"({x},{y}) reduced to unlisted {base}")
-        x += 1
     return count
 
 

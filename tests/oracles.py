@@ -2,8 +2,11 @@
 checked against.  No verdict of the package rests on them."""
 
 from fractions import Fraction
+from math import isqrt
 
 from bmhadamard.exactfield import TowerElement
+from bmhadamard.invariants import HaagerupData, _class_patterns
+from bmhadamard.pell import base_solutions, descend
 from bmhadamard.typeii import TypeIIMatrix
 
 
@@ -101,3 +104,49 @@ def kernel_mod_p_oracle(pivots, columns, p):
                 vec[c] = p - acc[i]
         kernel[f] = vec
     return kernel
+
+
+def haagerup_bruteforce_oracle(mat):
+    """H(W) and K(W) of the dense matrix, dividing in the tower once per
+    class pattern (c11, c22, c21, c12): w_c11 w_c22 / (w_c21 w_c12)."""
+    w = mat.weights
+    values = [w[c11] * w[c22] / (w[c21] * w[c12])
+              for c11, c22, c21, c12 in _class_patterns(mat.scheme)]
+    return HaagerupData(values, "bruteforce")
+
+
+def y_vector(dense, a, b):
+    """(Y_ab)_x = W_xa / W_xb as exact tower elements."""
+    return [row[a] / row[b] for row in dense]
+
+
+def y_inner(dense, ab, cd):
+    """Ordinary (non-Hermitian) scalar product <Y_ab, Y_cd>."""
+    ya = y_vector(dense, *ab)
+    yc = y_vector(dense, *cd)
+    acc = ya[0] * yc[0]
+    for x in range(1, len(ya)):
+        acc = acc + ya[x] * yc[x]
+    return acc
+
+
+def descent_oracle_every_x(problem, x_limit):
+    """The solution count of x^2 - d y^2 = a with x <= x_limit, testing
+    every x from ceil(sqrt(a)); raises if a solution fails to descend
+    to a base solution."""
+    bases = set(base_solutions(problem))
+    count = 0
+    d, a = problem.d, problem.a
+    x = isqrt(a) if isqrt(a) ** 2 == a else isqrt(a) + 1
+    while x <= x_limit:
+        t = x * x - a
+        if t % d == 0:
+            y2 = t // d
+            y = isqrt(y2)
+            if y * y == y2:
+                count += 1
+                base, _ = descend(problem, (x, y))
+                if base not in bases:
+                    raise AssertionError(f"({x},{y}) reduced to unlisted {base}")
+        x += 1
+    return count

@@ -3,6 +3,7 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import haagerup_bruteforce_oracle
 
 from bmhadamard.exactfield import QQ, TowerElement
 from bmhadamard.invariants import (
@@ -88,6 +89,19 @@ def test_formula_equals_bruteforce_all_branches(case, families_q4):
             [e.coefficients() for e in fo.h_set], key
         assert [e.coefficients() for e in bf.k_set] == \
             [e.coefficients() for e in fo.k_set], key
+
+
+def test_bruteforce_matches_per_pattern_oracle(families_q4):
+    # the ratio-table sweep against one tower division per class pattern
+    assert len(families_q4) == 14
+    for key, fam in families_q4.items():
+        mat = TypeIIMatrix(fam)
+        got = haagerup_bruteforce(mat)
+        want = haagerup_bruteforce_oracle(mat)
+        assert [e.coefficients() for e in got.h_set] == \
+            [e.coefficients() for e in want.h_set], key
+        assert [e.coefficients() for e in got.k_set] == \
+            [e.coefficients() for e in want.k_set], key
 
 
 @pytest.mark.parametrize("case", CASES)

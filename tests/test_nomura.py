@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from oracles import y_inner, y_vector
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.nomura import (
@@ -16,8 +18,6 @@ from bmhadamard.nomura import (
     nomura_dimension,
     symmetry_values,
     triangle_counters,
-    y_inner,
-    y_vector,
 )
 from bmhadamard.typeii import TypeIIMatrix, WeightFamily
 
@@ -48,13 +48,23 @@ def test_diagonal_detached_for_type_ii(families_q4):
     assert y_inner(dense, (1, 1), (2, 2)) == 15
 
 
+SECTION6_KEYS = [("i", 1, 1), ("ii", 1, 1), ("iii", 1, 1), ("iv", 1, 1),
+                 ("v", 1, 1), ("vi", 1, 1), ("vi", -1, 1)]
+
+
 def test_graph_inner_product_matches_reference(families_q4):
-    fam = families_q4[("vi", 1, 1)]
-    mat = TypeIIMatrix(fam)
-    graph = jones_graph_for(mat)
-    dense = mat.dense()
-    for pair in (((0, 1), (2, 5)), ((3, 3), (4, 4)), ((1, 2), (2, 1))):
-        assert graph.adjacent(*pair) == (not y_inner(dense, *pair).is_zero())
+    # every section6 variant, on 200 seeded vertex pairs each
+    for key in SECTION6_KEYS:
+        mat = TypeIIMatrix(families_q4[key])
+        graph = jones_graph_for(mat)
+        dense = mat.dense()
+        rng = random.Random(f"jones-{key}")
+        verts = graph.vertices()
+        pairs = [((0, 1), (2, 5)), ((3, 3), (4, 4)), ((1, 2), (2, 1))]
+        pairs += [(rng.choice(verts), rng.choice(verts)) for _ in range(200)]
+        for pair in pairs:
+            want = not y_inner(dense, *pair).is_zero()
+            assert graph.adjacent(*pair) == want, (key, pair)
 
 
 def test_adjacency_is_symmetric(families_q4):
@@ -64,9 +74,7 @@ def test_adjacency_is_symmetric(families_q4):
         assert graph.adjacent(a, b) == graph.adjacent(b, a)
 
 
-@pytest.mark.parametrize("key", [("i", 1, 1), ("ii", 1, 1), ("iii", 1, 1),
-                                 ("iv", 1, 1), ("v", 1, 1),
-                                 ("vi", 1, 1), ("vi", -1, 1)])
+@pytest.mark.parametrize("key", SECTION6_KEYS)
 def test_dimension_two_for_all_families(key, families_q4):
     fam = families_q4[key]
     rep = component_report(TypeIIMatrix(fam))

@@ -1,4 +1,5 @@
 import pytest
+from oracles import descent_oracle_every_x
 
 from bmhadamard.pell import (
     FUNDAMENTAL_17,
@@ -55,6 +56,15 @@ def test_descend_reaches_a_base():
 def test_descent_oracle_small():
     count = descent_oracle(PROBLEM_17_64, 10 ** 4)
     assert count >= 6  # several solutions below 10^4, all accounted for
+
+
+@pytest.mark.parametrize("x_limit", [1, 8, 9, 26, 10 ** 3, 10 ** 4 + 7])
+def test_descent_oracle_matches_every_x(x_limit):
+    # the residue-stepped scan against testing every x
+    for problem in (PROBLEM_17_64, PellProblem(2, 7, (3, 2)),
+                    PellProblem(13, 36, (649, 180))):
+        assert descent_oracle(problem, x_limit) == \
+            descent_oracle_every_x(problem, x_limit)
 
 
 def test_integral_r_q_values():
