@@ -405,23 +405,20 @@ def _symmetry_ok(case, values, q):
 
 
 def _weight_variants(case, q):
-    """Every exact weight vector of a family at q (branches x r signs),
-    each paired with the inverses of its weights."""
+    """The ratio table R[i][j] = w_i / w_j of every weight vector of a
+    family at q (branches x r signs), paired with its transpose, which
+    is the ratio table of the inverted weights 1/w_i."""
     for fam in all_families(q, (case,)):
-        yield fam.weights, [x.inverse() for x in fam.weights]
+        yield fam.ratios, tuple(zip(*fam.ratios))
 
 
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))
 
 
-def _ratio_table(w, w_inv, keys):
-    """{(i, j, k): w_i^2 / (w_j w_k)} over the given keys, for weights w
-    with inverses w_inv."""
-    sq = [x * x for x in w]
-    pair = {}
-    for j, k in itertools.combinations_with_replacement(range(4), 2):
-        pair[j, k] = pair[k, j] = w_inv[j] * w_inv[k]
-    return {(i, j, k): sq[i] * pair[j, k] for i, j, k in keys}
+def _ratio_table(ratio, keys):
+    """{(i, j, k): w_i^2 / (w_j w_k)} over the given keys, as the product
+    ratio[i][j] * ratio[i][k] of a ratio table ratio[i][j] = w_i / w_j."""
+    return {(i, j, k): ratio[i][j] * ratio[i][k] for i, j, k in keys}
 
 
 def _jones_adjacency_ok(case, q):
@@ -430,8 +427,8 @@ def _jones_adjacency_ok(case, q):
     coeffs = [{(i, j, k): p_at[i][j][m] * p_at[3][k][i] for i, j, k in _TRIPLES
                if p_at[i][j][m] and p_at[3][k][i]} for m in (1, 2)]
     keys = coeffs[0].keys() | coeffs[1].keys()
-    for w, w_inv in _weight_variants(case, q):
-        ratio = _ratio_table(w, w_inv, keys)
+    for table, _ in _weight_variants(case, q):
+        ratio = _ratio_table(table, keys)
         for coeff in coeffs:
             if sum(ratio[t] * c for t, c in coeff.items()).is_zero():
                 return False
@@ -480,12 +477,11 @@ def _jones_component_ok(case, q):
              (3, 3, 3): p_at[3][3][3] - 1}
     fixed = {t: c for t, c in {**known, **c0}.items() if c}
     keys = set(known) | set(_COUNTERS)
-    for w, w_inv in _weight_variants(case, q):
+    for ff, gg in _weight_variants(case, q):
         (a_ff, b_ff), (a_gg, b_gg) = [
             (sum(ratio[t] * c for t, c in fixed.items()),
              sum(-ratio[t] if sum(t) % 2 else ratio[t] for t in _COUNTERS))
-            for ratio in (_ratio_table(w, w_inv, keys),
-                          _ratio_table(w_inv, w, keys))]
+            for ratio in (_ratio_table(ff, keys), _ratio_table(gg, keys))]
         if b_ff.is_zero() and b_gg.is_zero():
             if a_ff.is_zero() and a_gg.is_zero():
                 return False

@@ -68,14 +68,12 @@ def haagerup_bruteforce(mat):
     The value of a quadruple depends only on the four relation classes
     involved, so the n^4 sweep collects patterns first.  Pattern
     (c11, c22, c21, c12) has the value ratio[c11][c21] * ratio[c22][c12]
-    of the ratios w_i / w_j (one inverse per weight), formed once per
-    unordered pair of ratio indices.
+    read from the family's table ratio[i][j] = w_i / w_j, one product
+    per unordered pair of ratio indices.
     """
     if mat.scheme.n > 64:
         raise TooLarge("the quartic sweep is limited to n <= 64")
-    w = mat.weights
-    w_inv = [x.inverse() for x in w]
-    ratio = [[wi * wj for wj in w_inv] for wi in w]
+    ratio = mat.family.ratios
     pairs = {tuple(sorted(((c11, c21), (c22, c12))))
              for c11, c22, c21, c12 in _class_patterns(mat.scheme)}
     values = [ratio[i][j] * ratio[k][l] for (i, j), (k, l) in pairs]
@@ -256,10 +254,13 @@ def table_one_row(case):
 
 
 def evaluate_monomials(monomials, family):
-    """Formal monomials -> exact tower elements for one family."""
+    """Formal monomials -> exact tower elements for one family.
+
+    A negative power reads 1/w_i = ratios[0][i] off the family's table.
+    """
     indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
     basis = [family.weights[i] for i in indices]
-    inverses = [b.inverse() for b in basis]
+    inverses = [family.ratios[0][i] for i in indices]
     out = []
     for sign, exps in monomials:
         v = TowerElement.rational(sign, family.desc)

@@ -4,9 +4,10 @@ Works for Fraction, RatQ and TowerElement alike (a RatFuncQ is a
 TowerElement over Q(q)): elements need +, -, *, division (or
 .inverse()), and == against ``zero``.  Everything is one Gauss-Jordan
 routine, ``_echelon``; matrices are lists of lists and stay tiny (4x4
-eigen work) or structured (the sparse span-condition elimination lives
-in typeii, not here).  ``solve`` has no caller in the package: it is
-the test oracle for the closed form in ``identities._jones_component_ok``.
+eigen work).  The span-condition elimination is modular and lives in
+``fastfield.echelon_mod_p``, not here.  ``solve`` has no caller in the
+package: it is the test oracle for the closed form in
+``identities._jones_component_ok``.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .exactfield import TowerElement
 from .fastfield import FlatTower
 from .scheme import parametric_scheme
+from .typeii import weight_ratios
 
 
 class NotSymmetricAlgebra(ValueError):
@@ -41,8 +42,9 @@ class JonesGraph:
 
     With m weights and ratio[i*m + j] = w_i / w_j, the x-th term of
     <Y_ab, Y_cd> is ratio[u] * ratio[v], u = R(x,a)*m + R(x,b) and
-    v = R(x,c)*m + R(x,d).  The m^2 ratios (one inverse per weight) get
-    integer coordinates over one denominator den, and
+    v = R(x,c)*m + R(x,d).  The m^2 ratios come row by row from
+    ``typeii.weight_ratios`` and get integer coordinates over one
+    denominator den, and
     ``FlatTower.int_mul`` forms their m^2 x m^2 product table: each
     entry is the true product times the same tden * den^2 > 0.
 
@@ -58,9 +60,8 @@ class JonesGraph:
         self.n = n = len(scheme_rel)
         flat = FlatTower(desc)
         m = len(weights)
-        w = [x.lift(desc) for x in weights]
-        w_inv = [x.inverse() for x in w]
-        ratios, _ = flat.int_coords([wi * wj for wi in w for wj in w_inv])
+        ratios, _ = flat.int_coords(
+            [x for row in weight_ratios(weights) for x in row])
         products = [[flat.int_mul(x, y) for y in ratios] for x in ratios]
         top = max(abs(c) for row in products for vec in row for c in vec)
         bits = (n * top).bit_length() + 1

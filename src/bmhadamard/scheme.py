@@ -65,10 +65,10 @@ class ConcreteScheme:
         self.rel = tuple(tuple(row) for row in rel)
         self.n = len(self.rel)
         self.d = max(max(row) for row in self.rel)
-        self.p = self._intersection_numbers()
         report = self.verify_axioms()
         if not report.passed:
             raise InternalConsistency("; ".join(report.violations))
+        self.p = report.p
         self.valencies = tuple(self.p[i][i][0] if i else 1
                                for i in range(self.d + 1))
 
@@ -77,32 +77,12 @@ class ConcreteScheme:
     def adjacency_matrix(self, i):
         return [[1 if c == i else 0 for c in row] for row in self.rel]
 
-    def _intersection_numbers(self):
-        n, d = self.n, self.d
-        rel = self.rel
-        # classify x by relation to a pair (u, v) per class of (u, v);
-        # constancy over representative pairs is re-checked in verify_axioms
-        p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-        seen_pair = [False] * (d + 1)
-        for u in range(n):
-            for v in range(n):
-                k = rel[u][v]
-                if seen_pair[k]:
-                    continue
-                seen_pair[k] = True
-                counts = [[0] * (d + 1) for _ in range(d + 1)]
-                ru, rv = rel[u], rel[v]
-                for x in range(n):
-                    counts[ru[x]][rv[x]] += 1
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        p[i][j][k] = counts[i][j]
-        return p
-
     def verify_axioms(self):
-        """Check every defining axiom; returns all violations found."""
+        """Check every defining axiom; returns all violations found, and
+        the intersection numbers p_ij^k counted along the way."""
         violations = []
         n, d, rel = self.n, self.d, self.rel
+        p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
         for x in range(n):
             if rel[x][x] != 0:
                 violations.append(f"diagonal not class 0 at {x}")
@@ -118,7 +98,9 @@ class ConcreteScheme:
         if any(rel[x][y] == 0 for x in range(n) for y in range(n) if x != y):
             violations.append("class 0 appears off the diagonal")
         # closure: the count of z with rel(x,z)=i, rel(z,y)=j must depend
-        # only on rel(x,y); this is A_i A_j = sum_k p_ij^k A_k
+        # only on rel(x,y); this is A_i A_j = sum_k p_ij^k A_k.  The first
+        # pair of each class fills p, and every later pair is checked
+        seen = [False] * (d + 1)
         for x in range(n):
             rx = rel[x]
             for y in range(n):
@@ -129,16 +111,19 @@ class ConcreteScheme:
                     counts[rx[z]][ry[z]] += 1
                 for i in range(d + 1):
                     for j in range(d + 1):
-                        if counts[i][j] != self.p[i][j][k]:
+                        if not seen[k]:
+                            p[i][j][k] = counts[i][j]
+                        elif counts[i][j] != p[i][j][k]:
                             violations.append(
                                 f"p_{i}{j}^{k} not constant (pair ({x},{y}))")
-                            return AxiomReport(violations, self.p)
+                            return AxiomReport(violations, p)
+                seen[k] = True
         for i in range(d + 1):
             for j in range(d + 1):
                 for k in range(d + 1):
-                    if self.p[i][j][k] != self.p[j][i][k]:
+                    if p[i][j][k] != p[j][i][k]:
                         violations.append(f"p_{i}{j}^{k} != p_{j}{i}^{k}")
-        return AxiomReport(violations, self.p)
+        return AxiomReport(violations, p)
 
     # -- spectral data ----------------------------------------------------
 
@@ -426,21 +411,6 @@ class ParametricScheme:
 
     def eigenmatrix_at(self, q0):
         return [[entry(q0) for entry in row] for row in self.P]
-
-    def fused_rows(self, merged):
-        """Collapse the parametric eigenmatrix along a fusion of classes.
-
-        Sums the columns inside each block and drops duplicate rows;
-        for admissible fusions this reproduces the fused eigenmatrix.
-        """
-        blocks = sorted((sorted(b) for b in merged), key=lambda b: b[0])
-        rows = []
-        for m in range(4):
-            row = tuple(sum((self.P[m][j] for j in block), _rq(0))
-                        for block in blocks)
-            if row not in rows:
-                rows.append(row)
-        return [list(r) for r in rows]
 
 
 @cache

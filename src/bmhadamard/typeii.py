@@ -18,7 +18,7 @@ in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 
 from .fastfield import (
@@ -144,7 +144,14 @@ def case_a_values(case, q, r_value=None):
 # weight families
 
 class WeightFamily:
-    """Exact weights (1, w1, w2, w3) of one constructed family."""
+    """Exact weights (1, w1, w2, w3) of one constructed family.
+
+    ``ratios`` is the family's one table of weight ratios,
+    ratios[i][j] = w_i / w_j, built by ``weight_ratios`` on first use and
+    kept: the a-matrix, the type-II and Haagerup certificates, the
+    formal-monomial H(W) and the Jones sweeps all read it.  Since
+    w_0 = 1, which the constructor checks, row 0 holds the inverses 1/w_j.
+    """
 
     def __init__(self, case, q, branch, r_sign, desc, weights, r_value):
         self.case = case
@@ -154,13 +161,19 @@ class WeightFamily:
         self.desc = desc
         self.weights = tuple(weights)
         self.r_value = r_value
+        if not self.weights[0] == 1:
+            raise ValueError("a family's first weight w_0 must be 1")
 
     @property
     def n(self):
         return self.q * self.q - 1
 
+    @cached_property
+    def ratios(self):
+        return weight_ratios(self.weights)
+
     def a_matrix(self):
-        return phi(self.weights)
+        return _pair_sums(self.ratios)
 
     def label(self):
         bits = [f"case={self.case}", f"q={self.q}",
@@ -242,24 +255,29 @@ def all_families(q, cases=CASES, branches=(1, -1)):
 # ---------------------------------------------------------------------------
 # the rational map and its inverse
 
-def phi(weights):
-    """a_{i,j} = w_i/w_j + w_j/w_i for a vector of nonzero weights."""
+def weight_ratios(weights):
+    """The table ratios[i][j] = w_i / w_j of nonzero weights, in the
+    deepest of their towers: one inverse per weight, one product per
+    entry.  Every w_i / w_j the package uses is read from such a table,
+    directly or through ``WeightFamily.ratios``."""
     ws = list(weights)
-    desc = ws[0].desc
-    for w in ws:
-        if w.desc.depth > desc.depth:
-            desc = w.desc
+    desc = max((w.desc for w in ws), key=lambda d: d.depth)
     ws = [w.lift(desc) for w in ws]
     if any(w.is_zero() for w in ws):
-        raise ZeroWeight("phi needs nonzero weights")
-    m = len(ws)
-    two = TowerElement.rational(2, desc)
-    a = [[two for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            r = ws[i] / ws[j]
-            a[i][j] = a[j][i] = r + r.inverse()
-    return a
+        raise ZeroWeight("weight ratios need nonzero weights")
+    inverses = [w.inverse() for w in ws]
+    return tuple(tuple(wi * wj for wj in inverses) for wi in ws)
+
+
+def phi(weights):
+    """a_{i,j} = w_i/w_j + w_j/w_i for a vector of nonzero weights."""
+    return _pair_sums(weight_ratios(weights))
+
+
+def _pair_sums(ratios):
+    """a_{i,j} = ratios[i][j] + ratios[j][i], 2 on the diagonal."""
+    return [[x + y for x, y in zip(row, col)]
+            for row, col in zip(ratios, zip(*ratios))]
 
 
 def reconstruct_weights(a, i0, i1, w_pair):
@@ -273,8 +291,7 @@ def reconstruct_weights(a, i0, i1, w_pair):
     """
     d1 = len(a)
     w0, w1 = w_pair
-    seed_check = w0 / w1 + w1 / w0
-    if seed_check != a[i0][i1]:
+    if phi(w_pair)[0][1] != a[i0][i1]:
         raise ValueError("seed pair does not match a[i0][i1]")
     two = TowerElement.rational(2, w0.desc)
     if a[i0][i1] == two or a[i0][i1] == -two:
@@ -334,7 +351,8 @@ class TypeIIMatrix:
 def is_type_ii(family, dense_check=None):
     """Spectral type-II test: beta_k * beta'_k = n for k = 1..d.
 
-    beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights.
+    beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights,
+    row 0 of the family's ratio table.
     At q = 4 (or when ``dense_check`` is True) the dense identity
     W * (W^(-))^T = n I is verified as well and must agree.
     Returns (bool, certificate dict).
@@ -342,7 +360,7 @@ def is_type_ii(family, dense_check=None):
     P = parametric_scheme().eigenmatrix_at(family.q)
     n = family.n
     w = family.weights
-    w_inv = [x.inverse() for x in w]
+    w_inv = family.ratios[0]
     betas, betas_p, products = [], [], []
     for k in range(4):
         beta = sum((w[j] * P[k][j] for j in range(4)),
@@ -374,23 +392,21 @@ def is_type_ii(family, dense_check=None):
 def _dense_type_ii_check(family):
     """Exact dense identity W * (W^(-))^T = n I, on integer coordinates.
 
-    Entry (x, y) is the sum over t of w_rel[x][t] / w_rel[y][t].  The 16
-    products w_i * w_j^(-1) are formed once as integer vectors, scaled by
-    the positive tden * den**2 of ``FlatTower.int_mul`` over the common
-    denominator of ``int_coords``.  Each of the n**2 entries is the
-    integer-vector sum of its n terms, compared with n * scale * e_0.
+    Entry (x, y) is the sum over t of w_rel[x][t] / w_rel[y][t], which
+    is the family's ratios[rel[x][t]][rel[y][t]].  The 16 ratios get
+    integer coordinates over one denominator den, so each of the n**2
+    entries is the integer-vector sum of its n terms, compared with
+    n * den * e_0 on the diagonal and with 0 off it.
     """
     scheme = TypeIIMatrix(family).scheme
     flat = FlatTower(family.desc)
-    w = family.weights
-    coords, den = flat.int_coords(list(w) + [x.inverse() for x in w])
-    prod = [[flat.int_mul(coords[i], coords[4 + j]) for j in range(4)]
-            for i in range(4)]
+    coords, den = flat.int_coords([x for row in family.ratios for x in row])
+    ratio = [coords[i:i + 4] for i in range(0, 16, 4)]
     zero = [0] * flat.dim
-    diagonal = [scheme.n * flat.tden * den * den] + zero[1:]
+    diagonal = [scheme.n * den] + zero[1:]
     for x, row in enumerate(scheme.rel):
         for y, col in enumerate(scheme.rel):
-            terms = (prod[i][j] for i, j in zip(row, col))
+            terms = (ratio[i][j] for i, j in zip(row, col))
             acc = [sum(c) for c in zip(*terms)]
             if acc != (diagonal if x == y else zero):
                 return False

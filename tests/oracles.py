@@ -7,7 +7,8 @@ from math import isqrt
 from bmhadamard.exactfield import TowerElement
 from bmhadamard.invariants import HaagerupData, _class_patterns
 from bmhadamard.pell import base_solutions, descend
-from bmhadamard.typeii import TypeIIMatrix
+from bmhadamard.ratfunc import RatQ
+from bmhadamard.typeii import TypeIIMatrix, ZeroWeight
 
 
 def _trim(cs):
@@ -37,6 +38,43 @@ def euclid_gcd(a, b):
     if not a:
         return ()
     return tuple(c / a[-1] for c in a)
+
+
+def phi_oracle(weights):
+    """a_{i,j} = w_i/w_j + w_j/w_i by one division and one more inverse
+    per pair, over the deepest of the weights' towers."""
+    ws = list(weights)
+    desc = ws[0].desc
+    for w in ws:
+        if w.desc.depth > desc.depth:
+            desc = w.desc
+    ws = [w.lift(desc) for w in ws]
+    if any(w.is_zero() for w in ws):
+        raise ZeroWeight("phi needs nonzero weights")
+    m = len(ws)
+    two = TowerElement.rational(2, desc)
+    a = [[two for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            r = ws[i] / ws[j]
+            a[i][j] = a[j][i] = r + r.inverse()
+    return a
+
+
+def fused_rows(scheme, merged):
+    """Collapse a parametric eigenmatrix along a fusion of classes.
+
+    Sums the columns inside each block and drops duplicate rows; for
+    admissible fusions this reproduces the fused eigenmatrix.
+    """
+    blocks = sorted((sorted(b) for b in merged), key=lambda b: b[0])
+    rows = []
+    for m in range(4):
+        row = tuple(sum((scheme.P[m][j] for j in block), RatQ(0))
+                    for block in blocks)
+        if row not in rows:
+            rows.append(row)
+    return [list(r) for r in rows]
 
 
 def dense_type_ii_oracle(family):

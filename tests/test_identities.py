@@ -25,7 +25,12 @@ from bmhadamard.identities import (
 )
 from bmhadamard.ratfunc import Q, RatFuncQ, RatQ
 from bmhadamard.scheme import ParametricScheme, parametric_scheme
-from bmhadamard.typeii import PAIRS, case_a_symbolic, family_coefficients
+from bmhadamard.typeii import (
+    PAIRS,
+    all_families,
+    case_a_symbolic,
+    family_coefficients,
+)
 
 
 def test_core_identities_all_hold():
@@ -293,18 +298,35 @@ def _table(entries):
                     map(Fraction, entries)))
 
 
+@pytest.mark.parametrize("q", [4, 10])
+def test_weight_variants_give_both_ratio_tables(q):
+    # ff holds w_i^2/(w_j w_k), gg the same of the inverted weights,
+    # w_j w_k/w_i^2; both built here by plain division
+    keys = list(itertools.product(range(4), repeat=3))
+    for case in CASES:
+        variants = list(identities._weight_variants(case, q))
+        families = all_families(q, (case,))
+        assert len(variants) == len(families)
+        for (ff, gg), fam in zip(variants, families):
+            w = fam.weights
+            assert identities._ratio_table(ff, keys) == {
+                (i, j, k): w[i] * w[i] / (w[j] * w[k]) for i, j, k in keys}
+            assert identities._ratio_table(gg, keys) == {
+                (i, j, k): w[j] * w[k] / (w[i] * w[i]) for i, j, k in keys}
+
+
 def test_component_closed_form_matches_linear_solve(monkeypatch):
     # The closed form of _jones_component_ok against linalg.solve on the
     # full system.  Weights w_1..w_3 in {+-1, +-2, +-3} give no solvable
     # system at these q, so the ratio tables are drawn directly: the drawn
-    # (ff, gg) pairs stand in for (weights, inverted weights), and
+    # (ff, gg) pairs stand in for (ratio table, its transpose), and
     # _ratio_table hands its first argument back.  A gg row that is a
     # multiple of the ff row makes solvable systems common; a skewed
     # p_12^3 makes the marginals inconsistent.
     real = parametric_scheme()
     seen = set()
     monkeypatch.setattr(identities, "_ratio_table",
-                        lambda num, den, keys: num)
+                        lambda ratio, keys: ratio)
 
     @settings(max_examples=150, deadline=None)
     @given(q=st.sampled_from([4, 6, 10, 50]),

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from oracles import fused_rows
 
 from bmhadamard.ratfunc import Q
 from bmhadamard.scheme import (
     ConcreteScheme,
+    InternalConsistency,
     NotAFusion,
     ParametricScheme,
     distance_matrix,
@@ -50,8 +52,9 @@ def test_broken_scheme_reports_violation():
     broken = ConcreteScheme.__new__(ConcreteScheme)
     broken.rel = tuple(tuple(r) for r in rel)
     broken.n, broken.d = 2, 2
-    broken.p = broken._intersection_numbers()
     assert not broken.verify_axioms().passed
+    with pytest.raises(InternalConsistency):
+        ConcreteScheme(rel)
 
 
 def test_p11_by_common_neighbour_count(petersen):
@@ -129,8 +132,8 @@ def test_parametric_p_nonnegative_at_even_q():
 
 def test_symbolic_fusion_rows():
     ps = ParametricScheme()
-    assert ps.fused_rows([[0], [1, 2], [3]]) == fused_eigenmatrix_12()
-    assert ps.fused_rows([[0], [1, 3], [2]]) == fused_eigenmatrix_13()
+    assert fused_rows(ps, [[0], [1, 2], [3]]) == fused_eigenmatrix_12()
+    assert fused_rows(ps, [[0], [1, 3], [2]]) == fused_eigenmatrix_13()
 
 
 def test_eigen_rows_are_intersection_eigenvectors(petersen):

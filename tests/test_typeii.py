@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import dense_type_ii_oracle
+from oracles import dense_type_ii_oracle, phi_oracle
 
 from bmhadamard import typeii
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
@@ -170,6 +170,37 @@ def test_phi_rejects_zero_weight():
         phi([one, TowerElement.rational(0), one, one])
 
 
+def _variants_for_ratio_tests(families_q4):
+    # the 14 q = 4 variants, then q = 6 and the integral-r q = 10 and 26,
+    # where the towers of vi have another shape
+    yield from families_q4.values()
+    for q in (6, 10, 26):
+        yield from all_families(q)
+
+
+def test_ratio_table_divides_the_weights(families_q4):
+    for fam in _variants_for_ratio_tests(families_q4):
+        w, r = fam.weights, fam.ratios
+        assert fam.ratios is r  # built once and kept
+        for i in range(4):
+            assert r[i][i] == 1, fam
+            for j in range(4):
+                assert r[i][j] * w[j] == w[i], (fam, i, j)
+                assert r[i][j] * r[j][i] == 1, (fam, i, j)
+
+
+def test_phi_matches_the_per_pair_division(families_q4):
+    for fam in _variants_for_ratio_tests(families_q4):
+        want = phi_oracle(fam.weights)
+        assert fam.a_matrix() == want == phi(fam.weights), fam
+
+
+def test_family_rejects_first_weight_other_than_one():
+    one = TowerElement.rational(1)
+    with pytest.raises(ValueError):
+        WeightFamily("iv", 4, 1, 1, QQ, [2 * one, one, one, one], None)
+
+
 def test_reconstruct_case_ii_closed_form():
     # the inverse of phi from (w0, w3) gives the closed form
     # w1 = w2 = (-(q-3) w3 + (q-1)) / (q^2 - 2q - 1)
@@ -246,6 +277,35 @@ def test_phi_image_satisfies_quadrics(ws):
             for k in range(j + 1, 4):
                 assert g_quadric(a[i][j], a[i][k], a[j][k]).is_zero()
     assert h_det(a[0][1], a[0][2], a[0][3], a[1][2], a[1][3], a[2][3]).is_zero()
+
+
+@st.composite
+def prefix_tower_weights(draw):
+    # QQ, Q(sqrt(s1)) and Q(sqrt(s1), sqrt(s2)) are prefixes of each
+    # other; each weight lives in one of them, so phi must lift
+    d1, s1 = adjoin_radical(QQ, draw(st.sampled_from([2, -3])))
+    d2, s2 = adjoin_radical(d1, draw(st.sampled_from([5, -7])))
+    out = []
+    for _ in range(4):
+        depth = draw(st.integers(0, 2))
+        w = TowerElement.rational(draw(small_fraction))
+        if depth >= 1:
+            w = w.lift(d1) + s1 * draw(small_fraction)
+        if depth == 2:
+            w = w.lift(d2) + s2 * draw(small_fraction)
+        if w.is_zero():
+            w = TowerElement.rational(1)
+        out.append(w)
+    return out
+
+
+@given(prefix_tower_weights())
+@settings(max_examples=40, deadline=None)
+def test_phi_lifts_like_the_per_pair_division(ws):
+    got, want = phi(ws), phi_oracle(ws)
+    assert [[x.desc for x in row] for row in got] == \
+        [[x.desc for x in row] for row in want]
+    assert got == want
 
 
 @given(weight_vectors())
