@@ -175,17 +175,37 @@ def h_det(a01, a02, a03, a12, a13, a23):
 
 
 def h_four(lookup, i, j, k, l):
-    """The four-index determinant constraint on X_{i,j} = lookup((i,j)).
+    """The four-index determinant constraint on X_{i,j} = lookup(i, j).
 
-    Up to sign and relabeling this equals ``h_det``; evaluated over all
-    permutations of four indices it cuts out the same constraints.  It
-    is symmetric under i <-> j and under k <-> l, so the permutations
-    give only the values at the six splits in ``H_SPLITS``.
+    It is ``h_det`` relabelled, with the sign flipped:
+    -h_det(X_kl, X_ki, X_kj, X_li, X_lj, X_ij), the determinant of the
+    rows k, l, j against the columns k, l, i (X_{a,a} = 2).  It is
+    symmetric under i <-> j and under k <-> l, so the permutations of
+    four indices give only the values at the six splits in ``H_SPLITS``.
     """
     X = lookup
-    return ((X(k, l) * X(k, l) - 4) * X(i, j)
-            - X(k, l) * (X(k, i) * X(l, j) + X(k, j) * X(l, i))
-            + 2 * (X(k, i) * X(k, j) + X(l, i) * X(l, j)))
+    return -h_det(X(k, l), X(k, i), X(k, j), X(l, i), X(l, j), X(i, j))
+
+
+def symmetry_functional(p, lookup):
+    """sum_{j<k} p_jk^i (X_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..d.
+
+    ``p[j][k][i]`` is p_jk^i and X_{j,k} = lookup(j, k) for j < k.  Each
+    X^2 - 2 is formed once, and terms with p_jk^i = 0 are skipped.  Every
+    class i >= 1 has the term p_0i^i = 1, so each value has the X's type,
+    never that of a bare constant.
+    """
+    size = len(p)
+    shifted = {(j, k): lookup(j, k) * lookup(j, k) - 2
+               for j in range(size) for k in range(j + 1, size)}
+    out = []
+    for i in range(1, size):
+        acc = sum(p[j][j][i] for j in range(size))
+        for (j, k), x in shifted.items():
+            if p[j][k][i]:
+                acc = x * p[j][k][i] + acc
+        out.append(acc)
+    return out
 
 
 # the splits {i, j} | {k, l} of the four indices, as (i, j, k, l)
@@ -328,18 +348,9 @@ def verify_converse(case):
 def ns_symbolic(case):
     """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3,
     as exact functions of q (and r for the sixth family)."""
-    ps = parametric_scheme()
     vals = _pair_values(case)
-    out = []
-    for i in range(1, 4):
-        acc = RatFuncQ(0)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                a = vals[(j, k)]
-                acc = acc + RatFuncQ(ps.p(j, k, i)) * (a * a - 2)
-            acc = acc + RatFuncQ(ps.p(j, j, i))
-        out.append(acc)
-    return out
+    return symmetry_functional(parametric_scheme().B,
+                               lambda j, k: vals[(j, k)])
 
 
 def ns_norm_numerator(case, i):

@@ -16,12 +16,9 @@ trusted.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactfield import TowerElement
 from .fastfield import FlatTower
+from .identities import symmetry_functional
 from .scheme import parametric_scheme
-from .typeii import weight_ratios
 
 
 class NotSymmetricAlgebra(ValueError):
@@ -40,11 +37,12 @@ class StepFailed(AssertionError):
 class JonesGraph:
     """Adjacency oracle and component labels on the n^2 pair vertices.
 
-    With m weights and ratio[i*m + j] = w_i / w_j, the x-th term of
+    ``ratios`` is the m x m table ratios[i][j] = w_i / w_j of the m
+    weights (``typeii.weight_ratios``, or a family's ``ratios``).  With
+    ratio[i*m + j] its entries row by row, the x-th term of
     <Y_ab, Y_cd> is ratio[u] * ratio[v], u = R(x,a)*m + R(x,b) and
-    v = R(x,c)*m + R(x,d).  The m^2 ratios come row by row from
-    ``typeii.weight_ratios`` and get integer coordinates over one
-    denominator den, and
+    v = R(x,c)*m + R(x,d).  The m^2 ratios get integer coordinates over
+    one denominator den, and
     ``FlatTower.int_mul`` forms their m^2 x m^2 product table: each
     entry is the true product times the same tden * den^2 > 0.
 
@@ -56,12 +54,11 @@ class JonesGraph:
     0 < |S_k| < 2^bits.  So a test is exact: n ints summed against 0.
     """
 
-    def __init__(self, scheme_rel, weights, desc):
+    def __init__(self, scheme_rel, ratios, desc):
         self.n = n = len(scheme_rel)
         flat = FlatTower(desc)
-        m = len(weights)
-        ratios, _ = flat.int_coords(
-            [x for row in weight_ratios(weights) for x in row])
+        m = len(ratios)
+        ratios, _ = flat.int_coords([x for row in ratios for x in row])
         products = [[flat.int_mul(x, y) for y in ratios] for x in ratios]
         top = max(abs(c) for row in products for vec in row for c in vec)
         bits = (n * top).bit_length() + 1
@@ -122,7 +119,7 @@ class JonesGraph:
 
 
 def jones_graph_for(mat):
-    return JonesGraph(mat.scheme.rel, mat.weights, mat.family.desc)
+    return JonesGraph(mat.scheme.rel, mat.family.ratios, mat.family.desc)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +133,9 @@ def check_symmetric(family):
 
 def symmetry_values(family):
     """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3."""
-    p_at = parametric_scheme().p_at(family.q)
     a = family.a_matrix()
-    out = []
-    for i in range(1, 4):
-        acc = TowerElement.rational(0, family.desc)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                pjk = p_at[j][k][i]
-                if pjk:
-                    acc = acc + (a[j][k] * a[j][k] - 2) * pjk
-            acc = acc + Fraction(p_at[j][j][i])
-        out.append(acc)
-    return out
+    return symmetry_functional(parametric_scheme().p_at(family.q),
+                               lambda j, k: a[j][k])
 
 
 def nomura_dimension(mat):

@@ -2,10 +2,13 @@
 
 The concrete scheme is built from the line graph of the Petersen graph
 (Kneser graph on 2-subsets of a 5-set): A1 is the line-graph adjacency,
-A2 = A1^2 - A1 - 4I, A3 = J - I - A1 - A2.  Its eigenmatrix matches the
-parametric family at q = 4.  For general even q only intersection
-numbers and eigenmatrices exist here (no vertex set is constructed);
-they are stored as exact rational functions of q.
+A2 = A1^2 - A1 - 4I, A3 = J - I - A1 - A2.  No eigenmatrix is computed
+here: ``ConcreteScheme.eigen_data`` certifies a claimed one (the
+parametric family's at q = 4, or a fusion's) through the character
+identity x_h x_i = sum_k p_hi^k x_k on the counted intersection numbers.
+For general even q only intersection numbers and eigenmatrices exist
+here (no vertex set is constructed); they are stored as exact rational
+functions of q, and the same identity ties the two tables together.
 
 Class order is fixed throughout: valencies (1, q^2/2 - q, q^2/2, q-2).
 """
@@ -26,6 +29,10 @@ class InternalConsistency(ValueError):
 
 class NotAFusion(ValueError):
     """Merged classes do not close under matrix multiplication."""
+
+
+class NotAnEigenmatrix(ValueError):
+    """A claimed eigenmatrix failed its character certificate."""
 
 
 class SingularP(ValueError):
@@ -127,56 +134,47 @@ class ConcreteScheme:
 
     # -- spectral data ----------------------------------------------------
 
-    def intersection_matrix(self, i):
-        """B_i with (j, k) entry p_{ij}^k, acting on eigenvalue rows."""
-        return [[Fraction(self.p[i][j][k]) for k in range(self.d + 1)]
-                for j in range(self.d + 1)]
+    def eigen_data(self, P):
+        """Certify ``P`` as the first eigenmatrix; return P, Q = n P^-1.
 
-    def eigen_data(self):
-        """Exact P and Q = n P^-1, rows ordered valency-row first then
-        by decreasing eigenvalue on the first class."""
+        ``P`` is accepted only when it is square of order d + 1, row 0 is
+        the valency row, every row x has x_0 = 1, the rows are pairwise
+        distinct, and every row satisfies x_h x_i = sum_k p_hi^k x_k with
+        the intersection numbers counted from the relations.  Otherwise
+        NotAnEigenmatrix is raised.  The rows of a valid P may come in any
+        order after row 0; they are returned as given.
+
+        Soundness: the Bose-Mesner algebra of a symmetric scheme is
+        commutative (p_hi^k = p_ih^k) and made of real symmetric matrices,
+        so it is semisimple of dimension d + 1 and has exactly d + 1
+        characters, the rows of the first eigenmatrix.  A row x defines
+        the linear map A_k -> x_k, which is a character exactly when it
+        sends the identity A_0 to 1 and respects the products
+        A_h A_i = sum_k p_hi^k A_k.  So every accepted row is a character,
+        and d + 1 distinct ones are all of them.  Row 0 must be the
+        character of J / n, the valency row.
+        """
         d = self.d
-        bs = [self.intersection_matrix(i) for i in range(d + 1)]
-        rows = self._common_eigenrows(bs)
-        if rows is None:
-            raise SingularP("could not split the intersection algebra")
-        val_row = tuple(Fraction(v) for v in self.valencies)
-        if val_row not in rows:
-            raise InternalConsistency("valency row missing from spectrum")
-        rest = sorted((r for r in rows if r != val_row),
-                      key=lambda r: tuple(r[1:]), reverse=True)
-        P = [list(val_row)] + [list(r) for r in rest]
+        P = [[Fraction(v) for v in row] for row in P]
+        if len(P) != d + 1 or any(len(row) != d + 1 for row in P):
+            raise NotAnEigenmatrix(f"P is not square of order {d + 1}")
+        if P[0] != list(self.valencies):
+            raise NotAnEigenmatrix("row 0 is not the valency row")
+        if any(row[0] != 1 for row in P):
+            raise NotAnEigenmatrix("a row does not start with 1")
+        if len(set(map(tuple, P))) != d + 1:
+            raise NotAnEigenmatrix("rows are not pairwise distinct")
+        if not character_identity_holds(self.p, P):
+            raise NotAnEigenmatrix("a row is not a character")
         try:
             Q = linalg.mat_inverse(P)
         except ZeroDivisionError as exc:
             raise SingularP("eigenmatrix is singular") from exc
         n = Fraction(self.n)
         Q = [[v * n for v in row] for row in Q]
-        data = SpectralData([list(r) for r in P], Q, n)
+        data = SpectralData(P, Q, n)
         _check_spectral(data)
         return data
-
-    def _common_eigenrows(self, bs):
-        d = len(bs) - 1
-        for combo in _combination_streams(d):
-            m = [[sum((Fraction(c) * bs[i + 1][j][k] for i, c in enumerate(combo)),
-                      Fraction(0)) for k in range(d + 1)] for j in range(d + 1)]
-            eigs = linalg.rational_eigenvalues(m)
-            spaces = []
-            for lam in eigs:
-                shifted = [[m[a][b] - (lam if a == b else 0)
-                            for b in range(d + 1)] for a in range(d + 1)]
-                spaces.extend(linalg.nullspace(shifted))
-            if len(spaces) != d + 1:
-                continue
-            rows = []
-            for v in spaces:
-                if v[0] == 0:
-                    break
-                rows.append(tuple(x / v[0] for x in v))
-            else:
-                return rows
-        return None
 
     # -- fusions ----------------------------------------------------------
 
@@ -203,12 +201,15 @@ class ConcreteScheme:
             raise NotAFusion(str(exc)) from exc
 
 
-def _combination_streams(d):
-    yield (1,) + (0,) * (d - 1)
-    for k in range(1, d):
-        yield tuple(1 if i == k else 0 for i in range(d))
-    yield tuple(range(1, d + 1))
-    yield tuple(i * i + 1 for i in range(1, d + 1))
+def character_identity_holds(p, P):
+    """Does every row x of P satisfy x_h x_i = sum_k p[h][i][k] x_k?
+
+    p[h][i][k] is p_hi^k.  Generic over the entry type (Fraction, RatQ):
+    entries need +, * and == and may be summed from 0.
+    """
+    size = len(p)
+    return all(sum(p[h][i][k] * x[k] for k in range(size)) == x[h] * x[i]
+               for x in P for h in range(size) for i in range(size))
 
 
 def _check_spectral(data):
@@ -385,15 +386,8 @@ class ParametricScheme:
     def verify_consistency(self):
         """Structure-constant identity tying P to the B tables, plus the
         row-sum identities, all as rational-function equalities."""
-        zero = _rq(0)
-        for h in range(4):
-            for i in range(4):
-                for m in range(4):
-                    acc = zero
-                    for k in range(4):
-                        acc = acc + self.p(h, i, k) * self.P[m][k]
-                    if not acc == self.P[m][h] * self.P[m][i]:
-                        return False
+        if not character_identity_holds(self.B, self.P):
+            return False
         row0 = sum(self.P[0][j] for j in range(4))
         if not row0 == self.n:
             return False

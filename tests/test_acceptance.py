@@ -35,7 +35,11 @@ from bmhadamard.pell import (
     descent_oracle,
     integral_r_q_values,
 )
-from bmhadamard.scheme import ParametricScheme, build_petersen_line_scheme
+from bmhadamard.scheme import (
+    NotAnEigenmatrix,
+    ParametricScheme,
+    build_petersen_line_scheme,
+)
 from bmhadamard.typeii import (
     TypeIIMatrix,
     is_hadamard,
@@ -188,12 +192,15 @@ def test_criterion_10_scheme_ground_truth():
             for i in range(4):
                 for j in range(4):
                     assert table[h][i][j] == scheme.p[h][i][j]
-        data = scheme.eigen_data()
+        data = scheme.eigen_data(ps.eigenmatrix_at(4))
         assert data.P == ps.eigenmatrix_at(4)
-        assert scheme.fuse([{0}, {1, 2}, {3}]).eigen_data().P == \
-            [[1, 12, 2], [1, 0, -1], [1, -3, 2]]
-        assert scheme.fuse([{0}, {1, 3}, {2}]).eigen_data().P == \
-            [[1, 6, 8], [1, 1, -2], [1, -3, 2]]
+        with pytest.raises(NotAnEigenmatrix):
+            scheme.eigen_data([[row[0], row[2], row[1], row[3]]
+                               for row in ps.eigenmatrix_at(4)])
+        f12 = [[1, 12, 2], [1, 0, -1], [1, -3, 2]]
+        assert scheme.fuse([{0}, {1, 2}, {3}]).eigen_data(f12).P == f12
+        f13 = [[1, 6, 8], [1, 1, -2], [1, -3, 2]]
+        assert scheme.fuse([{0}, {1, 3}, {2}]).eigen_data(f13).P == f13
         for i in range(4):
             assert sum(data.Q[i][j] for j in range(1, 4)) == \
                 (14 if i == 0 else -1)

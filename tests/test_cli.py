@@ -109,6 +109,17 @@ def test_report_scheme_suite(capsys):
     assert "scheme.axioms" in ids
 
 
+def test_wrong_fusion_table_fails_only_its_check(capsys, monkeypatch):
+    # a wrong claimed table is a failed record, not a traceback: f13's
+    # eigenmatrix is no certificate for the {R1 u R2}, {R3} fusion
+    monkeypatch.setattr(cli, "fused_eigenmatrix_12",
+                        cli.fused_eigenmatrix_13)
+    code, data = run_json(capsys, "report", "--suite", "scheme")
+    failed = {c["check_id"] for c in data["checks"] if not c["status"]}
+    assert code == 2 and not data["passed"]
+    assert failed == {"scheme.fusion_eigenmatrices"}
+
+
 def test_report_deterministic_output(capsys):
     code1, _ = run_json(capsys, "report", "--suite", "appendixB")
     text1 = None

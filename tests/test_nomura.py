@@ -19,7 +19,7 @@ from bmhadamard.nomura import (
     symmetry_values,
     triangle_counters,
 )
-from bmhadamard.typeii import TypeIIMatrix, WeightFamily
+from bmhadamard.typeii import TypeIIMatrix, WeightFamily, weight_ratios
 
 
 def fourier4():
@@ -137,7 +137,8 @@ def test_fourier_component_count_is_symmetrized():
     dense, d = fourier4()
     # the trivial "scheme" with one class per entry position
     rel = [[4 * i + j for j in range(4)] for i in range(4)]
-    graph = JonesGraph(rel, [e for row in dense for e in row], d)
+    entries = [e for row in dense for e in row]
+    graph = JonesGraph(rel, weight_ratios(entries), d)
     for ab in ((0, 1), (1, 2)):
         for cd in ((0, 1), (2, 1), (3, 2)):
             want = (ab[0] - ab[1] + cd[0] - cd[1]) % 4 == 0

@@ -8,6 +8,7 @@ from bmhadamard.scheme import (
     ConcreteScheme,
     InternalConsistency,
     NotAFusion,
+    NotAnEigenmatrix,
     ParametricScheme,
     distance_matrix,
     fused_eigenmatrix_12,
@@ -16,6 +17,11 @@ from bmhadamard.scheme import (
 )
 
 P3_AT_4 = [[1, 4, 8, 2], [1, 2, -2, -1], [1, -1, -2, 2], [1, -2, 2, -1]]
+F12_AT_4 = [[1, 12, 2], [1, 0, -1], [1, -3, 2]]
+F13_AT_4 = [[1, 6, 8], [1, 1, -2], [1, -3, 2]]
+COMPLETE = [[1, 14], [1, -1]]
+FUSE_12 = [{0}, {1, 2}, {3}]
+FUSE_13 = [{0}, {1, 3}, {2}]
 
 
 def test_petersen_graph_is_kneser():
@@ -77,7 +83,9 @@ def test_all_64_intersection_numbers_match_parametric(petersen):
 
 
 def test_eigen_data_matches_parametric(petersen):
-    data = petersen.eigen_data()
+    ps = ParametricScheme()
+    assert ps.eigenmatrix_at(4) == P3_AT_4
+    data = petersen.eigen_data(ps.eigenmatrix_at(4))
     assert data.P == [[Fraction(v) for v in row] for row in P3_AT_4]
     assert data.multiplicities == (1, 5, 4, 5)
     # QP = nI and the row-sum identity
@@ -86,16 +94,56 @@ def test_eigen_data_matches_parametric(petersen):
         row = sum(data.Q[i][j] for j in range(1, 4))
         assert row == (n - 1 if i == 0 else -1)
     assert sum(data.Q[0][j] for j in range(1, 4)) == 14
+    # independent oracle: the power sums tr(A_1^t) of the 15 x 15
+    # adjacency matrix equal sum_m mult_m P_m1^t
+    a1 = petersen.adjacency_matrix(1)
+    power = [[int(x == y) for y in range(15)] for x in range(15)]
+    for t in range(5):
+        assert sum(power[x][x] for x in range(15)) == \
+            sum(m * row[1] ** t for m, row in zip(data.multiplicities, data.P))
+        power = [[sum(power[x][z] * a1[z][y] for z in range(15))
+                  for y in range(15)] for x in range(15)]
 
 
 def test_fusions(petersen):
-    f12 = petersen.fuse([{0}, {1, 2}, {3}])
-    assert f12.eigen_data().P == [[1, 12, 2], [1, 0, -1], [1, -3, 2]]
-    f13 = petersen.fuse([{0}, {1, 3}, {2}])
-    assert f13.eigen_data().P == [[1, 6, 8], [1, 1, -2], [1, -3, 2]]
+    f12 = petersen.fuse(FUSE_12)
+    assert f12.eigen_data(F12_AT_4).P == F12_AT_4
+    f13 = petersen.fuse(FUSE_13)
+    assert f13.eigen_data(F13_AT_4).P == F13_AT_4
     complete = petersen.fuse([{0}, {1, 2, 3}])
-    assert complete.eigen_data().P == [[1, 14], [1, -1]]
+    assert complete.eigen_data(COMPLETE).P == COMPLETE
     assert complete.p[1][1][1] == 13
+
+
+def _swap_columns(P, a, b):
+    out = [list(row) for row in P]
+    for row in out:
+        row[a], row[b] = row[b], row[a]
+    return out
+
+
+def test_certificate_keeps_the_given_row_order(petersen):
+    # the certificate cannot fix the order of rows 1..d: any order passes
+    P = [P3_AT_4[0], P3_AT_4[3], P3_AT_4[1], P3_AT_4[2]]
+    assert petersen.eigen_data(P).P == P
+
+
+@pytest.mark.parametrize("fusion, P", [
+    (None, _swap_columns(P3_AT_4, 1, 2)),
+    (None, [P3_AT_4[0], P3_AT_4[1], [1, -1, -2, 3], P3_AT_4[3]]),
+    (None, [P3_AT_4[0], P3_AT_4[1], P3_AT_4[1], P3_AT_4[3]]),
+    (None, P3_AT_4[:3]),
+    (None, [P3_AT_4[0], P3_AT_4[1], [0, 0, 0, 0], P3_AT_4[3]]),
+    (None, [P3_AT_4[1], P3_AT_4[0], P3_AT_4[2], P3_AT_4[3]]),
+    (None, F12_AT_4),
+    (FUSE_12, F13_AT_4),
+], ids=["columns_swapped", "entry_changed", "duplicate_row", "three_rows",
+        "zero_row", "valency_row_not_first", "f12_on_4_class",
+        "f13_on_f12"])
+def test_certificate_rejects(petersen, fusion, P):
+    scheme = petersen if fusion is None else petersen.fuse(fusion)
+    with pytest.raises(NotAnEigenmatrix):
+        scheme.eigen_data(P)
 
 
 def test_non_fusion_rejected(petersen):
@@ -137,10 +185,12 @@ def test_symbolic_fusion_rows():
 
 
 def test_eigen_rows_are_intersection_eigenvectors(petersen):
-    # oracle: each row of P is a simultaneous eigenvector of every B_i
-    data = petersen.eigen_data()
+    # oracle: each row of P is a simultaneous eigenvector of every B_i,
+    # (B_i)_{jk} = p_ij^k read from the counted table
+    data = petersen.eigen_data(P3_AT_4)
     for i in range(4):
-        b = petersen.intersection_matrix(i)
+        b = [[Fraction(petersen.p[i][j][k]) for k in range(4)]
+             for j in range(4)]
         for m in range(4):
             v = data.P[m]
             for j in range(4):
