@@ -223,8 +223,8 @@ def suite_scheme(q=4, **_):
                 for i in range(15) for j in range(15))
     checks.append(("scheme.distance_identity", dm_ok, None))
     ps = parametric_scheme()
-    table_ok = ps.p_at(4) == [[[Fraction(scheme.p[h][i][j]) for j in range(4)]
-                               for i in range(4)] for h in range(4)]
+    table_ok = ps.p_at(4) == tuple(tuple(map(tuple, layer))
+                                   for layer in scheme.p)
     checks.append(("scheme.intersection_table_q4", table_ok, None))
     data = _certified(scheme, ps.eigenmatrix_at(4))
     checks.append(("scheme.eigenmatrix_q4", data is not None, None))
@@ -542,9 +542,6 @@ def main(argv=None):
     except NoConcreteScheme as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except ViolationFound as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CLASSES["sweep"]
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ products of the adjoined roots; multiplication is bilinear with
 *rational* structure constants (the radicand s of each upper level,
 t^2 = s, expands over the basis).  Elements here are (tuple-of-D ints,
 positive int denominator), or integer vectors over one shared
-denominator; results convert back to TowerElement losslessly.
+denominator; results convert back to TowerElement losslessly.  There is
+one product kernel, ``FlatTower.int_mul``, over the nonzero structure
+constants ``triples``; ``mul`` is that product with a gcd strip.
 
 Ranks are found mod p: ``FlatTower.embeddings`` maps the tower onto F_p
 for a prime that splits it completely, ``echelon_mod_p`` eliminates on
@@ -46,22 +48,16 @@ class FlatTower:
                     el = el * _level_generator(desc, lvl)
             basis.append(el)
         self.basis = basis
-        # integer table: basis_i * basis_j = (1/tden) * sum_k T[i][j][k] e_k
-        table_fr = [[(basis[i] * basis[j]).coefficients()
-                     for j in range(self.dim)] for i in range(self.dim)]
-        tden = 1
-        for row in table_fr:
-            for vec in row:
-                for c in vec:
-                    tden = tden * c.denominator // gcd(tden, c.denominator)
-        self.tden = tden
-        self.table = [[tuple(int(c * tden) for c in vec) for vec in row]
-                      for row in table_fr]
+        # the nonzero structure constants (i, j, k, t), in (i, j, k) order:
+        # basis_i * basis_j = (1/tden) * sum over k of t e_k
+        products = [(i, j, (bi * bj).coefficients())
+                    for i, bi in enumerate(basis)
+                    for j, bj in enumerate(basis)]
+        self.tden = tden = lcm(*(c.denominator for _, _, vec in products
+                                 for c in vec))
         self.zero = (0,) * self.dim
-        # the nonzero structure constants, for products without a strip
-        self.triples = [(i, j, k, t) for i, row in enumerate(self.table)
-                        for j, vec in enumerate(row)
-                        for k, t in enumerate(vec) if t]
+        self.triples = [(i, j, k, int(c * tden)) for i, j, vec in products
+                        for k, c in enumerate(vec) if c]
 
     # -- conversions ------------------------------------------------------
 
@@ -146,23 +142,8 @@ class FlatTower:
         return (tuple(-a for a in x[0]), x[1])
 
     def mul(self, x, y):
-        xv, xd = x
-        yv, yd = y
-        out = [0] * self.dim
-        table = self.table
-        for i, a in enumerate(xv):
-            if not a:
-                continue
-            ti = table[i]
-            for j, b in enumerate(yv):
-                if not b:
-                    continue
-                ab = a * b
-                vec = ti[j]
-                for k, t in enumerate(vec):
-                    if t:
-                        out[k] += ab * t
-        return self._strip(tuple(out), xd * yd * self.tden)
+        return self._strip(tuple(self.int_mul(x[0], y[0])),
+                           x[1] * y[1] * self.tden)
 
     def inv(self, x):
         el = self.from_flat(x)

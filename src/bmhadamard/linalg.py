@@ -2,21 +2,16 @@
 
 Works for Fraction, RatQ and TowerElement alike (a RatFuncQ is a
 TowerElement over Q(q)): elements need +, -, *, division (or
-.inverse()), and == against ``zero``.  Everything is one Gauss-Jordan
-routine, ``_echelon``; matrices are lists of lists and stay tiny (the
-inverse of a 4x4 eigenmatrix).  The span-condition elimination is
-modular and lives in ``fastfield.echelon_mod_p``, not here.  ``solve`` has no caller in the
-package: it is the test oracle for the closed form in
-``identities._jones_component_ok``.
+.inverse()), and == against ``zero``; matrices are lists of lists.
+No verdict eliminates here: the one elimination on a verdict path is
+``fastfield.echelon_mod_p``.  ``solve``, on the Gauss-Jordan routine
+``_echelon``, is the test oracle for the closed forms in
+``identities._jones_component_ok`` and ``scheme.second_eigenmatrix``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def identity(n, zero=Fraction(0), one=Fraction(1)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, zero=Fraction(0)):
@@ -56,16 +51,6 @@ def _echelon(rows, ncols, zero, one):
         pivots.append(col)
         r += 1
     return pivots
-
-
-def mat_inverse(a, zero=Fraction(0), one=Fraction(1)):
-    """Gauss-Jordan inverse; raises ZeroDivisionError when singular."""
-    n = len(a)
-    work = [list(row) + ident_row for row, ident_row in
-            zip(a, identity(n, zero, one))]
-    if len(_echelon(work, n, zero, one)) < n:
-        raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in work]
 
 
 def solve(a, b, zero=Fraction(0), one=Fraction(1)):

@@ -5,7 +5,8 @@ The concrete scheme is built from the line graph of the Petersen graph
 A2 = A1^2 - A1 - 4I, A3 = J - I - A1 - A2.  No eigenmatrix is computed
 here: ``ConcreteScheme.eigen_data`` certifies a claimed one (the
 parametric family's at q = 4, or a fusion's) through the character
-identity x_h x_i = sum_k p_hi^k x_k on the counted intersection numbers.
+identity x_h x_i = sum_k p_hi^k x_k on the counted intersection numbers,
+and Q follows by the orthogonality relations (``second_eigenmatrix``).
 For general even q only intersection numbers and eigenmatrices exist
 here (no vertex set is constructed); they are stored as exact rational
 functions of q, and the same identity ties the two tables together.
@@ -33,10 +34,6 @@ class NotAFusion(ValueError):
 
 class NotAnEigenmatrix(ValueError):
     """A claimed eigenmatrix failed its character certificate."""
-
-
-class SingularP(ValueError):
-    """Eigenmatrix not invertible; the input was not a valid scheme."""
 
 
 class AxiomReport:
@@ -166,13 +163,8 @@ class ConcreteScheme:
             raise NotAnEigenmatrix("rows are not pairwise distinct")
         if not character_identity_holds(self.p, P):
             raise NotAnEigenmatrix("a row is not a character")
-        try:
-            Q = linalg.mat_inverse(P)
-        except ZeroDivisionError as exc:
-            raise SingularP("eigenmatrix is singular") from exc
         n = Fraction(self.n)
-        Q = [[v * n for v in row] for row in Q]
-        data = SpectralData(P, Q, n)
+        data = SpectralData(P, second_eigenmatrix(P, n), n)
         _check_spectral(data)
         return data
 
@@ -212,7 +204,24 @@ def character_identity_holds(p, P):
                for x in P for h in range(size) for i in range(size))
 
 
+def second_eigenmatrix(P, n):
+    """Q = n P^-1 of a certified first eigenmatrix P, with no inverse.
+
+    k = P[0], m_j = n / sum_i P_ji^2 / k_i and Q_ij = m_j P_ji / k_i, over
+    Fraction or RatQ.  Callers run ``_check_spectral``, whose exact
+    QP = nI makes this Q = n P^-1: the d + 1 distinct characters in P are
+    linearly independent, so P is invertible, and every k_i >= 1 (an
+    empty class forces x_i = 0 in every character, a zero column of P).
+    """
+    k = P[0]
+    size = len(P)
+    m = [n / sum(P[j][i] * P[j][i] / k[i] for i in range(size))
+         for j in range(size)]
+    return [[m[j] * P[j][i] / k[i] for j in range(size)] for i in range(size)]
+
+
 def _check_spectral(data):
+    """QP = nI, first columns of ones and the row sums of Q, exactly."""
     size = len(data.P)
     n = data.n
     qp = linalg.mat_mul(data.Q, data.P)
@@ -371,37 +380,38 @@ class ParametricScheme:
         ident = [[_rq(1 if i == j else 0) for j in range(4)] for i in range(4)]
         self.B = [ident, b1, b2, b3]
         self.n = RatQ(PolyQ((-1, 0, 1)))  # q^2 - 1
+        self._p_at = {}
 
     def p(self, h, i, j):
         return self.B[h][i][j]
 
     def eigen_data(self):
-        try:
-            inv = linalg.mat_inverse(self.P, zero=_rq(0), one=_rq(1))
-        except ZeroDivisionError as exc:
-            raise SingularP("parametric eigenmatrix singular") from exc
-        Qm = [[v * self.n for v in row] for row in inv]
-        return SpectralData(self.P, Qm, self.n)
+        """P, Q and the multiplicities over Q(q), by ``_check_spectral``."""
+        data = SpectralData(self.P, second_eigenmatrix(self.P, self.n), self.n)
+        _check_spectral(data)
+        return data
 
     def verify_consistency(self):
-        """Structure-constant identity tying P to the B tables, plus the
-        row-sum identities, all as rational-function equalities."""
+        """Structure-constant identity tying P to the B tables, plus
+        ``_check_spectral`` (its all-ones first column of Q = n P^-1 is
+        sum_j k_j = n), all as rational-function equalities."""
         if not character_identity_holds(self.B, self.P):
             return False
-        row0 = sum(self.P[0][j] for j in range(4))
-        if not row0 == self.n:
+        try:
+            self.eigen_data()
+        except InternalConsistency:
             return False
-        data = self.eigen_data()
-        for i in range(4):
-            want = self.n - 1 if i == 0 else _rq(-1)
-            if not sum(data.Q[i][j] for j in range(1, 4)) == want:
-                return False
         return True
 
     def p_at(self, q0):
-        """All p_{hi}^j evaluated at a rational q0 (64 Fractions)."""
-        return [[[self.p(h, i, j)(q0) for j in range(4)] for i in range(4)]
-                for h in range(4)]
+        """All p_{hi}^j at a rational q0: 64 Fractions in nested tuples,
+        evaluated once per q0."""
+        q0 = Fraction(q0)
+        if q0 not in self._p_at:
+            self._p_at[q0] = tuple(
+                tuple(tuple(self.p(h, i, j)(q0) for j in range(4))
+                      for i in range(4)) for h in range(4))
+        return self._p_at[q0]
 
     def eigenmatrix_at(self, q0):
         return [[entry(q0) for entry in row] for row in self.P]

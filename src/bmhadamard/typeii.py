@@ -328,13 +328,11 @@ def _weights_from_seed(a, i0, i1, w0, w1):
 class TypeIIMatrix:
     """A weight family attached to a scheme, with a dense expansion."""
 
-    def __init__(self, family, scheme=None):
-        if scheme is None:
-            if family.q != 4:
-                raise NoConcreteScheme("a concrete scheme exists only at q = 4")
-            scheme = petersen_scheme()
+    def __init__(self, family):
+        if family.q != 4:
+            raise NoConcreteScheme("a concrete scheme exists only at q = 4")
         self.family = family
-        self.scheme = scheme
+        self.scheme = petersen_scheme()
         self._dense = None
 
     @property
@@ -348,12 +346,12 @@ class TypeIIMatrix:
         return self._dense
 
 
-def is_type_ii(family, dense_check=None):
+def is_type_ii(family):
     """Spectral type-II test: beta_k * beta'_k = n for k = 1..d.
 
     beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights,
     row 0 of the family's ratio table.
-    At q = 4 (or when ``dense_check`` is True) the dense identity
+    Where a concrete scheme exists (q = 4) the dense identity
     W * (W^(-))^T = n I is verified as well and must agree.
     Returns (bool, certificate dict).
     """
@@ -379,9 +377,7 @@ def is_type_ii(family, dense_check=None):
         # the trace argument forces k = 0 as well; a failure here would
         # contradict the spectral identity
         raise AssertionError("beta_0 beta'_0 != n while k>=1 all pass")
-    if dense_check is None:
-        dense_check = family.q == 4
-    if dense_check:
+    if family.q == 4:
         dense_ok = _dense_type_ii_check(family)
         cert["dense_identity"] = dense_ok
         if dense_ok != ok:
@@ -424,7 +420,7 @@ def is_hadamard(family, check_type_ii=True):
     and must agree.  Returns (bool, certificate dict).
     """
     if check_type_ii:
-        t2, _ = is_type_ii(family, dense_check=False)
+        t2, _ = is_type_ii(family)
         if not t2:
             raise ValueError("is_hadamard requires a type-II input")
     a = family.a_matrix()

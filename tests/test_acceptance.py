@@ -84,7 +84,7 @@ def test_criterion_02_type_ii_only_cases(families_q4):
         for case in ("i", "ii"):
             for branch in (1, -1):
                 fam = families_q4[(case, 1, branch)]
-                ok, _ = is_type_ii(fam, dense_check=False)
+                ok, _ = is_type_ii(fam)
                 assert ok, (case, branch)
                 had, _ = is_hadamard(fam, check_type_ii=False)
                 assert not had, (case, branch)

@@ -81,13 +81,13 @@ def test_structure_constants_are_exact():
     fam = family_coefficients("vi", 4, 1, 1)
     flat = FlatTower(fam.desc)
     # basis products expand rationally: reconstruct b_i * b_j both ways
+    recon = {(i, j): TowerElement.rational(0, fam.desc)
+             for i in range(flat.dim) for j in range(flat.dim)}
+    for i, j, k, t in flat.triples:
+        recon[i, j] = recon[i, j] + flat.basis[k] * Fraction(t, flat.tden)
     for i, bi in enumerate(flat.basis):
         for j, bj in enumerate(flat.basis):
-            vec = flat.table[i][j]
-            recon = TowerElement.rational(0, fam.desc)
-            for k, b in enumerate(flat.basis):
-                recon = recon + b * Fraction(vec[k], flat.tden)
-            assert recon == bi * bj
+            assert recon[i, j] == bi * bj
 
 
 def test_sparse_rank_small_cases():

@@ -340,7 +340,7 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
     @example(q=6, variants=[([int(n == 21) for n in range(64)], [0] * 64, 1)],
              skew=0)
     def check(q, variants, skew):
-        p_at = real.p_at(q)
+        p_at = [[list(row) for row in layer] for layer in real.p_at(q)]
         p_at[1][2][3] += skew
         tables = [(_table(f), _table(g if scale is None else
                                      [scale * v for v in f]))

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from oracles import fused_rows
 
-from bmhadamard.ratfunc import Q
+from bmhadamard import scheme as scheme_mod
+from bmhadamard.linalg import solve
+from bmhadamard.ratfunc import Q, RatQ
 from bmhadamard.scheme import (
     ConcreteScheme,
     InternalConsistency,
@@ -113,6 +115,40 @@ def test_fusions(petersen):
     complete = petersen.fuse([{0}, {1, 2, 3}])
     assert complete.eigen_data(COMPLETE).P == COMPLETE
     assert complete.p[1][1][1] == 13
+
+
+def _solved_q(P, n, zero=Fraction(0), one=Fraction(1)):
+    """Oracle: column j of Q = n P^-1 solves P x = n e_j."""
+    size = len(P)
+    cols = [solve(P, [n if r == j else zero for r in range(size)], zero, one)
+            for j in range(size)]
+    return [[cols[j][i] for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("fusion, P", [
+    (None, P3_AT_4), (FUSE_12, F12_AT_4), (FUSE_13, F13_AT_4),
+    ([{0}, {1, 2, 3}], COMPLETE),
+], ids=["q4", "f12", "f13", "complete"])
+def test_closed_form_q_matches_linear_solve(petersen, fusion, P):
+    scheme = petersen if fusion is None else petersen.fuse(fusion)
+    data = scheme.eigen_data(P)
+    assert data.Q == _solved_q(data.P, data.n)
+
+
+def test_parametric_closed_form_q_matches_linear_solve():
+    ps = ParametricScheme()
+    data = ps.eigen_data()
+    assert data.Q == _solved_q(ps.P, ps.n, RatQ(0), RatQ(1))
+    assert tuple(m(4) for m in data.multiplicities) == (1, 5, 4, 5)
+
+
+def test_parametric_consistency_rejects_a_wrong_q(monkeypatch):
+    # Q with columns 1 and 2 swapped keeps its row sums but fails QP = nI,
+    # which verify_consistency reports as False, not as an exception
+    closed_form = scheme_mod.second_eigenmatrix
+    monkeypatch.setattr(scheme_mod, "second_eigenmatrix", lambda P, n: [
+        [row[0], row[2], row[1], row[3]] for row in closed_form(P, n)])
+    assert ParametricScheme().verify_consistency() is False
 
 
 def _swap_columns(P, a, b):

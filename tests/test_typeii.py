@@ -139,11 +139,11 @@ def test_families_at_larger_q():
     # spectral type-II holds parametrically; spot-check q = 6 and q = 10
     for case in ("i", "iii", "vi"):
         fam = family_coefficients(case, 6)
-        ok, _ = is_type_ii(fam, dense_check=False)
+        ok, _ = is_type_ii(fam)
         assert ok
     fam10 = family_coefficients("vi", 10)  # rational r = 39 here
     assert fam10.r_value.as_rational() == 39
-    ok, _ = is_type_ii(fam10, dense_check=False)
+    ok, _ = is_type_ii(fam10)
     assert ok
 
 
@@ -352,7 +352,6 @@ def test_perturbed_weight_fails_every_type_ii_test(families_q4, key):
     w[1] = w[1] * 2
     fake = WeightFamily(fam.case, fam.q, fam.branch, fam.r_sign, fam.desc, w,
                         fam.r_value)
-    assert not is_type_ii(fake, dense_check=False)[0]
     assert typeii._dense_type_ii_check(fake) is False
     assert dense_type_ii_oracle(fake) is False
     ok, cert = is_type_ii(fake)
@@ -402,7 +401,7 @@ def test_unit_quadratic_root_identity():
 def test_beta_zero_extension(families_q4):
     # beta_0 * beta'_0 = n follows from k = 1..d by the trace argument;
     # the certificate records it as an outright equality
-    ok, cert = is_type_ii(families_q4[("iv", 1, 1)], dense_check=False)
+    ok, cert = is_type_ii(families_q4[("iv", 1, 1)])
     assert ok and cert["beta_products_equal_n"][0]
 
 
