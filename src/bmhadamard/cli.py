@@ -10,7 +10,9 @@ Three subcommands:
 Output is deterministic JSON (sorted keys, canonical element encoding);
 identical configurations produce byte-identical bytes.  The exit code is
 0 only when everything requested passed; otherwise it encodes the class
-of the first failing check.
+of the first failing check.  An unexpected exception inside a report
+suite becomes one failed ``<suite>.unexpected_error`` record, with the
+exception's type and message as its witness, and exit code 1.
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def suite_families(q=4, **_):
             try:
                 _, w, reason = non_butson_witness(fam)
                 checks.append((f"typeii.non_butson.case_{case}", True, reason))
-            except Exception as exc:
+            except NoWitness as exc:
                 checks.append((f"typeii.non_butson.case_{case}", False,
                                str(exc)))
     return checks
@@ -427,10 +429,15 @@ def cmd_report(args):
     bound = args.sweep_bound
     if bound is None and "sweeps" in names:
         bound = DEFAULT_SWEEP_BOUND
-    records = []
+    records, unexpected = [], False
     for name in names:
-        fn = SUITES[name]
-        for item in fn(q=args.q, n_range=args.range, bound=bound):
+        try:
+            items = SUITES[name](q=args.q, n_range=args.range, bound=bound)
+        except Exception as exc:  # a bug, not a verdict: one failed record
+            unexpected = True
+            items = [(f"{name}.unexpected_error", False,
+                      f"{type(exc).__name__}: {exc}")]
+        for item in items:
             check_id, status, witness = item[0], item[1], item[2]
             q_range = item[3] if len(item) > 3 else None
             records.append(serialize.check_record(
@@ -454,6 +461,8 @@ def cmd_report(args):
             sys.stderr.write(f"{mark}  {r['check_id']}\n")
     if passed:
         return 0
+    if unexpected:
+        return 1
     first = next(r for r in records if not r["status"])
     return _exit_code_for(first["check_id"])
 

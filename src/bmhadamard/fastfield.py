@@ -8,6 +8,10 @@ positive int denominator), or integer vectors over one shared
 denominator; results convert back to TowerElement losslessly.  There is
 one product kernel, ``FlatTower.int_mul``, over the nonzero structure
 constants ``triples``; ``mul`` is that product with a gcd strip.
+``flat_tower(desc)`` builds one ``FlatTower`` per descriptor, which the
+Jones sweeps, the dense type-II check, the Jones graph and the span
+rank share.  Each of them takes integer coordinates over one common
+denominator and zero-tests integer vectors whose scale is positive.
 
 Ranks are found mod p: ``FlatTower.embeddings`` maps the tower onto F_p
 for a prime that splits it completely, ``echelon_mod_p`` eliminates on
@@ -29,6 +33,7 @@ the test oracle for the modular rank.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 
 from .exactfield import TowerElement
@@ -168,6 +173,17 @@ class FlatTower:
         if not any(vec):
             return (self.zero, 1)
         return (vec, den)
+
+
+@cache
+def flat_tower(desc):
+    """The one ``FlatTower`` of a descriptor.
+
+    Building one costs dim**2 tower products, and a tower is never
+    mutated, so every caller shares it: the Jones sweeps, the dense
+    type-II check, ``nomura.JonesGraph`` and ``typeii.span_condition``.
+    """
+    return FlatTower(desc)
 
 
 def _residue(coeffs, img, p):

@@ -1,12 +1,17 @@
 """Symbolic verification engine: quadric/determinant identities and the
 converse direction of the classification, all over exact function fields.
 
-Two kinds of arithmetic live here.  Small multivariate Laurent
+Three kinds of arithmetic live here.  Small multivariate Laurent
 polynomials (MPoly, <= 4 variables) carry the foundational identities
 behind the reconstruction map: their denominators are monomials, bar
 one pair that is cleared by cross-multiplying.  The per-family work
 happens in Q(q)[r]/(r^2-(17q-1)(q-1)) via RatFuncQ, so "vanishes
-identically in q" is literal.  The one thing this module does *not* do is recompute
+identically in q" is literal.  The two Jones sweeps run at each q on
+the integer coordinates of the weight tower (``fastfield.flat_tower``):
+every term w_i^2/(w_j w_k) is built by the same three ``int_mul``s from
+the weights and their inverses over one denominator, so a sum is its
+tower value times one positive integer and is zero exactly when that
+value is.  The one thing this module does *not* do is recompute
 ideal-membership certificates: those are replaced by identical
 vanishing of the explicit substitutions plus nonvanishing sweeps over
 even q (default bound 200), which is what the downstream consumers
@@ -18,7 +23,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
+from .fastfield import flat_tower
 from .ratfunc import RatQ, RatFuncQ, r_value_at, ratfunc_specialize
 from .scheme import parametric_scheme
 from .typeii import (
@@ -415,44 +422,137 @@ def _symmetry_ok(case, values, q):
                    for v in values for r in rs)
 
 
-def _weight_variants(case, q):
-    """The ratio table R[i][j] = w_i / w_j of every weight vector of a
-    family at q (branches x r signs), paired with its transpose, which
-    is the ratio table of the inverted weights 1/w_i."""
-    for fam in all_families(q, (case,)):
-        yield fam.ratios, tuple(zip(*fam.ratios))
-
-
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))
 
 
-def _ratio_table(ratio, keys):
-    """{(i, j, k): w_i^2 / (w_j w_k)} over the given keys, as the product
-    ratio[i][j] * ratio[i][k] of a ratio table ratio[i][j] = w_i / w_j."""
-    return {(i, j, k): ratio[i][j] * ratio[i][k] for i, j, k in keys}
+def _variant_coords(case, q):
+    """(flat, w, inv) for every weight vector of a family at q (branches
+    x r signs): the descriptor's ``FlatTower`` and the integer
+    coordinates of the weights w_i and of their inverses 1/w_i, all
+    eight over one denominator den > 0."""
+    for fam in all_families(q, (case,)):
+        flat = flat_tower(fam.desc)
+        coords, _ = flat.int_coords(fam.weights + fam.inverses)
+        yield flat, coords[:4], coords[4:]
+
+
+def _term_table(flat, x, y, keys):
+    """{(i, j, k): x_i^2 y_j y_k} over the keys, on integer coordinates.
+
+    Each term is int_mul(int_mul(x_i, x_i), int_mul(y_j, y_k)), three
+    products of vectors over one den, so every term is its tower value
+    times the same tden^3 * den^4 > 0.  With x the weights and y their
+    inverses the terms stand for w_i^2/(w_j w_k); swapped, for the same
+    of the inverted weights, w_j w_k/w_i^2.
+    """
+    mul = flat.int_mul
+    squares = [mul(v, v) for v in x]
+    pairs, out = {}, {}
+    for i, j, k in keys:
+        yy = pairs.get((j, k))
+        if yy is None:
+            yy = pairs[(j, k)] = pairs[(k, j)] = mul(y[j], y[k])
+        out[(i, j, k)] = mul(squares[i], yy)
+    return out
+
+
+def _integral(coeffs):
+    """The coefficients times the lcm of their denominators: integers
+    with the same zero tests for every sum they weight."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return {t: int(c * den) for t, c in coeffs.items()}
+
+
+def _int_sum(terms, coeffs, dim):
+    """sum_t coeffs[t] * terms[t] on integer coordinate vectors."""
+    acc = [0] * dim
+    for t, c in coeffs.items():
+        for k, x in enumerate(terms[t]):
+            acc[k] += c * x
+    return acc
+
+
+def _adjacency_sums(case, q):
+    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) on integer coordinates,
+    for m = 1, 2 in each weight variant, in that order.
+
+    The coefficients are scaled to integers and every term shares one
+    positive scale (``_term_table``), so each sum is its tower value
+    times a positive integer: it is zero exactly when that value is.
+    """
+    p_at = parametric_scheme().p_at(q)
+    coeffs = [_integral({(i, j, k): p_at[i][j][m] * p_at[3][k][i]
+                         for i, j, k in _TRIPLES
+                         if p_at[i][j][m] and p_at[3][k][i]})
+              for m in (1, 2)]
+    keys = coeffs[0].keys() | coeffs[1].keys()
+    for flat, w, inv in _variant_coords(case, q):
+        ff = _term_table(flat, w, inv, keys)
+        for coeff in coeffs:
+            yield _int_sum(ff, coeff, flat.dim)
 
 
 def _jones_adjacency_ok(case, q):
-    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) != 0 for m = 1, 2."""
-    p_at = parametric_scheme().p_at(q)
-    coeffs = [{(i, j, k): p_at[i][j][m] * p_at[3][k][i] for i, j, k in _TRIPLES
-               if p_at[i][j][m] and p_at[3][k][i]} for m in (1, 2)]
-    keys = coeffs[0].keys() | coeffs[1].keys()
-    for table, _ in _weight_variants(case, q):
-        ratio = _ratio_table(table, keys)
-        for coeff in coeffs:
-            if sum(ratio[t] * c for t, c in coeff.items()).is_zero():
-                return False
-    return True
+    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) != 0 for m = 1, 2.
+
+    Decided on ``FlatTower`` integer coordinates: a sum is a positive
+    multiple of its tower value (``_adjacency_sums``), so it is zero
+    exactly when the value is.
+    """
+    return all(any(s) for s in _adjacency_sums(case, q))
 
 
 # the unknown counters c_ijk, i, j, k in {1, 2}, ordered so that turning a
-# 2 of a counter into a 1 gives an earlier counter; and for each counter t,
+# 2 of a counter into a 1 gives an earlier counter; for each counter t,
 # the marginal lines through t along the slots where t holds a 2: the
-# line's other two indices and its counter with a 1 in that slot
+# line's other two indices and its counter with a 1 in that slot; and the
+# kernel s_ijk = (-1)^(i+j+k) of the line sums
 _COUNTERS = tuple(itertools.product((1, 2), repeat=3))
 _LINES = {t: [(t[:a] + t[a + 1:], t[:a] + (1,) + t[a + 1:])
               for a in range(3) if t[a] == 2] for t in _COUNTERS}
+_SIGNS = {t: -1 if sum(t) % 2 else 1 for t in _COUNTERS}
+
+
+def _component_tables(case, q, keys):
+    """(flat, ff, gg) of each weight variant: the ``_term_table`` of the
+    weights and that of their inverses, over the given keys."""
+    for flat, w, inv in _variant_coords(case, q):
+        yield flat, _term_table(flat, w, inv, keys), \
+            _term_table(flat, inv, w, keys)
+
+
+def _component_sums(case, q):
+    """(A_ff, B_ff, A_gg, B_gg, A_ff*B_gg - A_gg*B_ff) of each weight
+    variant on integer coordinates, or nothing when the marginals are
+    inconsistent (see ``_jones_component_ok``).
+
+    A sums the known counters and c0 with integer-scaled coefficients, B
+    the signs s; every term of ff and gg shares one positive scale
+    (``_term_table``).  So each A and B is its tower value times a
+    positive integer, the same one for ff and gg, and the last entry,
+    an ``int_mul`` of two such, is the tower value of
+    A_ff*B_gg - A_gg*B_ff times a positive integer.  Each is zero
+    exactly when its tower value is.
+    """
+    p_at = parametric_scheme().p_at(q)
+    c0 = {(1, 1, 1): Fraction(0)}
+    for t in _COUNTERS[1:]:
+        (j, k), lower = _LINES[t][0]
+        c0[t] = p_at[j][k][3] - c0[lower]
+    if any(c0[t] + c0[lower] != p_at[j][k][3]
+           for t in _COUNTERS for (j, k), lower in _LINES[t]):
+        return
+    known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
+             (3, 3, 3): p_at[3][3][3] - 1}
+    fixed = _integral({t: c for t, c in {**known, **c0}.items() if c})
+    keys = set(known) | set(_COUNTERS)
+    for flat, ff, gg in _component_tables(case, q, keys):
+        (a_ff, b_ff), (a_gg, b_gg) = [
+            (_int_sum(terms, fixed, flat.dim), _int_sum(terms, _SIGNS, flat.dim))
+            for terms in (ff, gg)]
+        d = [x - y for x, y in zip(flat.int_mul(a_ff, b_gg),
+                                   flat.int_mul(a_gg, b_ff))]
+        yield a_ff, b_ff, a_gg, b_gg, d
 
 
 def _jones_component_ok(case, q):
@@ -475,27 +575,15 @@ def _jones_component_ok(case, q):
       A the sum over c0 and the known counters and B = sum s_ijk R.
     * A common root t exists iff A_ff*B_gg - A_gg*B_ff = 0, except when
       B_ff = B_gg = 0, where it needs A_ff = A_gg = 0.
+
+    Every zero test runs on ``FlatTower`` integer coordinates: each
+    sum, and A_ff*B_gg - A_gg*B_ff, is a positive multiple of its tower
+    value (``_component_sums``), so it is zero exactly when the value is.
     """
-    p_at = parametric_scheme().p_at(q)
-    c0 = {(1, 1, 1): Fraction(0)}
-    for t in _COUNTERS[1:]:
-        (j, k), lower = _LINES[t][0]
-        c0[t] = p_at[j][k][3] - c0[lower]
-    if any(c0[t] + c0[lower] != p_at[j][k][3]
-           for t in _COUNTERS for (j, k), lower in _LINES[t]):
-        return True
-    known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
-             (3, 3, 3): p_at[3][3][3] - 1}
-    fixed = {t: c for t, c in {**known, **c0}.items() if c}
-    keys = set(known) | set(_COUNTERS)
-    for ff, gg in _weight_variants(case, q):
-        (a_ff, b_ff), (a_gg, b_gg) = [
-            (sum(ratio[t] * c for t, c in fixed.items()),
-             sum(-ratio[t] if sum(t) % 2 else ratio[t] for t in _COUNTERS))
-            for ratio in (_ratio_table(ff, keys), _ratio_table(gg, keys))]
-        if b_ff.is_zero() and b_gg.is_zero():
-            if a_ff.is_zero() and a_gg.is_zero():
+    for a_ff, b_ff, a_gg, b_gg, d in _component_sums(case, q):
+        if any(b_ff) or any(b_gg):
+            if not any(d):
                 return False
-        elif (a_ff * b_gg - a_gg * b_ff).is_zero():
+        elif not any(a_ff) and not any(a_gg):
             return False
     return True

@@ -256,11 +256,11 @@ def table_one_row(case):
 def evaluate_monomials(monomials, family):
     """Formal monomials -> exact tower elements for one family.
 
-    A negative power reads 1/w_i = ratios[0][i] off the family's table.
+    A negative power reads 1/w_i off the family's ``inverses``.
     """
     indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
     basis = [family.weights[i] for i in indices]
-    inverses = [family.ratios[0][i] for i in indices]
+    inverses = [family.inverses[i] for i in indices]
     out = []
     for sign, exps in monomials:
         v = TowerElement.rational(sign, family.desc)

@@ -16,7 +16,7 @@ trusted.
 
 from __future__ import annotations
 
-from .fastfield import FlatTower
+from .fastfield import flat_tower
 from .identities import symmetry_functional
 from .scheme import parametric_scheme
 
@@ -56,7 +56,7 @@ class JonesGraph:
 
     def __init__(self, scheme_rel, ratios, desc):
         self.n = n = len(scheme_rel)
-        flat = FlatTower(desc)
+        flat = flat_tower(desc)
         m = len(ratios)
         ratios, _ = flat.int_coords([x for row in ratios for x in row])
         products = [[flat.int_mul(x, y) for y in ratios] for x in ratios]

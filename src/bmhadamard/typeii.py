@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import isqrt
 
 from .fastfield import (
-    FlatTower,
     coordinates_mod_p,
     echelon_mod_p,
+    flat_tower,
     kernel_mod_p,
     primes,
     rational_reconstruct,
@@ -146,11 +146,13 @@ def case_a_values(case, q, r_value=None):
 class WeightFamily:
     """Exact weights (1, w1, w2, w3) of one constructed family.
 
-    ``ratios`` is the family's one table of weight ratios,
-    ratios[i][j] = w_i / w_j, built by ``weight_ratios`` on first use and
-    kept: the a-matrix, the type-II and Haagerup certificates, the
-    formal-monomial H(W) and the Jones sweeps all read it.  Since
-    w_0 = 1, which the constructor checks, row 0 holds the inverses 1/w_j.
+    ``inverses`` holds 1/w_i, one tower inverse per weight, built on
+    first use and kept.  ``ratios`` is the family's one table of weight
+    ratios, ratios[i][j] = w_i / w_j, one product per entry of those
+    inverses: the a-matrix, the dense type-II and Haagerup certificates,
+    the formal-monomial H(W) and the Jones graph read it.  The spectral
+    type-II test and the Jones sweeps need only the weights and
+    ``inverses``.
     """
 
     def __init__(self, case, q, branch, r_sign, desc, weights, r_value):
@@ -169,8 +171,12 @@ class WeightFamily:
         return self.q * self.q - 1
 
     @cached_property
+    def inverses(self):
+        return tuple(w.inverse() for w in self.weights)
+
+    @cached_property
     def ratios(self):
-        return weight_ratios(self.weights)
+        return _ratio_rows(self.weights, self.inverses)
 
     def a_matrix(self):
         return _pair_sums(self.ratios)
@@ -265,8 +271,12 @@ def weight_ratios(weights):
     ws = [w.lift(desc) for w in ws]
     if any(w.is_zero() for w in ws):
         raise ZeroWeight("weight ratios need nonzero weights")
-    inverses = [w.inverse() for w in ws]
-    return tuple(tuple(wi * wj for wj in inverses) for wi in ws)
+    return _ratio_rows(ws, [w.inverse() for w in ws])
+
+
+def _ratio_rows(weights, inverses):
+    """ratios[i][j] = w_i * (1/w_j), one product per entry."""
+    return tuple(tuple(wi * wj for wj in inverses) for wi in weights)
 
 
 def phi(weights):
@@ -350,7 +360,7 @@ def is_type_ii(family):
     """Spectral type-II test: beta_k * beta'_k = n for k = 1..d.
 
     beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights,
-    row 0 of the family's ratio table.
+    the family's ``inverses``.
     Where a concrete scheme exists (q = 4) the dense identity
     W * (W^(-))^T = n I is verified as well and must agree.
     Returns (bool, certificate dict).
@@ -358,7 +368,7 @@ def is_type_ii(family):
     P = parametric_scheme().eigenmatrix_at(family.q)
     n = family.n
     w = family.weights
-    w_inv = family.ratios[0]
+    w_inv = family.inverses
     betas, betas_p, products = [], [], []
     for k in range(4):
         beta = sum((w[j] * P[k][j] for j in range(4)),
@@ -395,7 +405,7 @@ def _dense_type_ii_check(family):
     n * den * e_0 on the diagonal and with 0 off it.
     """
     scheme = TypeIIMatrix(family).scheme
-    flat = FlatTower(family.desc)
+    flat = flat_tower(family.desc)
     coords, den = flat.int_coords([x for row in family.ratios for x in row])
     ratio = [coords[i:i + 4] for i in range(0, 16, 4)]
     zero = [0] * flat.dim
@@ -530,7 +540,7 @@ def span_condition(dense, desc, return_rank=False):
     if any(len(row) != n for row in dense):
         raise NotSquare("dense matrix is not square")
     H = [e.lift(desc) for row in dense for e in row]
-    span = _CommutatorSpan(FlatTower(desc), n, H)
+    span = _CommutatorSpan(flat_tower(desc), n, H)
     target = (n - 1) ** 2
     best, modulus, residues = None, 1, {}
     for p in primes():
@@ -652,23 +662,19 @@ class _CommutatorSpan:
         return out
 
     def annihilates(self, vectors):
-        """Exact: A x = 0 for every vector {column: rational coordinates}.
+        """Exact: A x = 0 for every (vector, den) of ``_lift``.
 
-        The vectors are scaled to integer coordinates and packed side by
-        side into one integer per coordinate, in slots of ``bits`` bits.
-        A sum of packed values is zero iff every slot's sum is, because
+        Each vector holds the integer coordinates of x times its den > 0,
+        so A x = 0 iff A vector = 0.  The vectors are packed side by side
+        into one integer per coordinate, in slots of ``bits`` bits.  A
+        sum of packed values is zero iff every slot's sum is, because
         each slot's sum is below 2^(bits - 1) in absolute value: the
         lowest nonzero slot would otherwise survive modulo the next.
         """
         if not vectors:
             return True
         flat = self.flat
-        ints = []
-        for vec in vectors:
-            den = lcm(*(x.denominator for coords in vec.values()
-                        for x in coords))
-            ints.append({c: [int(x * den) for x in coords]
-                         for c, coords in vec.items()})
+        ints = [vec for vec, _ in vectors]
         top_a = max(abs(x) for e in self.products().values() for x in e)
         top_x = max(abs(x) for vec in ints for e in vec.values() for x in e)
         top_t = max(abs(t) for *_, t in flat.triples)
@@ -705,12 +711,40 @@ def _crt(residues, modulus, new, p, dim):
 
 
 def _lift(residues, modulus):
-    """Kernel vectors with rational coordinates, or None if one fails."""
-    vectors = {}
+    """Kernel vectors over one denominator each, or None if one fails.
+
+    Returns [(vector, den)], one per free column: vector[column] holds
+    integer numerators over the vector's den > 0.  den starts at 1.  A
+    residue u whose u * den mod m, taken in (-m/2, m/2], is at most
+    bound = sqrt(m/2) in absolute value gives that numerator as it is;
+    any other goes through ``rational_reconstruct``, a/b, and den and
+    every numerator so far are multiplied by b.  A failed
+    reconstruction, or a den above the bound, fails the lift.
+
+    So every coordinate is n0/den0 = u mod m for the den0 <= bound of
+    its step and some |n0| <= bound: it is the one fraction with
+    numerator and denominator at most the bound that reconstructs u.
+    Soundness does not rest on this: ``annihilates`` decides.
+    """
+    bound = isqrt(modulus // 2)
+    lifted = {}
     for (f, c), res in residues.items():
-        coords = [rational_reconstruct(u, modulus) if u else Fraction(0)
-                  for u in res]
-        if None in coords:
-            return None
-        vectors.setdefault(f, {})[c] = coords
-    return list(vectors.values())
+        vec, den = lifted.get(f, ({}, 1))
+        coords = []
+        for u in res:
+            x = u * den % modulus
+            if x > modulus - x:
+                x -= modulus
+            if abs(x) > bound:
+                frac = rational_reconstruct(x, modulus)
+                if frac is None or den * frac.denominator > bound:
+                    return None
+                b = frac.denominator
+                den *= b
+                vec = {cc: [v * b for v in vs] for cc, vs in vec.items()}
+                coords = [v * b for v in coords]
+                x = frac.numerator
+            coords.append(x)
+        vec[c] = coords
+        lifted[f] = vec, den
+    return list(lifted.values())

@@ -1,14 +1,18 @@
 """Slow reference implementations that the package's fast paths are
 checked against.  No verdict of the package rests on them."""
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
 from bmhadamard.exactfield import TowerElement
+from bmhadamard.fastfield import rational_reconstruct
+from bmhadamard.identities import _COUNTERS, _LINES
 from bmhadamard.invariants import HaagerupData, _class_patterns
 from bmhadamard.pell import base_solutions, descend
 from bmhadamard.ratfunc import RatQ
-from bmhadamard.typeii import TypeIIMatrix, ZeroWeight
+from bmhadamard.scheme import parametric_scheme
+from bmhadamard.typeii import TypeIIMatrix, ZeroWeight, all_families
 
 
 def _trim(cs):
@@ -188,3 +192,85 @@ def descent_oracle_every_x(problem, x_limit):
                     raise AssertionError(f"({x},{y}) reduced to unlisted {base}")
         x += 1
     return count
+
+
+def lift_per_coordinate_oracle(residues, modulus):
+    """Kernel vectors with rational coordinates, each coordinate
+    reconstructed on its own, or None if one fails."""
+    vectors = {}
+    for (f, c), res in residues.items():
+        coords = [rational_reconstruct(u, modulus) if u else Fraction(0)
+                  for u in res]
+        if None in coords:
+            return None
+        vectors.setdefault(f, {})[c] = coords
+    return list(vectors.values())
+
+
+# -- the Jones sweeps in tower arithmetic ------------------------------------
+
+_TRIPLES = tuple(itertools.product(range(4), repeat=3))
+
+
+def _ratio_variants(case, q):
+    """The ratio table R[i][j] = w_i / w_j of every weight vector of a
+    family at q, paired with its transpose, the table of 1/w_i."""
+    for fam in all_families(q, (case,)):
+        yield fam.ratios, tuple(zip(*fam.ratios))
+
+
+def _ratio_table(ratio, keys):
+    """{(i, j, k): ratio[i][j] * ratio[i][k]}: w_i^2 / (w_j w_k)."""
+    return {(i, j, k): ratio[i][j] * ratio[i][k] for i, j, k in keys}
+
+
+def jones_adjacency_oracle(case, q):
+    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) as tower elements, for
+    m = 1, 2 in each weight variant, in that order."""
+    p_at = parametric_scheme().p_at(q)
+    coeffs = [{(i, j, k): p_at[i][j][m] * p_at[3][k][i] for i, j, k in _TRIPLES
+               if p_at[i][j][m] and p_at[3][k][i]} for m in (1, 2)]
+    keys = coeffs[0].keys() | coeffs[1].keys()
+    out = []
+    for table, _ in _ratio_variants(case, q):
+        ratio = _ratio_table(table, keys)
+        for coeff in coeffs:
+            out.append(sum(ratio[t] * c for t, c in coeff.items()))
+    return out
+
+
+def jones_component_oracle(case, q):
+    """(A_ff, B_ff, A_gg, B_gg, A_ff*B_gg - A_gg*B_ff) of each weight
+    variant as tower elements, or [] when the marginals are
+    inconsistent."""
+    p_at = parametric_scheme().p_at(q)
+    c0 = {(1, 1, 1): Fraction(0)}
+    for t in _COUNTERS[1:]:
+        (j, k), lower = _LINES[t][0]
+        c0[t] = p_at[j][k][3] - c0[lower]
+    if any(c0[t] + c0[lower] != p_at[j][k][3]
+           for t in _COUNTERS for (j, k), lower in _LINES[t]):
+        return []
+    known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
+             (3, 3, 3): p_at[3][3][3] - 1}
+    fixed = {t: c for t, c in {**known, **c0}.items() if c}
+    keys = set(known) | set(_COUNTERS)
+    out = []
+    for ff, gg in _ratio_variants(case, q):
+        (a_ff, b_ff), (a_gg, b_gg) = [
+            (sum(ratio[t] * c for t, c in fixed.items()),
+             sum(-ratio[t] if sum(t) % 2 else ratio[t] for t in _COUNTERS))
+            for ratio in (_ratio_table(ff, keys), _ratio_table(gg, keys))]
+        out.append((a_ff, b_ff, a_gg, b_gg, a_ff * b_gg - a_gg * b_ff))
+    return out
+
+
+def jones_component_verdict(sums):
+    """The component check's verdict from ``jones_component_oracle``."""
+    for a_ff, b_ff, a_gg, b_gg, d in sums:
+        if b_ff.is_zero() and b_gg.is_zero():
+            if a_ff.is_zero() and a_gg.is_zero():
+                return False
+        elif d.is_zero():
+            return False
+    return True

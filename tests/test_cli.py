@@ -139,6 +139,21 @@ def test_report_appendix_b_range(capsys):
     assert len(qcheck["witness"]) == 7
 
 
+def test_unexpected_exception_is_a_failed_record(capsys, monkeypatch):
+    # a bug inside a suite ends neither the report nor the process in a
+    # traceback: the suite gives one failed record, and the exit code is 1
+    def broken(expr, case, q_set):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "scan_nonvanishing", broken)
+    code, data = run_json(capsys, "report", "--suite", "sweeps",
+                          "--sweep-bound", "6")
+    assert code == 1 and not data["passed"]
+    assert data["checks"] == [{
+        "check_id": "sweeps.unexpected_error", "status": False,
+        "witness": "ZeroDivisionError: division by zero"}]
+
+
 def test_report_sweeps_small_bound(capsys):
     code, data = run_json(capsys, "report", "--suite", "sweeps",
                           "--sweep-bound", "8")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bmhadamard import identities, linalg
-from bmhadamard.exactfield import TowerElement
+from bmhadamard.exactfield import QQ
+from bmhadamard.fastfield import FlatTower
 from bmhadamard.identities import (
     CASES,
     H_SPLITS,
@@ -30,6 +31,11 @@ from bmhadamard.typeii import (
     all_families,
     case_a_symbolic,
     family_coefficients,
+)
+from oracles import (
+    jones_adjacency_oracle,
+    jones_component_oracle,
+    jones_component_verdict,
 )
 
 
@@ -300,33 +306,79 @@ def _table(entries):
 
 @pytest.mark.parametrize("q", [4, 10])
 def test_weight_variants_give_both_ratio_tables(q):
-    # ff holds w_i^2/(w_j w_k), gg the same of the inverted weights,
-    # w_j w_k/w_i^2; both built here by plain division
+    # ff holds the integer coordinates of w_i^2/(w_j w_k), gg those of
+    # the same of the inverted weights, w_j w_k/w_i^2, both times one
+    # positive scale that every term of both tables shares; the values
+    # are built here by plain division
     keys = list(itertools.product(range(4), repeat=3))
     for case in CASES:
-        variants = list(identities._weight_variants(case, q))
+        variants = list(identities._component_tables(case, q, keys))
         families = all_families(q, (case,))
         assert len(variants) == len(families)
-        for (ff, gg), fam in zip(variants, families):
+        for (flat, ff, gg), fam in zip(variants, families):
             w = fam.weights
-            assert identities._ratio_table(ff, keys) == {
-                (i, j, k): w[i] * w[i] / (w[j] * w[k]) for i, j, k in keys}
-            assert identities._ratio_table(gg, keys) == {
-                (i, j, k): w[j] * w[k] / (w[i] * w[i]) for i, j, k in keys}
+            scale = ff[(0, 0, 0)][0]  # the coordinates of scale * 1
+            assert scale > 0
+
+            def scaled(x):
+                return [scale * c for c in x.lift(fam.desc).coefficients()]
+
+            assert ff == {(i, j, k): scaled(w[i] * w[i] / (w[j] * w[k]))
+                          for i, j, k in keys}
+            assert gg == {(i, j, k): scaled(w[j] * w[k] / (w[i] * w[i]))
+                          for i, j, k in keys}
+
+
+def _positive_multiple(vec, el):
+    """Is the integer vector a positive multiple of el's coordinates?"""
+    coords = el.coefficients()
+    assert len(coords) == len(vec)
+    lead = next((k for k, c in enumerate(coords) if c), None)
+    if lead is None:
+        return not any(vec)
+    scale = vec[lead] / coords[lead]
+    return scale > 0 and all(v == scale * c for v, c in zip(vec, coords))
+
+
+@given(q=st.integers(2, 200).map(lambda h: 2 * h))
+@settings(max_examples=12, deadline=None)
+@example(q=4)
+@example(q=400)
+def test_integer_jones_sums_match_tower_oracle(q):
+    # every integer sum of both Jones checks, over all 14 variants, is a
+    # positive multiple of the same sum in tower arithmetic, and the
+    # verdicts agree
+    for case in CASES:
+        fams = all_families(q, (case,))
+        got = list(identities._adjacency_sums(case, q))
+        want = jones_adjacency_oracle(case, q)
+        assert len(got) == len(want) == 2 * len(fams)
+        for n, (vec, el) in enumerate(zip(got, want)):
+            assert _positive_multiple(vec, el.lift(fams[n // 2].desc))
+        assert identities._jones_adjacency_ok(case, q) == \
+            all(not el.is_zero() for el in want)
+        got = list(identities._component_sums(case, q))
+        want = jones_component_oracle(case, q)
+        assert len(got) == len(want)
+        for sums, els, fam in zip(got, want, fams):
+            for vec, el in zip(sums, els):
+                assert _positive_multiple(vec, el.lift(fam.desc))
+        assert identities._jones_component_ok(case, q) == \
+            jones_component_verdict(want)
 
 
 def test_component_closed_form_matches_linear_solve(monkeypatch):
     # The closed form of _jones_component_ok against linalg.solve on the
     # full system.  Weights w_1..w_3 in {+-1, +-2, +-3} give no solvable
-    # system at these q, so the ratio tables are drawn directly: the drawn
-    # (ff, gg) pairs stand in for (ratio table, its transpose), and
-    # _ratio_table hands its first argument back.  A gg row that is a
-    # multiple of the ff row makes solvable systems common; a skewed
-    # p_12^3 makes the marginals inconsistent.
+    # system at these q, so the term tables are drawn directly and handed
+    # to the check by _component_tables, as integer vectors of the one
+    # tower Q: the drawn (ff, gg) pairs stand in for the terms of the
+    # weights and of their inverses.  A gg row that is a multiple of the
+    # ff row makes solvable systems common; a skewed p_12^3 makes the
+    # marginals inconsistent.
     real = parametric_scheme()
     seen = set()
-    monkeypatch.setattr(identities, "_ratio_table",
-                        lambda ratio, keys: ratio)
+    flat = FlatTower(QQ)
 
     @settings(max_examples=150, deadline=None)
     @given(q=st.sampled_from([4, 6, 10, 50]),
@@ -345,12 +397,12 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
         tables = [(_table(f), _table(g if scale is None else
                                      [scale * v for v in f]))
                   for f, g, scale in variants]
-        lifted = [tuple({t: TowerElement.rational(v) for t, v in tab.items()}
-                        for tab in pair) for pair in tables]
+        vectors = [(flat,) + tuple({t: [int(v)] for t, v in tab.items()}
+                                   for tab in pair) for pair in tables]
         monkeypatch.setattr(identities, "parametric_scheme",
                             lambda: SimpleNamespace(p_at=lambda q: p_at))
-        monkeypatch.setattr(identities, "_weight_variants",
-                            lambda case, q: iter(lifted))
+        monkeypatch.setattr(identities, "_component_tables",
+                            lambda case, q, keys: iter(vectors))
         want = all(_component_system_solution(p_at, ff, gg) is None
                    for ff, gg in tables)
         assert identities._jones_component_ok("i", q) == want

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import dense_type_ii_oracle, phi_oracle
+from oracles import (
+    dense_type_ii_oracle,
+    lift_per_coordinate_oracle,
+    phi_oracle,
+)
 
 from bmhadamard import typeii
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
-from bmhadamard.fastfield import FlatTower, sparse_rank
+from bmhadamard.fastfield import FlatTower, primes, sparse_rank
 from bmhadamard.intervals import complex_embed
 from bmhadamard.identities import g_quadric, h_det
 from bmhadamard.typeii import (
@@ -610,3 +614,55 @@ def test_kernel_check_rejects_a_low_rank_prime(monkeypatch):
         monkeypatch, lambda rows, p, call, honest: honest(list(rows)[:8], p))
     assert span_condition(dense, d, return_rank=True) == (False, rank)
     assert len(set(seen)) > 1
+
+
+# -- the kernel lift over one denominator -----------------------------------
+
+LIFT_PRIMES = list(itertools.islice(primes(), 3))
+# denominators whose lcm, 12, keeps every tame lift inside the bound
+_tame = st.builds(Fraction, st.integers(-2 ** 10, 2 ** 10),
+                  st.sampled_from((1, 2, 3, 4, 6, 12)))
+_wild = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
+                  st.integers(1, 2 ** 36))
+
+
+@st.composite
+def lift_inputs(draw):
+    """Residues mod a product of primes of rational kernel coordinates,
+    tame, wild (large, clashing denominators) or not a residue of any
+    small fraction; and whether every coordinate is tame."""
+    modulus = 1
+    for p in LIFT_PRIMES[:draw(st.integers(1, 3))]:
+        modulus *= p
+    dim = draw(st.sampled_from((1, 2, 4)))
+    kinds = st.sampled_from(("tame", "tame", "tame", "wild", "junk"))
+    tame, residues = True, {}
+    for f in range(draw(st.integers(1, 3))):
+        for c in draw(st.lists(st.integers(0, 9), min_size=1, max_size=4,
+                               unique=True)):
+            coords = []
+            for _ in range(dim):
+                kind = draw(kinds)
+                tame = tame and kind == "tame"
+                if kind == "junk":
+                    coords.append(draw(st.integers(0, modulus - 1)))
+                    continue
+                x = draw(_tame if kind == "tame" else _wild)
+                coords.append(x.numerator * pow(x.denominator, -1, modulus)
+                              % modulus)
+            residues[(f, c)] = coords
+    return residues, modulus, tame
+
+
+@given(lift_inputs())
+@settings(max_examples=200, deadline=None)
+def test_common_denominator_lift_matches_per_coordinate_lift(data):
+    residues, modulus, tame = data
+    got = typeii._lift(residues, modulus)
+    want = lift_per_coordinate_oracle(residues, modulus)
+    if tame:
+        assert got is not None
+    if got is not None:
+        assert all(den > 0 for _, den in got)
+        assert [{c: [Fraction(x, den) for x in coords]
+                 for c, coords in vec.items()} for vec, den in got] == want
