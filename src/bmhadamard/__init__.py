@@ -20,7 +20,7 @@ from .exactfield import (
     IncompatibleTowers,
 )
 from .intervals import complex_embed, element_sign, abs_is_one
-from .ratfunc import PolyQ, RatQ, RatFuncQ, ratfunc_specialize, r_value_at
+from .ratfunc import PolyQ, RatQ, RF_DESC, ratfunc_specialize, r_value_at
 from .scheme import (
     ConcreteScheme,
     ParametricScheme,
@@ -28,6 +28,7 @@ from .scheme import (
     build_petersen_line_scheme,
 )
 from .typeii import (
+    RankUndecided,
     TypeIIMatrix,
     WeightFamily,
     all_families,
@@ -48,7 +49,6 @@ from .identities import (
 from .invariants import (
     HaagerupData,
     check_inverse_inequivalence,
-    distinguish,
     haagerup_bruteforce,
     haagerup_formula,
     monomial_h_set,
@@ -66,15 +66,16 @@ __all__ = [
     "field_sqrt", "complex_conj", "is_real",
     "Reducible", "DivisionByZero", "IncompatibleTowers",
     "complex_embed", "element_sign", "abs_is_one",
-    "PolyQ", "RatQ", "RatFuncQ", "ratfunc_specialize", "r_value_at",
+    "PolyQ", "RatQ", "RF_DESC", "ratfunc_specialize", "r_value_at",
     "ConcreteScheme", "ParametricScheme", "SpectralData",
     "build_petersen_line_scheme",
-    "TypeIIMatrix", "WeightFamily", "all_families", "family_coefficients",
+    "RankUndecided", "TypeIIMatrix", "WeightFamily", "all_families",
+    "family_coefficients",
     "is_hadamard", "is_type_ii", "non_butson_witness", "phi",
     "reconstruct_weights", "span_condition",
     "e_polynomials", "scan_nonvanishing", "verify_converse",
     "verify_core_identities",
-    "HaagerupData", "check_inverse_inequivalence", "distinguish",
+    "HaagerupData", "check_inverse_inequivalence",
     "haagerup_bruteforce", "haagerup_formula", "monomial_h_set",
     "check_symmetric", "jones_structure_report", "nomura_dimension",
     "PellProblem", "base_solutions", "integral_r_q_values", "is_r_integer",

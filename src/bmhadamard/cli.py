@@ -12,7 +12,8 @@ identical configurations produce byte-identical bytes.  The exit code is
 0 only when everything requested passed; otherwise it encodes the class
 of the first failing check.  An unexpected exception inside a report
 suite becomes one failed ``<suite>.unexpected_error`` record, with the
-exception's type and message as its witness, and exit code 1.
+exception's type and message as its witness, and exit code 1.  An
+``--out`` path that cannot be written is one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .scheme import (
 from .typeii import (
     NoConcreteScheme,
     NoWitness,
+    RankUndecided,
     TypeIIMatrix,
     all_families,
     case_a_symbolic,
@@ -356,9 +358,12 @@ def suite_isolation(q=4, **_):
                     ("vi", 1, 1, True, "case_vi_r_plus")]
     for case, rs, br, want, name in expectations:
         fam = family_coefficients(case, q, rs, br)
-        iso, rank = span_condition(TypeIIMatrix(fam).dense(), fam.desc,
-                                   return_rank=True)
-        checks.append((f"isolation.{name}", iso == want, rank))
+        try:
+            iso, rank = span_condition(TypeIIMatrix(fam).dense(), fam.desc,
+                                       return_rank=True)
+            checks.append((f"isolation.{name}", iso == want, rank))
+        except RankUndecided as exc:
+            checks.append((f"isolation.{name}", False, str(exc)))
     return checks
 
 
@@ -426,6 +431,8 @@ def cmd_report(args):
         raise NoConcreteScheme(
             f"no concrete scheme at q = {args.q}; the "
             f"{', '.join(concrete)} {needs} the concrete scheme (q = 4)")
+    if args.out:  # an unwritable path fails before the suites run
+        open(args.out, "a").close()
     bound = args.sweep_bound
     if bound is None and "sweeps" in names:
         bound = DEFAULT_SWEEP_BOUND
@@ -551,6 +558,13 @@ def main(argv=None):
     except NoConcreteScheme as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except OSError as exc:  # the one file a command opens is --out
+        sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
+    except RankUndecided as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CLASSES["isolation"]
 
 
 if __name__ == "__main__":

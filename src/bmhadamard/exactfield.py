@@ -6,9 +6,11 @@ there.  Every weight this package builds is a root of a unit quadratic
 w^2 - a*w + 1, i.e. (a +- sqrt(a^2 - 4))/2, so square roots are the
 only levels it needs.  Elements are stored as nested pairs (a, b)
 meaning a + b*t, bottoming out at the base field K_0: `fractions.Fraction`
-for towers over Q, or `ratfunc.RatQ` for the tower Q(q)(r) behind
-`ratfunc.RatFuncQ`.  Equality is structural on reduced coefficients, so
-exact zero tests are just comparisons; nothing here ever rounds.
+for towers over Q, or `ratfunc.RatQ` for the tower Q(q)(r) of
+`ratfunc.RF_DESC`.  Every element of every tower is a ``TowerElement``,
+and every operation returns one.  Equality is structural on reduced
+coefficients, so exact zero tests are just comparisons; nothing here
+ever rounds.
 
 Depth stays at most 3 for everything this package builds (a real
 quadratic level for a square root of a rational, optionally topped by
@@ -241,13 +243,6 @@ class TowerElement:
         self.desc = desc
         self.rep = rep
 
-    def _make(self, desc, rep):
-        # results keep the operand's class, so a RatFuncQ stays a RatFuncQ
-        out = object.__new__(type(self))
-        out.desc = desc
-        out.rep = rep
-        return out
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -325,7 +320,7 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._make(a.desc, _add(a.rep, b.rep))
+        return TowerElement(a.desc, _add(a.rep, b.rep))
 
     __radd__ = __add__
 
@@ -333,24 +328,26 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._make(a.desc, _sub(a.rep, b.rep))
+        return TowerElement(a.desc, _sub(a.rep, b.rep))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._make(self.desc, _neg(self.rep))
+        return TowerElement(self.desc, _neg(self.rep))
 
     def __mul__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._make(a.desc, _mul(a.desc.levels, a.desc.depth, a.rep, b.rep))
+        return TowerElement(a.desc, _mul(a.desc.levels, a.desc.depth,
+                                         a.rep, b.rep))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        return self._make(self.desc, _inv(self.desc.levels, self.desc.depth, self.rep))
+        return TowerElement(self.desc, _inv(self.desc.levels,
+                                            self.desc.depth, self.rep))
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -364,7 +361,7 @@ class TowerElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self._make(self.desc, TowerElement.rational(1, self.desc).rep)
+        out = TowerElement.rational(1, self.desc)
         base = self
         while k:
             if k & 1:
@@ -417,7 +414,7 @@ class TowerElement:
             a, b = rep
             return (walk(d - 1, a), walk(d - 1, b))
 
-        return self._make(self.desc, walk(depth, self.rep))
+        return TowerElement(self.desc, walk(depth, self.rep))
 
     def trace_conj(self, level=None):
         """(trace, conjugate) at a level; trace = x + conjugate."""
@@ -486,15 +483,15 @@ def adjoin_radical(desc, radicand):
     squarefree integer times a squarefree primitive polynomial
     (``RatQ.radical_parts``).  The caller gets back (new descriptor, the
     requested sqrt as an element).  Raises Reducible, with a root of the
-    radicand, when the radicand is already a square, so the caller can
-    stay at the current depth; this keeps descriptors minimal and
-    equality decidable.
+    radicand, when the radicand is already a square (0 included), so the
+    caller can stay at the current depth; this keeps descriptors minimal
+    and equality decidable.
     """
     if not isinstance(radicand, TowerElement):
         radicand = TowerElement.rational(radicand, desc)
     radicand = radicand.lift(desc)
     if radicand.is_zero():
-        raise ValueError("radicand must be nonzero")
+        raise Reducible("radicand is zero", root=radicand)
     scale = 1
     if radicand.is_rational():
         x = radicand.as_rational()

@@ -5,13 +5,13 @@ Three kinds of arithmetic live here.  Small multivariate Laurent
 polynomials (MPoly, <= 4 variables) carry the foundational identities
 behind the reconstruction map: their denominators are monomials, bar
 one pair that is cleared by cross-multiplying.  The per-family work
-happens in Q(q)[r]/(r^2-(17q-1)(q-1)) via RatFuncQ, so "vanishes
-identically in q" is literal.  The two Jones sweeps run at each q on
-the integer coordinates of the weight tower (``fastfield.flat_tower``):
-every term w_i^2/(w_j w_k) is built by the same three ``int_mul``s from
-the weights and their inverses over one denominator, so a sum is its
-tower value times one positive integer and is zero exactly when that
-value is.  The one thing this module does *not* do is recompute
+happens in Q(q)[r]/(r^2-(17q-1)(q-1)), the tower ``ratfunc.RF_DESC``,
+so "vanishes identically in q" is literal.  The two Jones sweeps run at
+each q on the integer coordinates of the weight tower
+(``fastfield.flat_tower``): every term w_i^2/(w_j w_k) is built by the
+same three ``int_mul``s from the weights and their inverses over one
+denominator, so a sum is its tower value times one positive integer and
+is zero exactly when that value is.  The one thing this module does *not* do is recompute
 ideal-membership certificates: those are replaced by identical
 vanishing of the explicit substitutions plus nonvanishing sweeps over
 even q (default bound 200), which is what the downstream consumers
@@ -25,8 +25,9 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
+from .exactfield import TowerElement
 from .fastfield import flat_tower
-from .ratfunc import RatQ, RatFuncQ, r_value_at, ratfunc_specialize
+from .ratfunc import RF_DESC, RatQ, r_value_at, ratfunc_specialize
 from .scheme import parametric_scheme
 from .typeii import (
     CASES,
@@ -296,17 +297,16 @@ class EPolynomial:
         self.constant = constant  # RatQ
 
     def evaluate(self, values):
-        """Plug in X_{i,j} -> values[(i,j)] (any RatFuncQ-compatible)."""
-        acc = RatFuncQ(self.constant)
+        """Plug in X_{i,j} -> values[(i,j)], elements over ``RF_DESC``."""
+        acc = TowerElement.rational(self.constant, RF_DESC)
         for pair, c in self.coeffs.items():
-            acc = acc + RatFuncQ(c) * values[pair]
+            acc = acc + values[pair] * c
         return acc
 
 
-def e_polynomials(P=None):
+def e_polynomials():
     """The d linear forms cutting out type-II points, k = 1..d."""
-    if P is None:
-        P = parametric_scheme().P
+    P = parametric_scheme().P
     d = len(P) - 1
     n = sum(P[0][j] for j in range(d + 1))
     out = []
@@ -324,7 +324,8 @@ def _pair_values(case):
 
 
 def converse_constraints(values):
-    """All g, h and e_k values at a substitution dict {(i,j): RatFuncQ}."""
+    """All g, h and e_k values at a substitution dict {(i,j): element
+    over ``RF_DESC``}."""
     def X(i, j):
         return values[(min(i, j), max(i, j))]
 
@@ -368,11 +369,12 @@ def ns_norm_numerator(case, i):
     "zero for one of the two signs of r".
     """
     v = ns_symbolic(case)[i - 1]
-    if v.r_part is None:
-        return v.plain.num
-    norm = v * v.conj_r()
-    assert norm.r_part is None
-    return norm.plain.num
+    plain, r_part = v.rep
+    if not r_part:
+        return plain.num
+    plain, r_part = (v * v.galois_conj()).rep
+    assert not r_part
+    return plain.num
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +384,9 @@ def even_q_range(bound=DEFAULT_SWEEP_BOUND):
     return range(4, bound + 1, 2)
 
 
-def scan_nonvanishing(expr_id, case, q_set=None):
-    """Evaluate one family of nonvanishing claims over a q sweep.
+def scan_nonvanishing(expr_id, case, q_set):
+    """Evaluate one family of nonvanishing claims at every q of ``q_set``
+    (``even_q_range(bound)`` is the usual sweep).
 
     expr_id:
       nomura_symmetric_k : the symmetry functional for i = 1, 2, 3
@@ -396,8 +399,6 @@ def scan_nonvanishing(expr_id, case, q_set=None):
     which would contradict the classification.
     """
     case = normalize_case(case)
-    if q_set is None:
-        q_set = even_q_range()
     if expr_id == "nomura_symmetric_k":
         ok_at = partial(_symmetry_ok, case, ns_symbolic(case))
     elif expr_id == "jones_adjacency":
@@ -417,7 +418,7 @@ def _symmetry_ok(case, values, q):
     """No symmetry value vanishes at q, for either sign of r."""
     rs = [None]
     if case == "vi":
-        rs = [r_value_at(q, sign)[1] for sign in (1, -1)]
+        rs = [r_value_at(q, sign) for sign in (1, -1)]
     return not any(ratfunc_specialize(v, q, r).is_zero()
                    for v in values for r in rs)
 

@@ -315,32 +315,6 @@ def k_interval_violator(data):
     return None
 
 
-def distinguish(fam_a, fam_b, q=None):
-    """Compare K-sets of two families exactly.
-
-    Returns a dict with verdict 'distinct_K' or 'inconclusive', a
-    witness element from the symmetric difference (when distinct), and
-    the interval certificates used by the Hadamard-vs-not separations.
-    """
-    if q is not None and (fam_a.q != q or fam_b.q != q):
-        raise ValueError("families are not at the requested q")
-    da = haagerup_formula(fam_a)
-    db = haagerup_formula(fam_b)
-    ka, kb = k_set_keys(da), k_set_keys(db)
-    report = {
-        "k_a_in_interval": k_in_interval(da),
-        "k_b_in_interval": k_in_interval(db),
-    }
-    if ka != kb:
-        diff = sorted(ka.symmetric_difference(kb))
-        report["verdict"] = "distinct_K"
-        report["witness_key"] = diff[0]
-        report["witness_in"] = "a" if diff[0] in ka else "b"
-    else:
-        report["verdict"] = "inconclusive"
-    return report
-
-
 # ---------------------------------------------------------------------------
 # W vs entrywise-inverse inequivalence (families i and ii)
 

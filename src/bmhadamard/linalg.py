@@ -1,8 +1,9 @@
 """Small exact linear algebra over any field-like element type.
 
-Works for Fraction, RatQ and TowerElement alike (a RatFuncQ is a
-TowerElement over Q(q)): elements need +, -, *, division (or
-.inverse()), and == against ``zero``; matrices are lists of lists.
+Works for Fraction, RatQ and TowerElement alike (the tower
+``ratfunc.RF_DESC`` over Q(q) included): elements need +, -, *,
+division (or .inverse()), and == against ``zero``; matrices are lists
+of lists.
 No verdict eliminates here: the one elimination on a verdict path is
 ``fastfield.echelon_mod_p``.  ``solve``, on the Gauss-Jordan routine
 ``_echelon``, is the test oracle for the closed forms in

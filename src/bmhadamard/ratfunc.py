@@ -1,12 +1,13 @@
 """Rational functions of the scheme parameter q, optionally carrying r.
 
 ``PolyQ``/``RatQ`` are dense univariate polynomials / reduced fractions
-over Q; ``RatQ`` is the field Q(q).  ``RatFuncQ`` is the working field
-for parametric computations: values A(q) + B(q)*r subject to
-r**2 = (17q-1)(q-1), i.e. Q(q) and its r-extension as a depth-1
-`exactfield` tower over the base field ``RatQ``.  All identities "in q"
-proved by this package are equalities of reduced RatFuncQ values, so
-they hold identically, not just at sampled points.
+over Q; ``RatQ`` is the field Q(q).  The working field for parametric
+computations is Q(q)[r]/(r**2 - (17q-1)(q-1)): values A(q) + B(q)*r,
+held as depth-1 `exactfield` tower elements over the base field
+``RatQ`` with descriptor ``RF_DESC`` (``QF`` is q and ``RF_R`` is r
+there).  All identities "in q" proved by this package are equalities of
+reduced elements of that tower, so they hold identically, not just at
+sampled points.
 
 A ``PolyQ`` holds integer coefficients over one positive denominator,
 reduced so that gcd(content, denominator) = 1: arithmetic runs on
@@ -29,12 +30,12 @@ from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 from .exactfield import (
+    QQ,
+    Reducible,
     TowerDescriptor,
     TowerElement,
-    QQ,
     adjoin_radical,
     rational_radical_parts,
-    rational_sqrt,
 )
 
 
@@ -596,61 +597,24 @@ R_SQUARED = (17 * Q - 1) * (Q - 1)
 RF_DESC = TowerDescriptor((R_SQUARED,), RatQ)
 
 
-class RatFuncQ(TowerElement):
-    """Element A(q) + B(q)*r of Q(q)[r]/(r^2 - (17q-1)(q-1)).
-
-    A depth-1 `exactfield` tower element over ``RF_DESC``: arithmetic,
-    equality and hashing are TowerElement's.  This class only names
-    the parts; ``r_part`` is None when B is zero.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, plain, r_part=None):
-        r_part = 0 if r_part is None else r_part
-        super().__init__(RF_DESC, (_part(plain), _part(r_part)))
-
-    @property
-    def plain(self):
-        return self.rep[0]
-
-    @property
-    def r_part(self):
-        return self.rep[1] or None
-
-    def conj_r(self):
-        """The image under r -> -r."""
-        return self.galois_conj()
-
-    def __repr__(self):
-        if self.r_part is None:
-            return f"RatFuncQ({self.plain!r})"
-        return f"RatFuncQ({self.plain!r} + ({self.r_part!r})*r)"
-
-
-def _part(v):
-    p = _as_ratq(v)
-    if p is NotImplemented:
-        raise TypeError(f"bad rational function {v!r}")
-    return p
-
-
-QF = RatFuncQ(Q)
-RF_R = RatFuncQ(0, 1)
+QF = TowerElement.rational(Q, RF_DESC)
+RF_R = TowerElement.generator(RF_DESC)
 
 
 def ratfunc_specialize(f, q0, r_value=None):
-    """Evaluate f at q = q0 as an exact tower element.
+    """Evaluate f = A(q) + B(q)*r at q = q0 as an exact tower element.
 
-    ``r_value`` must be supplied when f carries an r part and must
-    square to (17*q0-1)(q0-1); plain values come back in the rational
-    tower (or r_value's tower so arithmetic with it stays closed).
+    f is an element over ``RF_DESC`` or a value of Q(q).  ``r_value``
+    must be supplied when B is nonzero and must square to
+    (17*q0-1)(q0-1); values free of r come back in the rational tower
+    (or r_value's tower so arithmetic with it stays closed).
     """
-    if not isinstance(f, RatFuncQ):
-        f = RatFuncQ(f)
+    if not isinstance(f, TowerElement):
+        f = TowerElement.rational(f, RF_DESC)
+    plain, r_part = f.rep
     q0 = Fraction(q0)
-    base = f.plain(q0)
-    if f.r_part is None:
+    base = plain(q0)
+    if not r_part:
         if r_value is not None:
             return TowerElement.rational(base, r_value.desc)
         return TowerElement.rational(base)
@@ -659,20 +623,18 @@ def ratfunc_specialize(f, q0, r_value=None):
     rho = R_SQUARED(q0)
     if r_value * r_value != rho:
         raise InvalidRValue(f"r**2 != (17q-1)(q-1) at q = {q0}")
-    return r_value * f.r_part(q0) + base
+    return r_value * r_part(q0) + base
 
 
 def r_value_at(q0, sign=1):
-    """An exact square root of (17*q0-1)(q0-1), with its tower.
+    """An exact square root of (17*q0-1)(q0-1), scaled by ``sign``.
 
-    Returns (descriptor, element).  The element is rational when the
-    radicand is a perfect square, else lives in a fresh depth-1 tower
-    over a squarefree radicand, scaled by ``sign``.
+    The element is rational when the radicand is a perfect square, else
+    it lives in a fresh depth-1 tower over a squarefree radicand; its
+    ``desc`` is that tower.
     """
-    q0 = Fraction(q0)
-    rho = R_SQUARED(q0)
-    root = rational_sqrt(rho)
-    if root is not None:
-        return QQ, TowerElement.rational(sign * root)
-    desc, rt = adjoin_radical(QQ, rho)
-    return desc, rt * sign
+    try:
+        root = adjoin_radical(QQ, R_SQUARED(Fraction(q0)))[1]
+    except Reducible as split:
+        root = split.root
+    return root * sign

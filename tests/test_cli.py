@@ -5,9 +5,11 @@ import pytest
 
 from bmhadamard import cli, identities
 from bmhadamard.cli import main
+from bmhadamard.exactfield import TowerElement
 from bmhadamard.identities import CASES, ViolationFound, scan_nonvanishing
-from bmhadamard.ratfunc import RatFuncQ
+from bmhadamard.ratfunc import RF_DESC
 from bmhadamard.serialize import decode_element
+from bmhadamard.typeii import RankUndecided
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -247,7 +249,7 @@ def test_sweep_zero_is_a_failed_check(capsys, monkeypatch):
     # a symmetry functional that vanishes identically meets a zero at
     # every q: the scan raises, and the report records it as exit 9
     monkeypatch.setattr(identities, "ns_symbolic",
-                        lambda case: [RatFuncQ(0)] * 3)
+                        lambda case: [TowerElement.rational(0, RF_DESC)] * 3)
     with pytest.raises(ViolationFound, match="nomura_symmetric_k/iv"):
         scan_nonvanishing("nomura_symmetric_k", "iv", [4, 6])
     code, data = run_json(capsys, "report", "--suite", "sweeps",
@@ -256,3 +258,41 @@ def test_sweep_zero_is_a_failed_check(capsys, monkeypatch):
     assert code == 9 and not data["passed"]
     assert failed == {f"sweep.nomura_symmetric_k.case_{case}"
                       for case in CASES}
+
+
+def undecided(dense, desc, return_rank=False):
+    raise RankUndecided("no rank certificate in 2000 primes")
+
+
+def test_undecided_span_rank_is_an_isolation_failure(capsys, monkeypatch):
+    # a span rank left undecided is a failed isolation check (exit 10) in
+    # a report, and an error line with exit 10 from verify --span
+    monkeypatch.setattr(cli, "span_condition", undecided)
+    code, data = run_json(capsys, "report", "--suite", "isolation")
+    assert code == 10 and not data["passed"]
+    assert {c["check_id"] for c in data["checks"]} == {
+        "isolation.chan1", "isolation.chan2", "isolation.chan3",
+        "isolation.case_vi_r_plus"}
+    assert all(not c["status"] and "2000 primes" in c["witness"]
+               for c in data["checks"])
+    code = main(["verify", "--case", "iv", "--span"])
+    out, err = capsys.readouterr()
+    assert code == 10 and out == ""
+    assert err == "error: no rank certificate in 2000 primes\n"
+
+
+@pytest.mark.parametrize("argv", [["construct", "--case", "iv"],
+                                  ["report", "--suite", "scheme"]])
+def test_unwritable_out_path_is_an_error(capsys, monkeypatch, tmp_path, argv):
+    # a path under a missing directory ends in one error line and exit 2,
+    # and report finds out before it runs a suite
+    def never(**_):
+        raise AssertionError("a suite ran before the --out check")
+
+    monkeypatch.setitem(cli.SUITES, "scheme", never)
+    path = tmp_path / "missing" / "x.json"
+    code = main(argv + ["--out", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()

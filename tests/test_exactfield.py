@@ -67,6 +67,9 @@ def test_adjoin_square_is_reducible():
     with pytest.raises(Reducible) as exc:
         adjoin_radical(QQ, 4)
     assert exc.value.root.as_rational() == 2
+    with pytest.raises(Reducible) as exc:  # 0 is the square of 0
+        adjoin_radical(QQ, 0)
+    assert exc.value.root.is_zero()
 
 
 def test_adjoin_201_and_depth_two_extension():

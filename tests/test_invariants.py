@@ -11,7 +11,6 @@ from bmhadamard.invariants import (
     _monomial_reduce,
     canonical_real_key,
     check_inverse_inequivalence,
-    distinguish,
     evaluate_monomials,
     haagerup_bruteforce,
     haagerup_formula,
@@ -166,16 +165,16 @@ def test_known_separating_witnesses(families_q4):
     assert a01 in k6 and a01 not in k3
 
 
-def test_distinguish_reports(families_q4):
-    rep = distinguish(families_q4[("i", 1, 1)], families_q4[("ii", 1, 1)])
-    assert rep["verdict"] == "distinct_K"
-    rep = distinguish(families_q4[("iv", 1, 1)], families_q4[("v", 1, 1)])
-    assert rep["verdict"] == "distinct_K"
-    assert rep["k_a_in_interval"] and rep["k_b_in_interval"]
-    same = distinguish(families_q4[("i", 1, 1)], families_q4[("i", 1, -1)])
-    assert same["verdict"] == "inconclusive"  # same K for both branches
-    with pytest.raises(ValueError):
-        distinguish(families_q4[("i", 1, 1)], families_q4[("ii", 1, 1)], q=6)
+def test_k_sets_separate_families(families_q4):
+    def data(key):
+        return haagerup_formula(families_q4[key])
+
+    assert k_set_keys(data(("i", 1, 1))) != k_set_keys(data(("ii", 1, 1)))
+    k4, k5 = data(("iv", 1, 1)), data(("v", 1, 1))
+    assert k_set_keys(k4) != k_set_keys(k5)
+    assert k_in_interval(k4) and k_in_interval(k5)
+    # the same K for both branches
+    assert k_set_keys(data(("i", 1, 1))) == k_set_keys(data(("i", 1, -1)))
 
 
 def test_r_sign_split_by_interval(families_q4):
@@ -189,8 +188,7 @@ def test_r_sign_split_by_interval(families_q4):
     a01_minus = ("quad", Fraction(201), Fraction(-3, 20), Fraction(-3, 20))
     keys = k_set_keys(minus)
     assert a01_minus in keys
-    rep = distinguish(families_q4[("vi", 1, 1)], families_q4[("vi", -1, 1)])
-    assert rep["verdict"] == "distinct_K"
+    assert k_set_keys(plus) != k_set_keys(minus)
 
 
 def test_hadamard_k_sets_in_interval(families_q4):

@@ -10,6 +10,7 @@ from bmhadamard import ratfunc
 from bmhadamard.exactfield import (
     QQ,
     Reducible,
+    TowerElement,
     adjoin_radical,
     field_sqrt,
     rational_sqrt,
@@ -22,7 +23,6 @@ from bmhadamard.ratfunc import (
     QF,
     RF_DESC,
     RF_R,
-    RatFuncQ,
     RatQ,
     R_SQUARED,
     ratfunc_specialize,
@@ -63,14 +63,19 @@ def test_r_squared_constant():
     assert R_SQUARED(10) == 1521  # = 39^2
 
 
+def rf(plain, r_part=0):
+    """plain + r_part * r, an element of Q(q)(r) over ``RF_DESC``."""
+    return TowerElement.rational(plain, RF_DESC) + RF_R * r_part
+
+
 def test_rf_arithmetic_reduces_r_squared():
     r = RF_R
-    assert (r * r) == RatFuncQ(R_SQUARED)
+    assert (r * r) == rf(R_SQUARED)
     x = QF + r            # q + r
     y = QF - r
-    assert x * y == RatFuncQ(Q * Q - R_SQUARED)
-    assert (x * x.inverse()) == RatFuncQ(1)
-    assert x.conj_r() == y
+    assert x * y == rf(Q * Q - R_SQUARED)
+    assert (x * x.inverse()) == rf(1)
+    assert x.galois_conj() == y
 
 
 def test_specialize_plain():
@@ -89,7 +94,7 @@ def test_specialize_with_r():
     # a_{0,1} of the sixth family at q = 4: 3(sqrt(201) - 1)/20
     q, r = QF, RF_R
     f = (-(q - 1) * (q - 2) + (q + 2) * r) / (2 * q * (q + 1))
-    desc, rv = r_value_at(4)
+    rv = r_value_at(4)
     val = ratfunc_specialize(f, 4, rv)
     d201, s201 = adjoin_radical(QQ, 201)
     want = (s201 - 1) * Fraction(3, 20)
@@ -97,7 +102,7 @@ def test_specialize_with_r():
 
 
 def test_specialize_rejects_bad_r():
-    desc, rv = r_value_at(4)
+    rv = r_value_at(4)
     with pytest.raises(InvalidRValue):
         ratfunc_specialize(RF_R, 6, rv)  # rv^2 = 201 != (17*6-1)*5
     with pytest.raises(InvalidRValue):
@@ -105,12 +110,12 @@ def test_specialize_rejects_bad_r():
 
 
 def test_r_value_rational_when_square():
-    desc, rv = r_value_at(10)
-    assert desc.depth == 0 and rv.as_rational() == 39
-    desc, rv = r_value_at(10, sign=-1)
+    rv = r_value_at(10)
+    assert rv.desc.depth == 0 and rv.as_rational() == 39
+    rv = r_value_at(10, sign=-1)
     assert rv.as_rational() == -39
-    desc, rv = r_value_at(4, sign=-1)
-    assert desc.depth == 1 and (rv * rv).descend().as_rational() == 201
+    rv = r_value_at(4, sign=-1)
+    assert rv.desc.depth == 1 and (rv * rv).descend().as_rational() == 201
 
 
 rational_q = st.fractions(min_value=5, max_value=30, max_denominator=3)
@@ -125,9 +130,9 @@ def test_ratfunc_evaluation_is_a_homomorphism(n1, d1, m1, n2, d2, m2, q0):
     # r = sqrt(201) is irrational at q0 = 4; r = 39 at q0 = 10
     if not any(d1) or not any(d2):
         return
-    f = RatFuncQ(RatQ(PolyQ(n1), PolyQ(d1)), RatQ(PolyQ(m1), PolyQ(d1)))
-    g = RatFuncQ(RatQ(PolyQ(n2), PolyQ(d2)), RatQ(PolyQ(m2), PolyQ(d2)))
-    _, rv = r_value_at(q0)
+    f = rf(RatQ(PolyQ(n1), PolyQ(d1)), RatQ(PolyQ(m1), PolyQ(d1)))
+    g = rf(RatQ(PolyQ(n2), PolyQ(d2)), RatQ(PolyQ(m2), PolyQ(d2)))
+    rv = r_value_at(q0)
 
     def at(h):
         return ratfunc_specialize(h, q0, rv)
@@ -155,9 +160,9 @@ small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 @settings(max_examples=60, deadline=None)
 def test_equal_values_hash_alike(c, n, d):
     f = RatQ(PolyQ(n), PolyQ(d)) if any(d) else RatQ(PolyQ(n))
-    forms = [c, PolyQ.const(c), RatQ(c), RatFuncQ(c), RatFuncQ(c).descend(),
-             PolyQ(n), RatQ(PolyQ(n)), f, RatFuncQ(f), RatFuncQ(f).descend(),
-             RatFuncQ(f, c), RatFuncQ(f, c).conj_r().conj_r()]
+    forms = [c, PolyQ.const(c), RatQ(c), rf(c), rf(c).descend(),
+             PolyQ(n), RatQ(PolyQ(n)), f, rf(f), rf(f).descend(),
+             rf(f, c), rf(f, c).galois_conj().galois_conj()]
     if c.denominator == 1:
         forms.append(int(c))
     for a in forms:
@@ -170,12 +175,12 @@ def test_equal_values_hash_alike(c, n, d):
 
 def test_field_sqrt_over_q_of_q():
     # squares in Q(q) and in Q(q)(r) are decided exactly
-    assert field_sqrt(RatFuncQ(R_SQUARED).descend()) is None
-    assert field_sqrt(RatFuncQ(R_SQUARED)) in (RF_R, -RF_R)
+    assert field_sqrt(rf(R_SQUARED).descend()) is None
+    assert field_sqrt(rf(R_SQUARED)) in (RF_R, -RF_R)
     x = (QF + RF_R) / (QF - 1)
     assert field_sqrt(x * x) in (x, -x)
     y = (Q - 2) / (2 * Q)
-    assert field_sqrt(RatFuncQ(y * y).descend()) in (y, -y)
+    assert field_sqrt(rf(y * y).descend()) in (y, -y)
     # adjoin_radical's square test over Q(q) agrees with the directly built level
     q_of_q = RF_DESC.prefix(0)
     with pytest.raises(Reducible):

@@ -402,6 +402,22 @@ def test_unit_quadratic_root_identity():
     assert wp * wm == 1  # the two branches are mutual inverses
 
 
+def test_unit_quadratic_root_split_discriminant():
+    # a^2 - 4 is a square in a's field: no level is adjoined, and a real
+    # root of the discriminant is taken positive
+    a = TowerElement.rational(Fraction(5, 2))
+    assert unit_quadratic_root(a, 1) == (QQ, 2)
+    assert unit_quadratic_root(a, -1) == (QQ, Fraction(1, 2))
+    # a = 1 over Q(sqrt -3): the discriminant -3 has the non-real root t,
+    # kept as found, so the branches are the sixth roots of unity (1 +- t)/2
+    d, t = adjoin_radical(QQ, -3)
+    one = TowerElement.rational(1, d)
+    for branch in (1, -1):
+        desc, w = unit_quadratic_root(one, branch)
+        assert desc == d and w == (one + t * branch) / 2
+        assert w * w - w + 1 == 0 and complex_conj(w) != w
+
+
 def test_beta_zero_extension(families_q4):
     # beta_0 * beta'_0 = n follows from k = 1..d by the trace argument;
     # the certificate records it as an outright equality
@@ -614,6 +630,24 @@ def test_kernel_check_rejects_a_low_rank_prime(monkeypatch):
         monkeypatch, lambda rows, p, call, honest: honest(list(rows)[:8], p))
     assert span_condition(dense, d, return_rank=True) == (False, rank)
     assert len(set(seen)) > 1
+
+
+def test_span_condition_gives_up_after_the_prime_cap(monkeypatch):
+    """With no kernel certificate ever lifted, the search ends in
+    RankUndecided once it has drawn SPAN_PRIME_CAP candidate primes."""
+    dense, d = non_hadamard_4x4()
+    honest, drawn = typeii.primes, []
+
+    def counted():
+        for p in honest():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(typeii, "primes", counted)
+    monkeypatch.setattr(typeii, "_lift", lambda residues, modulus: None)
+    with pytest.raises(typeii.RankUndecided):
+        span_condition(dense, d)
+    assert len(drawn) == typeii.SPAN_PRIME_CAP
 
 
 # -- the kernel lift over one denominator -----------------------------------
