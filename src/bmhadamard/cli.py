@@ -14,6 +14,9 @@ of the first failing check.  An unexpected exception inside a report
 suite becomes one failed ``<suite>.unexpected_error`` record, with the
 exception's type and message as its witness, and exit code 1.  An
 ``--out`` path that cannot be written is one ``error:`` line and exit 2.
+Any other unexpected exception, in ``construct`` or ``verify``, is one
+``error: <Type>: <message>`` line on stderr and exit 1, the class of a
+report's ``<suite>.unexpected_error``.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ def cmd_verify(args):
         "type_ii": t2,
         "dense_identity": t2_cert.get("dense_identity"),
     }
-    had, had_cert = is_hadamard(fam, check_type_ii=False)
+    had, had_cert = is_hadamard(fam)
     report["hadamard"] = had
     report["hadamard_certificate"] = {
         "a_all_real": had_cert["a_all_real"],
@@ -257,7 +260,7 @@ def suite_families(q=4, **_):
         if q == 4:
             checks.append((f"typeii.dense.{label}",
                            bool(cert.get("dense_identity")), None))
-        had, had_cert = is_hadamard(fam, check_type_ii=False)
+        had, had_cert = is_hadamard(fam)
         want_had = fam.case in ("iii", "iv", "v") or \
             (fam.case == "vi" and fam.r_sign > 0)
         checks.append((f"hadamard.verdict.{label}", had == want_had, None))
@@ -565,6 +568,9 @@ def main(argv=None):
     except RankUndecided as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CLASSES["isolation"]
+    except Exception as exc:  # a bug, not a verdict, as in cmd_report
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ Jones sweeps, the dense type-II check, the Jones graph and the span
 rank share.  Each of them takes integer coordinates over one common
 denominator and zero-tests integer vectors whose scale is positive.
 
-Ranks are found mod p: ``FlatTower.embeddings`` maps the tower onto F_p
-for a prime that splits it completely, ``echelon_mod_p`` eliminates on
+Ranks are found mod p: ``FlatTower.embeddings`` maps a tower onto F_p
+for a prime that splits it completely (for the span rank, the real
+subfield below the imaginary level), ``echelon_mod_p`` eliminates on
 residues, ``kernel_mod_p`` reads the reduced-echelon kernel off the same
 pivot rows, and ``coordinates_mod_p`` with ``rational_reconstruct`` lift
 its vectors back to the tower.  Both eliminations hold each row as one

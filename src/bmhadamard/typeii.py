@@ -13,6 +13,10 @@ recorded as ``branch`` and the sign of r as ``r_sign``.
 
 Everything decided here is an exact zero test; the interval arithmetic
 in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
+The isolation rank (``span_condition``) is certified over the real
+subfield K0 below the tower's imaginary level, where the generator
+matrix has the same rank: a rank mod p under a map of K0 bounds it
+below, and an exact check bounds it above.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .exactfield import (
     TowerElement,
     adjoin_radical,
     complex_conj,
+    embed_signature,
     is_real,
 )
 from .intervals import element_sign, abs_is_one
@@ -414,7 +419,7 @@ def _dense_type_ii_check(family):
     return True
 
 
-def is_hadamard(family, check_type_ii=True):
+def is_hadamard(family):
     """Exact complex-Hadamard test for a constructed family.
 
     Primary criterion: every a_{i,j} is real and every weight has unit
@@ -422,12 +427,10 @@ def is_hadamard(family, check_type_ii=True):
     the tower's complex conjugation).  The open-interval criterion (all
     a real and some a_{i0,i1} strictly inside (-2, 2)), which is the
     sufficient condition used to prove unimodularity, is evaluated too
-    and must agree.  Returns (bool, certificate dict).
+    and must agree.  A unimodular type-II matrix is Hadamard; the type-II
+    half is ``is_type_ii``'s, which the callers run first.  Returns
+    (bool, certificate dict).
     """
-    if check_type_ii:
-        t2, _ = is_type_ii(family)
-        if not t2:
-            raise ValueError("is_hadamard requires a type-II input")
     a = family.a_matrix()
     all_real = all(is_real(a[i][j]) for i in range(4) for j in range(i + 1, 4))
     unimodular = all_real and all(
@@ -509,27 +512,43 @@ def span_condition(dense, desc, return_rank=False):
     """Certified rank test of the commutator span of a Hadamard matrix.
 
     Generators are [v, H* u H] over all diagonal units u, v: the row
-    (w, v) has conj(H_wv) H_wy at coordinate (v, y) and -conj(H_wy) H_wv
-    at (y, v), for y != v.  The matrix is isolated when their span has
-    dimension (n - 1)^2.  The rank r over the tower field K is pinned
-    between a lower and an upper bound, both exact:
+    (w, v) of the generator matrix A has R_(v,y) = conj(H_wv) H_wy at
+    column (v, y) and R_(y,v) = -conj(H_wy) H_wv at (y, v), for y != v.
+    The matrix is isolated when their span has dimension (n - 1)^2.
 
-    * Lower bound.  For a prime p that splits the tower, a choice of
-      roots mod p is a ring map from the elements with p-integral
-      coordinates onto F_p.  Every entry is such an element, so a
-      nonzero minor mod p is the image of a nonzero minor over K: the
-      rank mod p is at most r.
+    The rank is that of B, A written over the real subfield K0.  When
+    the top level t of the tower K is imaginary, complex conjugation
+    sigma is t -> -t, K0 is the tower below t, and R_(y,v) = -sigma(a)
+    for a = R_(v,y) = a0 + t a1 with a0, a1 in K0.  So a row of A reads,
+    over the pairs v < y,
+        a0 (x_(v,y) - x_(y,v)) + a1 t (x_(v,y) + x_(y,v)),
+    and B has a0 at column (v, y) and a1 at (y, v).  Then A = B N, where
+    N is block diagonal with one 2 x 2 block [[1, -1], [t, t]] per pair,
+    of determinant 2t != 0: N is invertible, and
+    rank_K A = rank_K B = rank_K0 B, since B's entries lie in K0.  On a
+    tower with no imaginary level (sigma = id, K0 = K) a row of A reads
+    a (x_(v,y) - x_(y,v)); B keeps one column (v, y) per pair, the entry
+    a, and A = B M with M onto, so again rank A = rank B.
+
+    The rank r of B over K0 is pinned between a lower and an upper
+    bound, both exact:
+
+    * Lower bound.  For a prime p that splits K0, a choice of roots mod
+      p is a ring map from the elements of K0 with p-integral
+      coordinates onto F_p.  B's exact rows are integer coordinates over
+      K0 (B times one positive integer), so a nonzero minor mod p is the
+      image of a nonzero minor over K0: the rank mod p is at most r.
     * Upper bound (n - 1)^2, when H*H is diagonal, which is checked
       exactly.  The n sums of the rows of one w vanish identically, and
       the n sums of the rows of one v are the off-diagonal entries of
       H*H, so they vanish too.  The row and column indicator vectors of
-      an n x n grid span 2n - 1 dimensions, so r <= n^2 - (2n - 1).  A
-      rank mod p of (n - 1)^2 then settles r.
+      an n x n grid span 2n - 1 dimensions, so rank A <= n^2 - (2n - 1).
+      A rank mod p of (n - 1)^2 then settles r.
     * Upper bound from a kernel certificate, in every other case.  The
-      reduced-echelon kernel mod p under every map of the tower gives
-      the K-coordinates of the kernel vectors mod p; they are combined
+      reduced-echelon kernel of B mod p under every map of K0 gives the
+      K0-coordinates of the kernel vectors mod p; they are combined
       over primes by CRT and lifted by rational reconstruction, and each
-      lifted vector is checked to satisfy A x = 0 exactly.  Their
+      lifted vector is checked to satisfy B x = 0 exactly.  Their
       identity block on the free columns makes them independent, so r
       is at most the number of columns minus the number of vectors,
       which is the rank mod p.  A prime whose rank falls below the best
@@ -543,11 +562,11 @@ def span_condition(dense, desc, return_rank=False):
     if any(len(row) != n for row in dense):
         raise NotSquare("dense matrix is not square")
     H = [e.lift(desc) for row in dense for e in row]
-    span = _CommutatorSpan(flat_tower(desc), n, H)
+    span = _CommutatorSpan(desc, n, H)
     target = (n - 1) ** 2
     best, modulus, residues = None, 1, {}
     for p in islice(primes(), SPAN_PRIME_CAP):
-        maps = span.embeddings(p)
+        maps = span.flat.embeddings(p)
         if maps is None:
             continue
         images, roots = maps
@@ -559,7 +578,7 @@ def span_condition(dense, desc, return_rank=False):
                      for img in images[1:]]
         pivots = {tuple(sorted(e)) for e in echelons}
         if len(pivots) > 1:
-            continue  # the maps of the tower disagree: p is unlucky
+            continue  # the maps of K0 disagree: p is unlucky
         pivots = pivots.pop()
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, modulus, residues = pivots, 1, {}  # start over from p
@@ -580,71 +599,66 @@ def span_condition(dense, desc, return_rank=False):
 
 
 class _CommutatorSpan:
-    """The generator matrix of ``span_condition``, mod p and exactly.
+    """The matrix B of ``span_condition``, exactly and mod p.
 
-    Entries are products conj(H_wv) H_wy of the integer coordinates of
-    H and conj(H) (row-major, over one denominator each).  The exact
-    products share the positive denominator of the two factors times
-    the structure constants', so zero tests on them are exact.
+    ``products`` holds conj(H_wv) H_wy over K, from the integer
+    coordinates of H and conj(H) (row-major, over ``hden`` and ``cden``):
+    its exact values times tower.tden * hden * cden > 0, so zero tests
+    on them are exact.  ``rows`` reads B, times the same integer, off
+    them as integer coordinates over K0 (``flat``): the low half of K's
+    basis is K0's, and the high half is t times it.
     """
 
-    def __init__(self, flat, n, H):
-        self.flat = flat
+    def __init__(self, desc, n, H):
         self.n = n
-        self.h, self.hden = flat.int_coords(H)
-        self.hc, self.cden = flat.int_coords([complex_conj(e) for e in H])
+        self.tower = flat_tower(desc)
+        self.h, self.hden = self.tower.int_coords(H)
+        self.hc, self.cden = self.tower.int_coords([complex_conj(e)
+                                                    for e in H])
+        self.split = desc.depth > 0 and embed_signature(desc)[-1] < 0
+        self.flat = (flat_tower(desc.prefix(desc.depth - 1)) if self.split
+                     else self.tower)
         self.columns = [v * n + y for v in range(n) for y in range(n)
-                        if v != y]
-        self._products = None
+                        if v < y or self.split and v != y]
 
-    def embeddings(self, p):
-        """The tower's maps onto F_p, when p also spares every entry."""
-        if self.hden % p == 0 or self.cden % p == 0:
-            return None
-        return self.flat.embeddings(p)
-
-    def rows_mod_p(self, img, p):
-        """The generator rows under the map with basis images ``img``."""
-        n = self.n
-        hi, ci = pow(self.hden, -1, p), pow(self.cden, -1, p)
-        hr = [sum(a * b for a, b in zip(vec, img)) * hi % p for vec in self.h]
-        cr = [sum(a * b for a, b in zip(vec, img)) * ci % p
-              for vec in self.hc]
-        for base in range(0, n * n, n):  # the entries of row w of H
-            for v in range(n):
-                cv, hv = cr[base + v], hr[base + v]
-                row = {}
-                for y in range(n):
-                    if y != v:
-                        row[v * n + y] = cv * hr[base + y]
-                        row[y * n + v] = -cr[base + y] * hv
-                yield row
-
+    @cached_property
     def products(self):
         """Exact conj(H_wv) H_wy for v != y, keyed (w, v, y)."""
-        if self._products is None:
-            n, h, hc, mul = self.n, self.h, self.hc, self.flat.int_mul
-            self._products = {
-                (w, v, y): mul(hc[w * n + v], h[w * n + y])
+        n, h, hc, mul = self.n, self.h, self.hc, self.tower.int_mul
+        return {(w, v, y): mul(hc[w * n + v], h[w * n + y])
                 for w in range(n) for v in range(n) for y in range(n)
                 if v != y}
-        return self._products
 
+    @cached_property
     def rows(self):
-        """The generator rows exactly, {column: integer coordinates}."""
-        n, prod = self.n, self.products()
+        """B's rows exactly, [{column: integer coordinates over K0}]."""
+        n, prod, half = self.n, self.products, self.flat.dim
+        out = []
         for w in range(n):
             for v in range(n):
                 row = {}
                 for y in range(n):
                     if y != v:
-                        row[v * n + y] = prod[(w, v, y)]
-                        row[y * n + v] = [-x for x in prod[(w, y, v)]]
-                yield row
+                        # a is the row's entry at (lo, hi); the one at
+                        # (hi, lo) is -sigma(a)
+                        lo, hi = min(v, y), max(v, y)
+                        a = prod[(w, v, y)] if v < y else \
+                            [-x for x in prod[(w, y, v)]]
+                        row[lo * n + hi] = a[:half]
+                        if self.split:
+                            row[hi * n + lo] = a[half:]
+                out.append(row)
+        return out
+
+    def rows_mod_p(self, img, p):
+        """B's rows under the map of K0 with basis images ``img``."""
+        for row in self.rows:
+            yield {c: sum(a * b for a, b in zip(x, img)) % p
+                   for c, x in row.items()}
 
     def gram_is_diagonal(self):
         """Exact: is H*H diagonal, sum_w conj(H_wv) H_wy = 0 for v != y?"""
-        n, prod = self.n, self.products()
+        n, prod = self.n, self.products
         for v in range(n):
             for y in range(n):
                 if v != y and any(map(sum, zip(*(prod[(w, v, y)]
@@ -653,10 +667,11 @@ class _CommutatorSpan:
         return True
 
     def kernel_coordinates(self, echelons, roots, p):
-        """Tower coordinates mod p of the reduced-echelon kernel vectors.
+        """K0-coordinates mod p of the reduced-echelon kernel vectors.
 
-        ``echelons`` holds one echelon form per map of ``embeddings``, in
-        order; returns {(free column, column): coordinates}.
+        ``echelons`` holds one echelon form per map of K0's
+        ``embeddings``, in order; returns {(free column, column):
+        coordinates}.
         """
         kernels = [kernel_mod_p(e, self.columns, p) for e in echelons]
         out = {}
@@ -667,10 +682,10 @@ class _CommutatorSpan:
         return out
 
     def annihilates(self, vectors):
-        """Exact: A x = 0 for every (vector, den) of ``_lift``.
+        """Exact: B x = 0 for every (vector, den) of ``_lift``.
 
         Each vector holds the integer coordinates of x times its den > 0,
-        so A x = 0 iff A vector = 0.  The vectors are packed side by side
+        so B x = 0 iff B vector = 0.  The vectors are packed side by side
         into one integer per coordinate, in slots of ``bits`` bits.  A
         sum of packed values is zero iff every slot's sum is, because
         each slot's sum is below 2^(bits - 1) in absolute value: the
@@ -680,7 +695,8 @@ class _CommutatorSpan:
             return True
         flat = self.flat
         ints = [vec for vec, _ in vectors]
-        top_a = max(abs(x) for e in self.products().values() for x in e)
+        top_a = max(abs(x) for row in self.rows for e in row.values()
+                    for x in e)
         top_x = max(abs(x) for vec in ints for e in vec.values() for x in e)
         top_t = max(abs(t) for *_, t in flat.triples)
         terms = 2 * (self.n - 1) * len(flat.triples)
@@ -691,7 +707,7 @@ class _CommutatorSpan:
                 cur = packed.setdefault(c, [0] * flat.dim)
                 for k, x in enumerate(coords):
                     cur[k] += x << (slot * bits)
-        for row in self.rows():
+        for row in self.rows:
             acc = [0] * flat.dim
             for c, a in row.items():
                 x = packed.get(c)

@@ -86,7 +86,7 @@ def test_criterion_02_type_ii_only_cases(families_q4):
                 fam = families_q4[(case, 1, branch)]
                 ok, _ = is_type_ii(fam)
                 assert ok, (case, branch)
-                had, _ = is_hadamard(fam, check_type_ii=False)
+                had, _ = is_hadamard(fam)
                 assert not had, (case, branch)
                 w3 = fam.weights[3]
                 assert not (w3 * complex_conj(w3) == 1), (case, branch)

@@ -281,6 +281,20 @@ def test_undecided_span_rank_is_an_isolation_failure(capsys, monkeypatch):
     assert err == "error: no rank certificate in 2000 primes\n"
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_unexpected_exception_is_an_error_line(capsys, monkeypatch, command):
+    # a bug in construct or verify ends in one error line and exit 1, the
+    # class of a report's unexpected_error record, not in a traceback
+    def broken(*_):
+        raise RuntimeError("family builder broke")
+
+    monkeypatch.setattr(cli, "family_coefficients", broken)
+    code = main([command, "--case", "iv"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: RuntimeError: family builder broke\n"
+
+
 @pytest.mark.parametrize("argv", [["construct", "--case", "iv"],
                                   ["report", "--suite", "scheme"]])
 def test_unwritable_out_path_is_an_error(capsys, monkeypatch, tmp_path, argv):

@@ -366,16 +366,19 @@ def test_hadamard_verdicts(families_q4):
     want = {"i": False, "ii": False, "iii": True, "iv": True, "v": True}
     for (case, r_sign, branch), fam in families_q4.items():
         expected = want[case] if case != "vi" else (r_sign > 0)
-        got, cert = is_hadamard(fam, check_type_ii=False)
+        got, cert = is_hadamard(fam)
         assert got == expected, (case, r_sign, branch)
         assert cert["interval/criterion"] == expected
 
 
-def test_hadamard_requires_type_ii():
+def test_hadamard_leaves_type_ii_to_the_caller():
+    # the all-ones weights give J: unimodular, so is_hadamard says yes, and
+    # not type-II, which is is_type_ii's verdict, not is_hadamard's
     ones = [TowerElement.rational(1) for _ in range(4)]
     fake = WeightFamily("iv", 4, 1, 1, QQ, ones, None)
-    with pytest.raises(ValueError):
-        is_hadamard(fake)
+    had, cert = is_hadamard(fake)
+    assert had and not cert["interval/criterion"]
+    assert not is_type_ii(fake)[0]
 
 
 def test_non_butson_witnesses(families_q4):
@@ -451,8 +454,9 @@ def test_dense_matrix_needs_q4():
 
 # -- isolation: the certified rank against exact elimination ---------------
 
-def oracle_span_rank(dense, desc):
-    """The span rank by exact elimination over the tower (``sparse_rank``)."""
+def oracle_span_rows(dense, desc):
+    """The generator matrix A over the tower, row (w, v) at n*w + v, as
+    (FlatTower, rows of {column: (vec, den)})."""
     n = len(dense)
     flat = FlatTower(desc)
     H = [[flat.to_flat(e.lift(desc)) for e in row] for row in dense]
@@ -467,6 +471,12 @@ def oracle_span_rank(dense, desc):
                     row[v * n + y] = flat.mul(Hc[w][v], H[w][y])
                     row[y * n + v] = flat.neg(flat.mul(Hc[w][y], H[w][v]))
             rows.append(row)
+    return flat, rows
+
+
+def oracle_span_rank(dense, desc):
+    """The span rank by exact elimination over the tower (``sparse_rank``)."""
+    flat, rows = oracle_span_rows(dense, desc)
     return sparse_rank(rows, flat)
 
 
@@ -526,6 +536,40 @@ def span_inputs(draw):
     return dense, desc
 
 
+@given(st.sampled_from(SPAN_TOWERS), st.integers(3, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_real_subfield_matrix_factors_the_generator_matrix(desc, n, data):
+    """A = B N entrywise: B's entries (a0, a1) at columns (v, y), (y, v),
+    v < y, times N's block [[1, -1], [t, t]], give A's entries
+    a0 + t a1 and -a0 + t a1 = -sigma(a); over Q, A = B M with the block
+    [1, -1], so B has one column per pair."""
+    basis = FlatTower(desc).basis
+    coord = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=3))
+    dense = [[sum((b * data.draw(coord) for b in basis),
+                  TowerElement.rational(0, desc)) for _ in range(n)]
+             for _ in range(n)]
+    span = typeii._CommutatorSpan(desc, n, [e for row in dense for e in row])
+    assert span.split == (desc != QQ)
+    assert len(span.columns) == n * (n - 1) // (1 if span.split else 2)
+    k0 = span.flat
+    den = span.tower.tden * span.hden * span.cden
+    t = TowerElement.generator(desc) if span.split else 0
+    zero = [0] * k0.dim
+    flat, want = oracle_span_rows(dense, desc)
+    for row_b, row_a in zip(span.rows, want, strict=True):
+        got = {}
+        for v in range(n):
+            for y in range(v + 1, n):
+                if v * n + y not in row_b:
+                    continue
+                a0, a1 = (k0.from_flat((row_b.get(c, zero), den)).lift(desc)
+                          for c in (v * n + y, y * n + v))
+                got[v * n + y] = a0 + t * a1
+                got[y * n + v] = -a0 + t * a1
+        assert got == {c: flat.from_flat(x) for c, x in row_a.items()}
+
+
 @given(span_inputs())
 @settings(max_examples=60, deadline=None)
 def test_certified_span_rank_matches_exact_elimination(data):
@@ -579,6 +623,37 @@ def test_span_relations_of_q4_families(families_q4, key):
     assert all(x.is_zero() for sums in row_sums for x in sums)
     hadamard = key[0] != "i"
     assert all(x.is_zero() for sums in col_sums for x in sums) == hadamard
+
+
+@pytest.mark.parametrize("key, isolated", [(("v", 1, 1), False),
+                                           (("iv", 1, 1), True),
+                                           (("vi", 1, 1), True)])
+def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
+    """B lies over K0 = Q for v and iv, so each prime tried costs one
+    elimination, not one per map of K; the isolated iv and vi r+ are
+    settled by their first."""
+    honest_echelon, honest_primes = typeii.echelon_mod_p, typeii.primes
+    calls, drawn = [], []
+
+    def echelon(rows, p):
+        calls.append(p)
+        return honest_echelon(rows, p)
+
+    def counted():
+        for p in honest_primes():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
+    monkeypatch.setattr(typeii, "primes", counted)
+    fam = families_q4[key]
+    iso, rank = span_condition(TypeIIMatrix(fam).dense(), fam.desc,
+                               return_rank=True)
+    assert iso == isolated and rank == (196 if isolated else 186)
+    if isolated:
+        assert len(calls) == 1
+    else:
+        assert calls == drawn
 
 
 def non_hadamard_4x4():
