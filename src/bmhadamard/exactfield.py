@@ -527,7 +527,7 @@ def embed_signature(desc):
         if any(sg < 0 for sg in signs):
             raise IncompatibleTowers(
                 "imaginary level below another level: embedding undefined")
-        sg = element_sign(TowerElement(desc.prefix(j), s), tuple(signs))
+        sg = element_sign(TowerElement(desc.prefix(j), s))
         if sg == 0:
             raise ValueError("degenerate level (zero radicand)")
         signs.append(sg)

@@ -128,20 +128,18 @@ class ComplexInterval:
 # ---------------------------------------------------------------------------
 # embedding tower elements
 
-def _embed_roots(desc, signs, digits):
-    """Values of each level's adjoined root under the chosen embedding."""
+def _embed_roots(desc, digits):
+    """Values of each level's adjoined root under the principal embedding."""
     roots = []
-    for j, s in enumerate(desc.levels):
-        # t = sign * sqrt(s): real for s >= 0, imaginary for s <= 0
+    for s in desc.levels:
+        # t = sqrt(s): real for s >= 0, imaginary for s <= 0
         m = _embed_rep(s, roots, digits)
         if not m.is_real():
             raise ValueError("radicand not certified real; embedding unsupported")
-        sign = signs[j] if j < len(signs) else 1
         if m.re.lo >= 0:
-            root = ComplexInterval(sqrt_interval(m.re, digits).scale(sign))
+            root = ComplexInterval(sqrt_interval(m.re, digits))
         elif m.re.hi <= 0:
-            root = ComplexInterval(
-                0, sqrt_interval(-m.re, digits).scale(sign))
+            root = ComplexInterval(0, sqrt_interval(-m.re, digits))
         else:
             raise PrecisionExhausted
         roots.append(root)
@@ -170,8 +168,8 @@ def _rep_depth(rep):
     return d
 
 
-def _enclosures(x, signs, digits):
-    """Ever tighter enclosures of x under the embedding ``signs``.
+def _enclosures(x, digits):
+    """Ever tighter enclosures of x under the principal embedding.
 
     The first try works to ``digits`` digits and each next one to twice
     as many; a try whose roots could not be placed (PrecisionExhausted)
@@ -179,7 +177,7 @@ def _enclosures(x, signs, digits):
     """
     while True:
         try:
-            roots = _embed_roots(x.desc, signs, digits)
+            roots = _embed_roots(x.desc, digits)
         except PrecisionExhausted:
             pass
         else:
@@ -194,13 +192,13 @@ def complex_embed(x, precision=30):
     or positive imaginary part for an imaginary level.
     """
     target = Fraction(1, 10 ** precision)
-    return next(val for val in _enclosures(x, (1,) * x.desc.depth,
-                                           precision + 8)
+    return next(val for val in _enclosures(x, precision + 8)
                 if val.width() <= target)
 
 
-def element_sign(x, level_signs=None):
-    """Exact sign (-1, 0, +1) of a real tower element.
+def element_sign(x):
+    """Exact sign (-1, 0, +1) of a real tower element, under the
+    principal embedding of ``complex_embed``.
 
     Zero is decided structurally; otherwise the enclosure is refined
     until it excludes zero, which terminates because embeddings of
@@ -208,9 +206,7 @@ def element_sign(x, level_signs=None):
     """
     if x.is_zero():
         return 0
-    if level_signs is None:
-        level_signs = (1,) * x.desc.depth
-    for val in _enclosures(x, level_signs, 20):
+    for val in _enclosures(x, 20):
         if not val.is_real():
             raise ValueError("element is not real")
         s = val.re.sign()

@@ -6,10 +6,11 @@ fixes the pairwise values a_{i,j} = w_i/w_j + w_j/w_i, a point in the
 image of the rational map phi, as explicit rational functions of q (and
 of r with r^2 = (17q-1)(q-1) for the last family).  Every family is
 built by the one explicit inverse of phi: its seed weight w_s (``SEEDS``)
-is a root of the unit quadratic w^2 - a_{0,s}*w + 1, adjoined in a
-minimal tower, and each other weight is
-w_i = (w_s^2 - 1)/(a_{s,i}*w_s - a_{0,i}).  The quadratic-root choice is
-recorded as ``branch`` and the sign of r as ``r_sign``.
+is the root (a_{0,s} + branch*s)/2 of w^2 - a_{0,s}*w + 1, with
+s^2 = a_{0,s}^2 - 4 adjoined in a minimal tower, and each other weight
+and its inverse are a_{0,i}/2 +- c_i*branch*s, c_i in a's field
+(``_weights_from_seed``).  The quadratic-root choice is recorded as
+``branch`` and the sign of r as ``r_sign``.
 
 Everything decided here is an exact zero test; the interval arithmetic
 in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import combinations, islice
 from math import isqrt
 
 from .fastfield import (
@@ -66,7 +67,8 @@ class ZeroWeight(ValueError):
 
 
 class DenominatorZero(ZeroDivisionError):
-    """The reconstruction denominator vanished: the a-matrix was invalid."""
+    """The a-matrix is off the image of phi: its seed value is +-2, or
+    a quadric or a pair value of the inverse of phi fails."""
 
 
 class AllPlusMinusTwo(ValueError):
@@ -154,24 +156,26 @@ def case_a_values(case, q, r_value=None):
 # weight families
 
 class WeightFamily:
-    """Exact weights (1, w1, w2, w3) of one constructed family.
+    """Exact weights (1, w1, w2, w3) of one constructed family, and
+    their ``inverses`` 1/w_i, which the construction gives alongside.
 
-    ``inverses`` holds 1/w_i, one tower inverse per weight, built on
-    first use and kept.  ``ratios`` is the family's one table of weight
-    ratios, ratios[i][j] = w_i / w_j, one product per entry of those
+    ``ratios`` is the family's one table of weight ratios,
+    ratios[i][j] = w_i / w_j, one product per entry of weights and
     inverses: the a-matrix, the dense type-II and Haagerup certificates,
     the formal-monomial H(W) and the Jones graph read it.  The spectral
     type-II test and the Jones sweeps need only the weights and
     ``inverses``.
     """
 
-    def __init__(self, case, q, branch, r_sign, desc, weights, r_value):
+    def __init__(self, case, q, branch, r_sign, desc, weights, inverses,
+                 r_value):
         self.case = case
         self.q = Fraction(q)
         self.branch = branch
         self.r_sign = r_sign
         self.desc = desc
         self.weights = tuple(weights)
+        self.inverses = tuple(inverses)
         self.r_value = r_value
         if not self.weights[0] == 1:
             raise ValueError("a family's first weight w_0 must be 1")
@@ -179,10 +183,6 @@ class WeightFamily:
     @property
     def n(self):
         return self.q * self.q - 1
-
-    @cached_property
-    def inverses(self):
-        return tuple(w.inverse() for w in self.weights)
 
     @cached_property
     def ratios(self):
@@ -202,34 +202,35 @@ class WeightFamily:
         return f"WeightFamily({self.label()})"
 
 
-def unit_quadratic_root(a, branch):
-    """w with w + 1/w = a, branch picking the root (a +- sqrt(a^2-4))/2.
+def discriminant_root(a):
+    """(descriptor, s) with s^2 = a^2 - 4, the discriminant of the unit
+    quadratic w^2 - a*w + 1, whose roots are (a +- s)/2.
 
-    Returns (descriptor, w); extends a's tower by one pure-radical level
-    unless the discriminant already has a square root there.  A split
-    root is taken positive when it is real.
+    Extends a's tower by one pure-radical level unless a^2 - 4 already
+    has a square root there.  A split root is taken positive when it is
+    real.
     """
     try:
-        desc, s = adjoin_radical(a.desc, a * a - 4)
+        return adjoin_radical(a.desc, a * a - 4)
     except Reducible as split:
-        desc, s = a.desc, split.root
+        s = split.root
         try:
             if element_sign(s) < 0:
                 s = -s
         except ValueError:
             pass  # non-real split root: keep the one adjoin_radical found
-    return desc, (a.lift(desc) + s * branch) / 2
+        return a.desc, s
 
 
 @cache
 def family_coefficients(case, q, r_sign=1, branch=1):
     """Construct one family exactly at an even rational q >= 4.
 
-    The seed weight w_s is the ``branch`` root of w^2 - a_{0,s} w + 1,
-    and the inverse of phi from the pair (w_0, w_s) = (1, w_s) gives the
-    other weights.  Cached, as ``case_a_symbolic`` is: scans and suites
-    ask for the same variants at the same q, and a family is never
-    mutated.
+    The seed weight w_s is the ``branch`` root (a_{0,s} + branch*s)/2 of
+    w^2 - a_{0,s} w + 1, and the inverse of phi from the pair
+    (w_0, w_s) = (1, w_s) gives the other weights and every inverse.
+    Cached, as ``case_a_symbolic`` is: scans and suites ask for the
+    same variants at the same q, and a family is never mutated.
     """
     case = normalize_case(case)
     q = Fraction(q)
@@ -241,14 +242,14 @@ def family_coefficients(case, q, r_sign=1, branch=1):
     a = [[None] * 4 for _ in range(4)]
     for (i, j), v in zip(PAIRS, case_a_values(case, q, r_val)):
         a[i][j] = a[j][i] = v
-    s = SEEDS[case]
-    desc, w_s = unit_quadratic_root(a[0][s], branch)
-    weights = _weights_from_seed(a, 0, s, TowerElement.rational(1, desc), w_s)
+    desc, s = discriminant_root(a[0][SEEDS[case]])
+    weights, inverses = _weights_from_seed(a, 0, SEEDS[case], s * branch)
     if case == "vi" and not weights[1] * weights[2] == -weights[3]:
         raise InvalidCase("w1*w2 = -w3 failed; inconsistent construction")
     if r_val is not None:
         r_val = r_val.lift(desc)
-    return WeightFamily(case, q, branch, r_sign, desc, weights, r_val)
+    return WeightFamily(case, q, branch, r_sign, desc, weights, inverses,
+                        r_val)
 
 
 def all_families(q, cases=CASES, branches=(1, -1)):
@@ -291,10 +292,13 @@ def _pair_sums(ratios):
 
 
 def reconstruct_weights(a, i0, i1, w_pair):
-    """Invert phi from a seed pair, w_i = (w1^2-w0^2)/(a1i*w1 - a0i*w0).
+    """Invert phi from a seed pair: the weights w with phi(w) = a and
+    (w_{i0}, w_{i1}) = w_pair.
 
-    ``a`` must satisfy the quadric/determinant constraints of the image
-    of phi; the seeds must satisfy w0/w1 + w1/w0 = a_{i0,i1}.  When
+    The seeds must satisfy w0/w1 + w1/w0 = a_{i0,i1}.  The ratios
+    w_i/w0 of ``_weights_from_seed``, for delta = 2*w1/w0 - a_{i0,i1},
+    are scaled by w0; a value a_{i,j} away from both seeds is checked
+    too, so an ``a`` off the image of phi raises DenominatorZero.  When
     a_{i0,i1} = +-2 the descent is degenerate: if every off-diagonal
     entry is +-2 the explicit section through (2, a_{0,1}, ..., a_{0,d})
     is returned, otherwise AllPlusMinusTwo asks the caller to reseed.
@@ -311,25 +315,54 @@ def reconstruct_weights(a, i0, i1, w_pair):
             scale = w_pair[0] / section[i0]
             return [s * scale for s in section]
         raise AllPlusMinusTwo("a[i0][i1] = +-2 but the matrix is not degenerate")
-    return _weights_from_seed(a, i0, i1, w0, w1)
+    xs, ys = _weights_from_seed(a, i0, i1, 2 * (w1 / w0) - a[i0][i1])
+    for i, j in combinations(range(d1), 2):
+        if {i, j}.isdisjoint((i0, i1)) and \
+                not xs[i] * ys[j] + xs[j] * ys[i] == a[i][j]:
+            raise DenominatorZero(f"a[{i}][{j}] is off the image of phi")
+    return [x * w0 for x in xs]
 
 
-def _weights_from_seed(a, i0, i1, w0, w1):
-    """The weights w_i = (w1^2 - w0^2)/(a_{i1,i} w1 - a_{i0,i} w0) for
-    every i other than the seed indices i0 and i1."""
-    out = [None] * len(a)
-    out[i0], out[i1] = w0, w1
-    diff = w1 * w1 - w0 * w0
+def _weights_from_seed(a, i0, i1, delta):
+    """The inverse of phi as a linear closed form: the ratios
+    x_i = w_i / w_{i0} and their inverses y_i = 1/x_i, as two lists.
+
+    The seed ratio u = w_{i1} / w_{i0} is given by delta = u - 1/u.
+    With m = a_{i0,i1} = u + 1/u, u = (m + delta)/2 and
+    delta^2 = m^2 - 4.  For every other i, x = x_i and y = y_i solve the
+    linear system
+        x + y = a_{i0,i},    x/u + u*y = a_{i1,i}.
+    Eliminating y gives x (1/u - u) = a_{i1,i} - u a_{i0,i}, and so
+        x, y = a_{i0,i}/2 +- c_i*delta,
+        c_i = (a_{i0,i}*m - 2*a_{i1,i}) / (2(m^2 - 4)),
+    where c_i lies in a's field: one inverse there, 1/(2(m^2 - 4)), and
+    no inverse or division in delta's tower.  The solution has
+    x*y = a_{i0,i}^2/4 - c_i^2 (m^2 - 4), which is 1 exactly when the
+    quadric g(m, a_{i0,i}, a_{i1,i}) = m^2 + a_{i0,i}^2 + a_{i1,i}^2
+    - m*a_{i0,i}*a_{i1,i} - 4 vanishes.  That exact check, one per i,
+    certifies y = 1/x, so then w_i/w_{i0} + w_{i0}/w_i = a_{i0,i} and
+    w_i/w_{i1} + w_{i1}/w_i = a_{i1,i}.  DenominatorZero is raised for
+    m = +-2 and for a failed quadric.
+    """
+    m = a[i0][i1]
+    disc = m * m - 4
+    if disc.is_zero():
+        raise DenominatorZero(f"a[{i0}][{i1}] = +-2")
+    scale = (2 * disc).inverse()
+    half = Fraction(1, 2)
+    xs, ys = [None] * len(a), [None] * len(a)
+    xs[i0] = ys[i0] = TowerElement.rational(1, delta.desc)
+    xs[i1], ys[i1] = (m + delta) * half, (m - delta) * half
     for i in range(len(a)):
         if i in (i0, i1):
             continue
-        den = a[i1][i] * w1 - a[i0][i] * w0
-        if den.is_zero():
-            raise DenominatorZero(f"denominator vanished at index {i}")
-        out[i] = diff / den
-        if out[i].is_zero():
-            raise DenominatorZero(f"reconstructed weight {i} is zero")
-    return out
+        a0, a1 = a[i0][i], a[i1][i]
+        if not (disc + a0 * a0 + a1 * a1 - m * a0 * a1).is_zero():
+            raise DenominatorZero(f"quadric g(a[{i0}][{i1}], a[{i0}][{i}], "
+                                  f"a[{i1}][{i}]) is not zero")
+        step = (a0 * m - 2 * a1) * scale * delta
+        xs[i], ys[i] = a0 * half + step, a0 * half - step
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,22 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from bmhadamard.exactfield import TowerElement
+from bmhadamard.exactfield import Reducible, TowerElement, adjoin_radical
 from bmhadamard.fastfield import rational_reconstruct
 from bmhadamard.identities import _COUNTERS, _LINES
+from bmhadamard.intervals import element_sign
 from bmhadamard.invariants import HaagerupData, _class_patterns
 from bmhadamard.pell import base_solutions, descend
-from bmhadamard.ratfunc import RatQ
+from bmhadamard.ratfunc import RatQ, r_value_at
 from bmhadamard.scheme import parametric_scheme
-from bmhadamard.typeii import TypeIIMatrix, ZeroWeight, all_families
+from bmhadamard.typeii import (
+    PAIRS,
+    SEEDS,
+    TypeIIMatrix,
+    ZeroWeight,
+    all_families,
+    case_a_values,
+)
 
 
 def _trim(cs):
@@ -63,6 +71,37 @@ def phi_oracle(weights):
             r = ws[i] / ws[j]
             a[i][j] = a[j][i] = r + r.inverse()
     return a
+
+
+def family_division_oracle(case, q, r_sign=1, branch=1):
+    """(descriptor, weights) of a family by one tower division per weight.
+
+    w_s = (a_{0,s} + branch*s)/2 with s^2 = a_{0,s}^2 - 4 adjoined (a
+    split root taken positive when real), and every other weight
+    w_i = (w_s^2 - 1)/(a_{s,i} w_s - a_{0,i}), the inverse of phi from
+    the pair (1, w_s).
+    """
+    r_val = r_value_at(Fraction(q), r_sign) if case == "vi" else None
+    a = [[None] * 4 for _ in range(4)]
+    for (i, j), v in zip(PAIRS, case_a_values(case, q, r_val)):
+        a[i][j] = a[j][i] = v
+    s = SEEDS[case]
+    try:
+        desc, root = adjoin_radical(a[0][s].desc, a[0][s] * a[0][s] - 4)
+    except Reducible as split:
+        desc, root = a[0][s].desc, split.root
+        try:
+            if element_sign(root) < 0:
+                root = -root
+        except ValueError:
+            pass
+    w_s = (a[0][s].lift(desc) + root * branch) / 2
+    weights = [TowerElement.rational(1, desc)] * 4
+    weights[s] = w_s
+    for i in range(1, 4):
+        if i != s:
+            weights[i] = (w_s * w_s - 1) / (a[s][i] * w_s - a[0][i])
+    return desc, weights
 
 
 def fused_rows(scheme, merged):

@@ -30,7 +30,8 @@ from bmhadamard.typeii import (
 
 def test_all_ones_matrix_has_trivial_haagerup_set():
     ones = [TowerElement.rational(1) for _ in range(4)]
-    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, None)
+    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, [w.inverse() for w in ones],
+                        None)
     data = haagerup_bruteforce(TypeIIMatrix(fake))
     assert len(data.h_set) == 1 and data.h_set[0] == 1
     assert data.k_set == ()

@@ -120,7 +120,9 @@ def test_forced_zero_symmetry_control():
     d2, rt2 = adjoin_radical(d, disc)
     x = (root_t.lift(d2) + rt2) / 2
     one = TowerElement.rational(1, d2)
-    fake = WeightFamily("i", 4, 1, 1, d2, [one, x, one, one], None)
+    w = [one, x, one, one]
+    fake = WeightFamily("i", 4, 1, 1, d2, w, [v.inverse() for v in w],
+                        None)
     vals = symmetry_values(fake)
     assert vals[0].is_zero()
     assert not check_symmetric(fake)

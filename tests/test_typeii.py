@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     dense_type_ii_oracle,
+    family_division_oracle,
     lift_per_coordinate_oracle,
     phi_oracle,
 )
@@ -28,6 +29,7 @@ from bmhadamard.typeii import (
     ZeroWeight,
     all_families,
     case_a_values,
+    discriminant_root,
     family_coefficients,
     is_hadamard,
     is_type_ii,
@@ -35,7 +37,6 @@ from bmhadamard.typeii import (
     phi,
     reconstruct_weights,
     span_condition,
-    unit_quadratic_root,
 )
 
 
@@ -202,7 +203,8 @@ def test_phi_matches_the_per_pair_division(families_q4):
 def test_family_rejects_first_weight_other_than_one():
     one = TowerElement.rational(1)
     with pytest.raises(ValueError):
-        WeightFamily("iv", 4, 1, 1, QQ, [2 * one, one, one, one], None)
+        w = [2 * one, one, one, one]
+        WeightFamily("iv", 4, 1, 1, QQ, w, [v.inverse() for v in w], None)
 
 
 def test_reconstruct_case_ii_closed_form():
@@ -243,6 +245,32 @@ def test_reconstruct_denominator_zero():
     w1 = (three.lift(d) + s5) / 2
     with pytest.raises(DenominatorZero):
         reconstruct_weights(a, 0, 1, (TowerElement.rational(1, d), w1))
+
+
+def test_reconstruct_rejects_a_off_the_image_of_phi(families_q4):
+    # a_{1,2} moved by 1/7: from the seeds (0, 2) the quadric
+    # g(a_{0,2}, a_{0,1}, a_{2,1}) fails
+    fam = families_q4[("iv", 1, 1)]
+    a = fam.a_matrix()
+    a[1][2] = a[2][1] = a[1][2] + Fraction(1, 7)
+    with pytest.raises(DenominatorZero):
+        reconstruct_weights(a, 0, 2, (fam.weights[0], fam.weights[2]))
+
+
+@pytest.mark.parametrize("weights, moved", [
+    # three weights leave no pair away from the seeds: the quadric decides
+    ((1, 2, 3), (1, 2)),
+    # every quadric through the seeds (0, 1) holds: the pair check decides
+    ((1, 2, 3, 5), (2, 3)),
+])
+def test_reconstruct_rejects_a_moved_value(weights, moved):
+    ws = [TowerElement.rational(x) for x in weights]
+    a = phi(ws)
+    assert reconstruct_weights(a, 0, 1, ws[:2]) == ws
+    i, j = moved
+    a[i][j] = a[j][i] = a[i][j] + 1
+    with pytest.raises(DenominatorZero):
+        reconstruct_weights(a, 0, 1, ws[:2])
 
 
 def test_reconstructed_moduli_agree_inside_interval(families_q4):
@@ -337,7 +365,8 @@ def test_type_ii_all_families(families_q4):
 
 def test_all_ones_is_not_type_ii():
     ones = [TowerElement.rational(1) for _ in range(4)]
-    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, None)
+    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, [w.inverse() for w in ones],
+                        None)
     ok, cert = is_type_ii(fake)
     assert not ok and not cert["dense_identity"]
 
@@ -355,7 +384,7 @@ def test_perturbed_weight_fails_every_type_ii_test(families_q4, key):
     w = list(fam.weights)
     w[1] = w[1] * 2
     fake = WeightFamily(fam.case, fam.q, fam.branch, fam.r_sign, fam.desc, w,
-                        fam.r_value)
+                        [v.inverse() for v in w], fam.r_value)
     assert typeii._dense_type_ii_check(fake) is False
     assert dense_type_ii_oracle(fake) is False
     ok, cert = is_type_ii(fake)
@@ -375,7 +404,8 @@ def test_hadamard_leaves_type_ii_to_the_caller():
     # the all-ones weights give J: unimodular, so is_hadamard says yes, and
     # not type-II, which is is_type_ii's verdict, not is_hadamard's
     ones = [TowerElement.rational(1) for _ in range(4)]
-    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, None)
+    fake = WeightFamily("iv", 4, 1, 1, QQ, ones, [w.inverse() for w in ones],
+                        None)
     had, cert = is_hadamard(fake)
     assert had and not cert["interval/criterion"]
     assert not is_type_ii(fake)[0]
@@ -395,30 +425,48 @@ def test_non_butson_witnesses(families_q4):
             non_butson_witness(families_q4[(case, 1, 1)])
 
 
-def test_unit_quadratic_root_identity():
+def test_discriminant_root_identity():
     a = TowerElement.rational(Fraction(5, 3))
-    for branch in (1, -1):
-        desc, w = unit_quadratic_root(a, branch)
-        assert w + w.inverse() == a.lift(desc)
-    dp, wp = unit_quadratic_root(a, 1)
-    dm, wm = unit_quadratic_root(a, -1)
-    assert wp * wm == 1  # the two branches are mutual inverses
+    desc, s = discriminant_root(a)
+    assert desc.depth == 1 and s * s == a * a - 4
+    # the branches (a +- s)/2 are the roots of w^2 - a w + 1, so they sum
+    # to a and are mutual inverses
+    wp, wm = (a.lift(desc) + s) / 2, (a.lift(desc) - s) / 2
+    assert wp + wp.inverse() == a and wp * wm == 1
 
 
-def test_unit_quadratic_root_split_discriminant():
+def test_discriminant_root_split_discriminant():
     # a^2 - 4 is a square in a's field: no level is adjoined, and a real
     # root of the discriminant is taken positive
     a = TowerElement.rational(Fraction(5, 2))
-    assert unit_quadratic_root(a, 1) == (QQ, 2)
-    assert unit_quadratic_root(a, -1) == (QQ, Fraction(1, 2))
+    assert discriminant_root(a) == (QQ, Fraction(3, 2))
+    assert discriminant_root(-a) == (QQ, Fraction(3, 2))
     # a = 1 over Q(sqrt -3): the discriminant -3 has the non-real root t,
     # kept as found, so the branches are the sixth roots of unity (1 +- t)/2
     d, t = adjoin_radical(QQ, -3)
     one = TowerElement.rational(1, d)
-    for branch in (1, -1):
-        desc, w = unit_quadratic_root(one, branch)
-        assert desc == d and w == (one + t * branch) / 2
-        assert w * w - w + 1 == 0 and complex_conj(w) != w
+    desc, s = discriminant_root(one)
+    assert desc == d and s == t and s * s == -3
+    w = (one + s) / 2
+    assert w * w - w + 1 == 0 and complex_conj(w) != w
+
+
+@given(st.integers(2, 5000))
+@settings(max_examples=12, deadline=None)
+def test_family_matches_the_division_oracle(half_q):
+    # the closed form gives the descriptor, weights and branch of one tower
+    # division per weight, and inverses equal to the tower inverses
+    q = 2 * half_q
+    for case in typeii.CASES:
+        for branch, r_sign in itertools.product(
+                (1, -1), (1, -1) if case == "vi" else (1,)):
+            fam = family_coefficients(case, q, r_sign, branch)
+            desc, weights = family_division_oracle(case, q, r_sign, branch)
+            assert (fam.case, fam.branch, fam.r_sign) == (case, branch, r_sign)
+            assert fam.desc == desc
+            assert all(x.desc == desc for x in fam.weights + fam.inverses)
+            assert fam.weights == tuple(weights), (case, q, branch, r_sign)
+            assert fam.inverses == tuple(w.inverse() for w in weights)
 
 
 def test_beta_zero_extension(families_q4):
