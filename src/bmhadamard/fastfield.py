@@ -13,17 +13,17 @@ Jones sweeps, the dense type-II check, the Jones graph and the span
 rank share.  Each of them takes integer coordinates over one common
 denominator and zero-tests integer vectors whose scale is positive.
 
-Ranks are found mod p: ``FlatTower.embeddings`` maps a tower onto F_p
-for a prime that splits it completely (for the span rank, the real
-subfield below the imaginary level), ``echelon_mod_p`` eliminates on
-residues, ``kernel_mod_p`` reads the reduced-echelon kernel off the same
-pivot rows, and ``coordinates_mod_p`` with ``rational_reconstruct`` lift
-its vectors back to the tower.  Both eliminations hold each row as one
-packed Python int, a fixed-width slot per column, so reducing a row is
-one big-integer multiply-add and slots are reduced mod p only when a
-row is final (``_slot_bits`` bounds the slots).  A rank mod p is only a
-lower bound; the caller (``typeii.span_condition``) turns it into a
-verdict with an exact upper bound.
+Ranks are found mod p: ``FlatTower.embedding`` is one map of a tower
+onto F_p (for the span rank, of the real subfield below the imaginary
+level), ``echelon_mod_p`` eliminates integer rows on residues,
+``kernel_mod_p`` reads the reduced-echelon kernel off the same pivot
+rows, and ``rational_reconstruct`` lifts a residue back to Q (the span
+rank lifts kernels over Q only, never over a tower).  Both eliminations
+hold each row as one packed Python int, a fixed-width slot per column,
+so reducing a row is one big-integer multiply-add and slots are reduced
+mod p only when a row is final (``_slot_bits`` bounds the slots).  A
+rank mod p is only a lower bound; the caller (``typeii.span_condition``)
+turns it into a verdict with an exact upper bound.
 
 Every exact operation agrees with :mod:`bmhadamard.exactfield`, which
 remains the semantic reference (the test suite checks them against each
@@ -98,36 +98,24 @@ class FlatTower:
                     out[k] += a * b * t
         return out
 
-    def embeddings(self, p):
-        """The ring maps from the p-integral tower elements onto F_p.
+    def embedding(self, p):
+        """One ring map from the p-integral tower elements onto F_p.
 
-        ``p`` must be an odd prime.  Returns (images, roots):
-        ``images[e]`` lists the residues of the basis elements under map
-        e, and ``roots[j][i]`` is the pair of roots mod p of level j's
-        quadratic under the i-th map of the levels below it; map 2i + b
-        of a level extends map i below it by root b.  Returns None unless
-        p splits the tower completely: p must not divide a denominator of
-        a level's radicand s, and under every map below it each level's
-        s must be a nonzero square mod p.  The roots are then (r, p - r)
-        with r^2 = s.
+        ``p`` must be an odd prime.  Returns the residues of the basis
+        elements: level j's generator t goes to a square root mod p of
+        the image of its radicand s under the map of the levels below.
+        Returns None when p divides a denominator of some s, or when an
+        image of s is zero or not a square mod p.
         """
-        images, roots = [[1]], []
+        img = [1]
         for j, ls in enumerate(self.desc.levels):
             sc = TowerElement(self.desc.prefix(j), ls).coefficients()
-            pairs, nxt = [], []
-            for img in images:
-                s = _residue(sc, img, p)
-                if s is None:
-                    return None
-                r = _sqrt_mod(s, p)
-                if r is None:
-                    return None
-                pair = (r, p - r)
-                pairs.append(pair)
-                nxt.extend(img + [x * t % p for x in img] for t in pair)
-            images = nxt
-            roots.append(pairs)
-        return images, roots
+            s = _residue(sc, img, p)
+            r = None if s is None else _sqrt_mod(s, p)
+            if r is None:
+                return None
+            img = img + [x * r % p for x in img]
+        return img
 
     def from_flat(self, val):
         vec, den = val
@@ -222,24 +210,6 @@ def _sqrt_mod(a, p):
         e, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def coordinates_mod_p(values, roots, p):
-    """Tower coordinates mod p of the element with residues ``values``.
-
-    ``values[e]`` is the residue under map e of ``FlatTower.embeddings``;
-    the maps invert level by level from the top, because x = lo + hi * t
-    gives lo + hi * t1 and lo + hi * t2 under the two roots t1 != t2.
-    """
-    if not roots:
-        return values
-    lo, hi = [], []
-    for (t1, t2), v1, v2 in zip(roots[-1], values[0::2], values[1::2]):
-        b = (v1 - v2) * pow(t1 - t2, -1, p) % p
-        lo.append((v1 - b * t1) % p)
-        hi.append(b)
-    return (coordinates_mod_p(lo, roots[:-1], p)
-            + coordinates_mod_p(hi, roots[:-1], p))
 
 
 def _level_generator(desc, lvl):

@@ -28,7 +28,6 @@ from itertools import combinations, islice
 from math import isqrt
 
 from .fastfield import (
-    coordinates_mod_p,
     echelon_mod_p,
     flat_tower,
     kernel_mod_p,
@@ -534,10 +533,12 @@ def non_butson_witness(family):
 # ---------------------------------------------------------------------------
 # isolation: the span condition
 
-# the candidate primes span_condition draws before it gives up: over ten
-# times the most any verdict of the test suite has needed (151, for a
-# random input over a depth-2 tower, where a quarter of the primes split)
-# and far above the 3 of each q = 4 verdict of ``report --suite all``
+# the candidate primes span_condition draws before it gives up: over
+# seventy times the most any verdict drew in six runs of the test suite
+# (21, for a random 5 x 5 input over vi's tower, where half the primes
+# map K0 = Q(r) onto F_p and the kernel lift needs about ten of those;
+# 300 inputs of the test's strategy drew at most 27), and far above the
+# 1 to 3 of each q = 4 verdict
 SPAN_PRIME_CAP = 2000
 
 
@@ -564,28 +565,35 @@ def span_condition(dense, desc, return_rank=False):
     a, and A = B M with M onto, so again rank A = rank B.
 
     The rank r of B over K0 is pinned between a lower and an upper
-    bound, both exact:
+    bound, both exact.  Each prime p is used through one ring map of K0
+    onto F_p (``FlatTower.embedding``), and p is skipped when it has none.
 
-    * Lower bound.  For a prime p that splits K0, a choice of roots mod
-      p is a ring map from the elements of K0 with p-integral
+    * Lower bound.  The map sends the elements of K0 with p-integral
       coordinates onto F_p.  B's exact rows are integer coordinates over
       K0 (B times one positive integer), so a nonzero minor mod p is the
       image of a nonzero minor over K0: the rank mod p is at most r.
-    * Upper bound (n - 1)^2, when H*H is diagonal, which is checked
+    * Upper bound 1, the number of columns of B.  A rank mod p equal to
+      it settles r; this is the route of every real tower of full rank.
+    * Upper bound 2, (n - 1)^2, when H*H is diagonal, which is checked
       exactly.  The n sums of the rows of one w vanish identically, and
       the n sums of the rows of one v are the off-diagonal entries of
       H*H, so they vanish too.  The row and column indicator vectors of
       an n x n grid span 2n - 1 dimensions, so rank A <= n^2 - (2n - 1).
       A rank mod p of (n - 1)^2 then settles r.
-    * Upper bound from a kernel certificate, in every other case.  The
-      reduced-echelon kernel of B mod p under every map of K0 gives the
-      K0-coordinates of the kernel vectors mod p; they are combined
-      over primes by CRT and lifted by rational reconstruction, and each
-      lifted vector is checked to satisfy B x = 0 exactly.  Their
-      identity block on the free columns makes them independent, so r
-      is at most the number of columns minus the number of vectors,
-      which is the rank mod p.  A prime whose rank falls below the best
-      so far is dropped; a failed reconstruction or check asks for
+    * Upper bound 3, a kernel certificate over Q, in every other case.
+      With d = [K0:Q] and K0's basis e, restriction of scalars writes B
+      as the d-times-larger matrix B_Q over Q: its entry at row (r, k)
+      and column (c, l) is coordinate k of B[r][c] e_l.  B_Q x = 0 says
+      that B kills the vector of K0 with coordinates x, so
+      rank_Q B_Q = d r.  The reduced-echelon kernel of B_Q mod p is
+      combined over primes by CRT and lifted by rational
+      reconstruction, and each lifted vector is checked to satisfy
+      B_Q x = 0 exactly.  Their identity block on the free columns makes
+      them independent, so rank_Q B_Q is at most the rank of B_Q mod p,
+      which is also a lower bound, and r = rank_p(B_Q) / d.  When
+      K0 = Q, B_Q is B and the elimination under the map serves both.
+      A prime whose rank falls below the best so far, or whose pivots
+      come later, is dropped; a failed reconstruction or check asks for
       another prime.
 
     No step rounds, and no verdict rests on an unchecked prime.  Raises
@@ -596,33 +604,30 @@ def span_condition(dense, desc, return_rank=False):
         raise NotSquare("dense matrix is not square")
     H = [e.lift(desc) for row in dense for e in row]
     span = _CommutatorSpan(desc, n, H)
-    target = (n - 1) ** 2
+    target, d = (n - 1) ** 2, span.flat.dim
     best, modulus, residues = None, 1, {}
     for p in islice(primes(), SPAN_PRIME_CAP):
-        maps = span.flat.embeddings(p)
-        if maps is None:
+        img = span.flat.embedding(p)
+        if img is None:
             continue
-        images, roots = maps
-        echelons = [echelon_mod_p(span.rows_mod_p(images[0], p), p)]
-        if len(echelons[0]) == target and span.gram_is_diagonal():
-            rank = target
+        pivots = echelon_mod_p(span.rows_mod_p(img, p), p)
+        rank = len(pivots)
+        if rank == len(span.columns) or \
+                rank == target and span.gram_is_diagonal():
             break
-        echelons += [echelon_mod_p(span.rows_mod_p(img, p), p)
-                     for img in images[1:]]
-        pivots = {tuple(sorted(e)) for e in echelons}
-        if len(pivots) > 1:
-            continue  # the maps of K0 disagree: p is unlucky
-        pivots = pivots.pop()
-        if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best, modulus, residues = pivots, 1, {}  # start over from p
-        elif pivots != best:
+        if d > 1:
+            pivots = echelon_mod_p(span.rows_over_q, p)
+        key = sorted(pivots)
+        if best is None or (-len(key), key) < (-len(best), best):
+            best, modulus, residues = key, 1, {}  # start over from p
+        elif key != best:
             continue  # a lower rank or later pivots: p is unlucky
-        residues = _crt(residues, modulus, span.kernel_coordinates(
-            echelons, roots, p), p, span.flat.dim)
+        residues = _crt(residues, modulus,
+                        kernel_mod_p(pivots, span.q_columns, p), p)
         modulus *= p
         vectors = _lift(residues, modulus)
         if vectors is not None and span.annihilates(vectors):
-            rank = len(best)
+            rank = len(best) // d
             break
     else:
         raise RankUndecided(f"no rank certificate in {SPAN_PRIME_CAP} primes")
@@ -632,14 +637,17 @@ def span_condition(dense, desc, return_rank=False):
 
 
 class _CommutatorSpan:
-    """The matrix B of ``span_condition``, exactly and mod p.
+    """The matrix B of ``span_condition``: exactly, mod p, and over Q.
 
     ``products`` holds conj(H_wv) H_wy over K, from the integer
     coordinates of H and conj(H) (row-major, over ``hden`` and ``cden``):
     its exact values times tower.tden * hden * cden > 0, so zero tests
     on them are exact.  ``rows`` reads B, times the same integer, off
     them as integer coordinates over K0 (``flat``): the low half of K's
-    basis is K0's, and the high half is t times it.
+    basis is K0's, and the high half is t times it.  ``rows_over_q`` is
+    B_Q, the restriction of scalars of B to Q, on ``q_columns``; its
+    entries are ``flat.int_mul`` products, so they share the one
+    positive scale of ``rows`` times flat.tden.
     """
 
     def __init__(self, desc, n, H):
@@ -653,6 +661,8 @@ class _CommutatorSpan:
                      else self.tower)
         self.columns = [v * n + y for v in range(n) for y in range(n)
                         if v < y or self.split and v != y]
+        d = self.flat.dim
+        self.q_columns = [c * d + l for c in self.columns for l in range(d)]
 
     @cached_property
     def products(self):
@@ -699,106 +709,94 @@ class _CommutatorSpan:
                     return False
         return True
 
-    def kernel_coordinates(self, echelons, roots, p):
-        """K0-coordinates mod p of the reduced-echelon kernel vectors.
-
-        ``echelons`` holds one echelon form per map of K0's
-        ``embeddings``, in order; returns {(free column, column):
-        coordinates}.
-        """
-        kernels = [kernel_mod_p(e, self.columns, p) for e in echelons]
-        out = {}
-        for f in kernels[0]:
-            for c in set().union(*(k[f] for k in kernels)):
-                out[(f, c)] = coordinates_mod_p(
-                    [k[f].get(c, 0) for k in kernels], roots, p)
+    @cached_property
+    def rows_over_q(self):
+        """B_Q's rows, [{c * d + l: entry}]: row (r, k) of B_Q follows
+        row r of B, and its entry at (c, l) is coordinate k of B[r][c]
+        times the basis element e_l of K0, d = [K0:Q] (zeros left out).
+        When K0 = Q, B_Q is B."""
+        flat = self.flat
+        d = flat.dim
+        units = [[int(k == l) for k in range(d)] for l in range(d)]
+        out = []
+        for row in self.rows:
+            over_q = [{} for _ in range(d)]
+            for c, a in row.items():
+                for l, e in enumerate(units):
+                    for k, x in enumerate(flat.int_mul(a, e)):
+                        if x:
+                            over_q[k][c * d + l] = x
+            out += over_q
         return out
 
     def annihilates(self, vectors):
-        """Exact: B x = 0 for every (vector, den) of ``_lift``.
+        """Exact: B_Q x = 0 for every (vector, den) of ``_lift``.
 
-        Each vector holds the integer coordinates of x times its den > 0,
-        so B x = 0 iff B vector = 0.  The vectors are packed side by side
-        into one integer per coordinate, in slots of ``bits`` bits.  A
-        sum of packed values is zero iff every slot's sum is, because
-        each slot's sum is below 2^(bits - 1) in absolute value: the
-        lowest nonzero slot would otherwise survive modulo the next.
+        Each vector holds x times its den > 0, so B_Q x = 0 iff
+        B_Q vector = 0.  The vectors are packed side by side into one
+        integer per column, in slots of ``bits`` bits.  A sum of packed
+        values is zero iff every slot's sum is, because each slot's sum
+        is below 2^(bits - 1) in absolute value: the lowest nonzero slot
+        would otherwise survive modulo the next.
         """
         if not vectors:
             return True
-        flat = self.flat
-        ints = [vec for vec, _ in vectors]
-        top_a = max(abs(x) for row in self.rows for e in row.values()
-                    for x in e)
-        top_x = max(abs(x) for vec in ints for e in vec.values() for x in e)
-        top_t = max(abs(t) for *_, t in flat.triples)
-        terms = 2 * (self.n - 1) * len(flat.triples)
-        bits = (terms * top_a * top_x * top_t).bit_length() + 1
+        rows = self.rows_over_q
+        top_a = max((abs(a) for row in rows for a in row.values()),
+                    default=0)
+        top_x = max(abs(x) for vec, _ in vectors for x in vec.values())
+        bits = (max(map(len, rows)) * top_a * top_x).bit_length() + 1
         packed = {}
-        for slot, vec in enumerate(ints):
-            for c, coords in vec.items():
-                cur = packed.setdefault(c, [0] * flat.dim)
-                for k, x in enumerate(coords):
-                    cur[k] += x << (slot * bits)
-        for row in self.rows:
-            acc = [0] * flat.dim
-            for c, a in row.items():
-                x = packed.get(c)
-                if x is not None:
-                    for k, y in enumerate(flat.int_mul(a, x)):
-                        acc[k] += y
-            if any(acc):
-                return False
-        return True
+        for slot, (vec, _) in enumerate(vectors):
+            for c, x in vec.items():
+                packed[c] = packed.get(c, 0) + (x << (slot * bits))
+        return not any(sum(a * packed.get(c, 0) for c, a in row.items())
+                       for row in rows)
 
 
-def _crt(residues, modulus, new, p, dim):
-    """Combine coordinates mod ``modulus`` with coordinates mod p."""
+def _crt(residues, modulus, kernel, p):
+    """Combine residues mod ``modulus`` with ``kernel_mod_p``'s vectors
+    mod p, keyed (free column, column); a missing key is 0."""
     inv = pow(modulus, -1, p)
-    zero = [0] * dim
+    new = {(f, c): r for f, vec in kernel.items() for c, r in vec.items()}
     out = {}
     for key in residues.keys() | new.keys():
-        old = residues.get(key, zero)
-        out[key] = [o + modulus * ((r - o) * inv % p)
-                    for o, r in zip(old, new.get(key, zero))]
+        old = residues.get(key, 0)
+        out[key] = old + modulus * ((new.get(key, 0) - old) * inv % p)
     return out
 
 
 def _lift(residues, modulus):
     """Kernel vectors over one denominator each, or None if one fails.
 
-    Returns [(vector, den)], one per free column: vector[column] holds
-    integer numerators over the vector's den > 0.  den starts at 1.  A
+    Returns [(vector, den)], one per free column: vector[column] is an
+    integer numerator over the vector's den > 0.  den starts at 1.  A
     residue u whose u * den mod m, taken in (-m/2, m/2], is at most
     bound = sqrt(m/2) in absolute value gives that numerator as it is;
     any other goes through ``rational_reconstruct``, a/b, and den and
     every numerator so far are multiplied by b.  A failed
     reconstruction, or a den above the bound, fails the lift.
 
-    So every coordinate is n0/den0 = u mod m for the den0 <= bound of
-    its step and some |n0| <= bound: it is the one fraction with
-    numerator and denominator at most the bound that reconstructs u.
-    Soundness does not rest on this: ``annihilates`` decides.
+    So every entry is n0/den0 = u mod m for the den0 <= bound of its
+    step and some |n0| <= bound: it is the one fraction with numerator
+    and denominator at most the bound that reconstructs u.  Soundness
+    does not rest on this: ``annihilates`` decides.
     """
     bound = isqrt(modulus // 2)
     lifted = {}
-    for (f, c), res in residues.items():
+    for (f, c), u in residues.items():
         vec, den = lifted.get(f, ({}, 1))
-        coords = []
-        for u in res:
-            x = u * den % modulus
-            if x > modulus - x:
-                x -= modulus
-            if abs(x) > bound:
-                frac = rational_reconstruct(x, modulus)
-                if frac is None or den * frac.denominator > bound:
-                    return None
-                b = frac.denominator
-                den *= b
-                vec = {cc: [v * b for v in vs] for cc, vs in vec.items()}
-                coords = [v * b for v in coords]
-                x = frac.numerator
-            coords.append(x)
-        vec[c] = coords
+        x = u * den % modulus
+        if x > modulus - x:
+            x -= modulus
+        if abs(x) > bound:
+            frac = rational_reconstruct(x, modulus)
+            if frac is None or den * frac.denominator > bound:
+                return None
+            b = frac.denominator
+            den *= b
+            vec = {cc: v * b for cc, v in vec.items()}
+            x = frac.numerator
+        vec[c] = x
         lifted[f] = vec, den
     return list(lifted.values())

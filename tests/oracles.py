@@ -234,15 +234,14 @@ def descent_oracle_every_x(problem, x_limit):
 
 
 def lift_per_coordinate_oracle(residues, modulus):
-    """Kernel vectors with rational coordinates, each coordinate
-    reconstructed on its own, or None if one fails."""
+    """Kernel vectors with rational entries, each residue reconstructed
+    on its own, or None if one fails."""
     vectors = {}
-    for (f, c), res in residues.items():
-        coords = [rational_reconstruct(u, modulus) if u else Fraction(0)
-                  for u in res]
-        if None in coords:
+    for (f, c), u in residues.items():
+        x = rational_reconstruct(u, modulus) if u else Fraction(0)
+        if x is None:
             return None
-        vectors.setdefault(f, {})[c] = coords
+        vectors.setdefault(f, {})[c] = x
     return list(vectors.values())
 
 

@@ -673,13 +673,20 @@ def test_span_relations_of_q4_families(families_q4, key):
     assert all(x.is_zero() for sums in col_sums for x in sums) == hadamard
 
 
-@pytest.mark.parametrize("key, isolated", [(("v", 1, 1), False),
-                                           (("iv", 1, 1), True),
-                                           (("vi", 1, 1), True)])
+# the span rank of each variant that test_one_elimination_per_prime runs
+SPAN_RANKS_Q4 = {("v", 1, 1): 186, ("iv", 1, 1): 196, ("vi", 1, 1): 196,
+                 ("i", 1, 1): 105, ("ii", 1, 1): 105, ("vi", -1, 1): 105,
+                 ("iii", 1, 1): 180}
+
+
+@pytest.mark.parametrize("key, isolated", [(key, rank == 196) for key, rank
+                                           in SPAN_RANKS_Q4.items()])
 def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
-    """B lies over K0 = Q for v and iv, so each prime tried costs one
-    elimination, not one per map of K; the isolated iv and vi r+ are
-    settled by their first."""
+    """Each prime costs one elimination, under one map of K0.  B lies over
+    K0 = Q for iii, v and iv, so that elimination also gives the kernel
+    certificate; the isolated iv and vi r+ settle on their first prime by
+    the (n-1)^2 bound, and the real towers of i, ii and vi r-, where B
+    has full rank 105, by the column bound."""
     honest_echelon, honest_primes = typeii.echelon_mod_p, typeii.primes
     calls, drawn = [], []
 
@@ -694,14 +701,51 @@ def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
 
     monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
     monkeypatch.setattr(typeii, "primes", counted)
-    fam = families_q4[key]
-    iso, rank = span_condition(TypeIIMatrix(fam).dense(), fam.desc,
-                               return_rank=True)
-    assert iso == isolated and rank == (196 if isolated else 186)
-    if isolated:
+    fam, rank = families_q4[key], SPAN_RANKS_Q4[key]
+    assert span_condition(TypeIIMatrix(fam).dense(), fam.desc,
+                          return_rank=True) == (isolated, rank)
+    if rank in (105, 196):
         assert len(calls) == 1
     else:
         assert calls == drawn
+
+
+@given(span_inputs())
+@settings(max_examples=30, deadline=None)
+def test_restriction_of_scalars_multiplies_the_rank_by_the_degree(data):
+    """rank_Q B_Q = [K0:Q] rank_K0 B, by exact elimination over Q."""
+    dense, desc = data
+    span = typeii._CommutatorSpan(desc, len(dense),
+                                  [e.lift(desc) for row in dense for e in row])
+    assert set().union(*span.rows_over_q) <= set(span.q_columns)
+    over_q = [{c: ((x,), 1) for c, x in row.items()}
+              for row in span.rows_over_q]
+    assert sparse_rank(over_q, FlatTower(QQ)) == \
+        span.flat.dim * oracle_span_rank(dense, desc)
+
+
+def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
+    """Over vi r+'s tower, K0 = Q(r) has degree 2.  A rank-one H has a
+    span rank below both (n-1)^2 and the column count, so each prime
+    eliminates B under its map (16 rows) and then B_Q (32 rows), and the
+    kernel certificate of B_Q gives the rank."""
+    desc = family_coefficients("vi", 4, 1, 1).desc
+    b = FlatTower(desc).basis
+    u = [b[0] + j * b[1] for j in range(1, 5)]
+    v = [b[0] * (k + 1) + b[2] - k * b[3] for k in range(4)]
+    dense = [[x * y for y in v] for x in u]
+    honest, sizes = typeii.echelon_mod_p, []
+
+    def echelon(rows, p):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return honest(rows, p)
+
+    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
+    rank = oracle_span_rank(dense, desc)
+    assert rank not in (9, 12)
+    assert span_condition(dense, desc, return_rank=True) == (False, rank)
+    assert sizes and sizes == [16, 32] * (len(sizes) // 2)
 
 
 def non_hadamard_4x4():
@@ -745,8 +789,8 @@ def test_lower_bound_alone_never_isolates_non_hadamard(monkeypatch):
 
 
 def test_kernel_check_rejects_a_low_rank_prime(monkeypatch):
-    """A prime whose rank is too low under every map gives kernel vectors
-    that are not in the kernel over K; the exact check refuses them."""
+    """A prime whose rank is too low gives kernel vectors that are not in
+    the kernel over K; the exact check refuses them."""
     dense, d = non_hadamard_4x4()
     rank = oracle_span_rank(dense, d)
     seen = spoil_first_prime(
@@ -785,29 +829,25 @@ _wild = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
 
 @st.composite
 def lift_inputs(draw):
-    """Residues mod a product of primes of rational kernel coordinates,
-    tame, wild (large, clashing denominators) or not a residue of any
-    small fraction; and whether every coordinate is tame."""
+    """Residues mod a product of primes of rational kernel entries, tame,
+    wild (large, clashing denominators) or not a residue of any small
+    fraction; and whether every entry is tame."""
     modulus = 1
     for p in LIFT_PRIMES[:draw(st.integers(1, 3))]:
         modulus *= p
-    dim = draw(st.sampled_from((1, 2, 4)))
     kinds = st.sampled_from(("tame", "tame", "tame", "wild", "junk"))
     tame, residues = True, {}
     for f in range(draw(st.integers(1, 3))):
-        for c in draw(st.lists(st.integers(0, 9), min_size=1, max_size=4,
+        for c in draw(st.lists(st.integers(0, 9), min_size=1, max_size=8,
                                unique=True)):
-            coords = []
-            for _ in range(dim):
-                kind = draw(kinds)
-                tame = tame and kind == "tame"
-                if kind == "junk":
-                    coords.append(draw(st.integers(0, modulus - 1)))
-                    continue
-                x = draw(_tame if kind == "tame" else _wild)
-                coords.append(x.numerator * pow(x.denominator, -1, modulus)
-                              % modulus)
-            residues[(f, c)] = coords
+            kind = draw(kinds)
+            tame = tame and kind == "tame"
+            if kind == "junk":
+                residues[(f, c)] = draw(st.integers(0, modulus - 1))
+                continue
+            x = draw(_tame if kind == "tame" else _wild)
+            residues[(f, c)] = (x.numerator * pow(x.denominator, -1, modulus)
+                                % modulus)
     return residues, modulus, tame
 
 
@@ -821,5 +861,5 @@ def test_common_denominator_lift_matches_per_coordinate_lift(data):
         assert got is not None
     if got is not None:
         assert all(den > 0 for _, den in got)
-        assert [{c: [Fraction(x, den) for x in coords]
-                 for c, coords in vec.items()} for vec, den in got] == want
+        assert [{c: Fraction(x, den) for c, x in vec.items()}
+                for vec, den in got] == want
