@@ -21,9 +21,13 @@ rows, and ``rational_reconstruct`` lifts a residue back to Q (the span
 rank lifts kernels over Q only, never over a tower).  Both eliminations
 hold each row as one packed Python int, a fixed-width slot per column,
 so reducing a row is one big-integer multiply-add and slots are reduced
-mod p only when a row is final (``_slot_bits`` bounds the slots).  A
-rank mod p is only a lower bound; the caller (``typeii.span_condition``)
-turns it into a verdict with an exact upper bound.
+mod p only when they are read (``_slot_bits`` bounds the slots).  A new
+pivot of ``echelon_mod_p`` is not reduced or scaled slot by slot: a
+lane-parallel fold (``_lane_fold``, pseudo-Mersenne reduction by
+2^bitlen(p) = c mod p) brings all its slots below 2^(bitlen(p)+1) at
+once, and the pivot keeps the inverse of its lead residue.  A rank mod p
+is only a lower bound; the caller (``typeii.span_condition``) turns it
+into a verdict with an exact upper bound.
 
 Every exact operation agrees with :mod:`bmhadamard.exactfield`, which
 remains the semantic reference (the test suite checks them against each
@@ -292,28 +296,72 @@ def _is_prime(n):
 
 
 def _slot_bits(p, m):
-    """Slot width s = 2*bitlen(p) + bitlen(m) + 1 of a packed row that
-    takes at most m multiply-adds (the bound in ``echelon_mod_p``)."""
-    return 2 * p.bit_length() + m.bit_length() + 1
+    """Slot width s of a packed row that takes at most m multiply-adds
+    (the bound in ``echelon_mod_p``): one bit more than the bit length
+    of (p - 1) + m * (p - 1) * (2^(k+1) - 1), k = bitlen(p), so every
+    slot stays below 2^(s-1)."""
+    top = (p - 1) * (1 + m * ((2 << p.bit_length()) - 1))
+    return top.bit_length() + 1
+
+
+def _lane_fold(p, s, m):
+    """The fold of ``echelon_mod_p`` for rows of at most m slots of s
+    bits: a function that maps a packed row whose slots are all below
+    2^(s-1) to one whose slots are all at most 2^(k+1) - 1, k = bitlen(p),
+    each congruent mod p to the slot it came from.
+
+    With c = 2^k - p, 2^k = c (mod p), so a slot v = lo + 2^k hi, lo below
+    2^k, is congruent to lo + c hi.  One fold does this to every slot at
+    once: x = (x & LO) + ((x >> k) & HI) * c, where LO and HI mask the low
+    k and s - k bits of each slot (HI drops the bits that slot j + 1
+    shifts into slot j).  Since p >= 2^(k-1), c <= 2^(k-1), so a slot at
+    most B folds to at most b(B) = 2^k - 1 + (B >> k) c <= 2^k - 1 + B/2.
+    That is below 2^(s-1) again, as s >= k + 2 once m >= 1, so no slot
+    carries, and b(B) - (2^(k+1) - 2) is at most half of
+    B - (2^(k+1) - 2).  So the folds, counted once on the bound
+    B = 2^(s-1) - 1, end below 2^(k+1) for every prime, 2 included.
+    """
+    k = p.bit_length()
+    c = (1 << k) - p
+    lo = _pack([(1 << k) - 1] * m, s)
+    hi = _pack([(1 << (s - k)) - 1] * m, s)
+    bound, folds = (1 << (s - 1)) - 1, 0
+    while bound >> (k + 1):
+        bound = (1 << k) - 1 + (bound >> k) * c
+        folds += 1
+
+    def fold(x):
+        for _ in range(folds):
+            x = (x & lo) + ((x >> k) & hi) * c
+        return x
+    return fold
 
 
 class PackedRow:
-    """A pivot row of ``echelon_mod_p``: its residues, each below p, in
-    slots of ``bits`` bits, slot k at column ``columns[start + k]``."""
+    """A pivot row of ``echelon_mod_p``, in slots of ``bits`` bits, slot
+    k at column ``columns[start + k]``.  The slots are folded, not
+    reduced: each is at most 2^(bitlen(p)+1) - 1, and slot k times
+    ``inv``, the inverse of slot 0 mod p, is the residue at its column."""
 
-    __slots__ = ("packed", "bits", "columns", "start")
+    __slots__ = ("packed", "bits", "columns", "start", "p", "inv")
 
-    def __init__(self, packed, bits, columns, start):
+    def __init__(self, packed, bits, columns, start, p, inv):
         self.packed = packed
         self.bits = bits
         self.columns = columns
         self.start = start
+        self.p = p
+        self.inv = inv
 
     def residues(self):
-        """{column: residue} of the row's nonzero entries."""
-        cols, start = self.columns, self.start
-        return {cols[start + k]: r
-                for k, r in enumerate(_slots(self.packed, self.bits)) if r}
+        """{column: residue} of the row's nonzero entries, 1 at the pivot."""
+        cols, start, p, inv = self.columns, self.start, self.p, self.inv
+        out = {}
+        for k, v in enumerate(_slots(self.packed, self.bits)):
+            r = v * inv % p
+            if r:
+                out[cols[start + k]] = r
+        return out
 
 
 def _slots(x, s):
@@ -337,31 +385,39 @@ def _pack(values, s):
 def echelon_mod_p(rows, p):
     """Row echelon form mod p of sparse integer rows {column: value}.
 
-    The same least-coordinate pivoting as ``sparse_rank``, on residues.
-    Returns {pivot column: ``PackedRow``}, each row scaled to 1 at its
-    pivot, its least column; the rank is the number of pivot rows.
+    The same least-coordinate pivoting as ``sparse_rank``, on residues,
+    in the order the rows come.  Returns {pivot column: ``PackedRow``},
+    whose pivot is its least column; the rank is the number of pivot
+    rows.  The pivot columns, and so the reduced-echelon kernel of
+    ``kernel_mod_p``, depend only on the span of the rows, not on their
+    order: pivot column c is taken iff the span has a vector whose least
+    column is c.
 
     Each row is one Python int over the m columns that occur: the entry
-    at column position j sits in bits [j*s, (j + 1)*s), with
-    s = 2*bitlen(p) + bitlen(m) + 1.  Reducing a row against a pivot is
-    one multiply-add x += (p - f) * pivot, with no per-entry %.  The row
-    shifts right one slot per column, so slot 0 is always the column at
-    hand; a pivot is stored shifted to start at its own column, and
-    residues are unpacked only when a row becomes a pivot.
+    at column position j sits in bits [j*s, (j + 1)*s), with s from
+    ``_slot_bits``.  The row shifts right one slot per column, so slot 0
+    is always the column at hand.  A row whose slot 0 is f != 0 mod p
+    meets either no pivot there, and becomes one, or a pivot of lead
+    residue 1/inv, and is reduced by one multiply-add
+    x += ((p - f) * inv % p) * pivot, with no per-entry %.  A new pivot
+    is not scaled: it is folded (``_lane_fold``) and keeps inv, so it
+    costs a few big-integer operations rather than one per slot.
 
-    No slot carries into the next.  A row starts with every slot below
-    p.  Each update, with 0 < f < p and a pivot of residues b below p,
-    adds (p - f) * b <= (p - 1)^2 to a slot, and a row meets at most one
+    No slot carries into the next.  Let k = bitlen(p).  A row starts
+    with every slot below p.  A pivot's slots are at most 2^(k+1) - 1,
+    and each update multiplies one by a factor below p, so it adds at
+    most (p - 1) * (2^(k+1) - 1) to a slot; a row meets at most one
     pivot per column, so it takes at most m updates.  A slot then stays
-    at most (p - 1) + m * (p - 1)^2 < (m + 1) * p^2
-    <= 2^(bitlen(m) + 2*bitlen(p)) < 2^s, and it is never negative.  So
-    each slot mod p is the residue at its column.
+    at most (p - 1) + m * (p - 1) * (2^(k+1) - 1) < 2^(s-1), which is
+    also the fold's premise, and it is never negative.  So each slot
+    mod p is the residue at its column.
     """
     rows = list(rows)
     columns = sorted(set().union(*rows))
     pos = {c: j for j, c in enumerate(columns)}
     s = _slot_bits(p, len(columns))
     mask = (1 << s) - 1
+    fold = _lane_fold(p, s, len(columns))
     pivots = {}
     for row in rows:
         x = 0
@@ -379,11 +435,10 @@ def echelon_mod_p(rows, p):
             if f:
                 piv = pivots.get(columns[j])
                 if piv is None:
-                    inv = pow(f, -1, p)
-                    x = _pack([v * inv % p for v in _slots(x, s)], s)
-                    pivots[columns[j]] = PackedRow(x, s, columns, j)
+                    pivots[columns[j]] = PackedRow(
+                        fold(x), s, columns, j, p, pow(f, -1, p))
                     break
-                x += (p - f) * piv.packed
+                x += (p - f) * piv.inv % p * piv.packed
             x >>= s
             j += 1
     return pivots

@@ -596,6 +596,12 @@ def span_condition(dense, desc, return_rank=False):
       come later, is dropped; a failed reconstruction or check asks for
       another prime.
 
+    The order of B's rows is free (``_CommutatorSpan.rows_mod_p`` picks
+    the fastest).  Under least-column pivoting, column c is a pivot iff
+    the row space holds a vector whose least column is c, and the
+    reduced-echelon kernel is unique, so the pivots compared across
+    primes and the kernels combined by CRT depend only on the row space.
+
     No step rounds, and no verdict rests on an unchecked prime.  Raises
     ``RankUndecided`` when ``SPAN_PRIME_CAP`` primes give no certificate.
     """
@@ -694,8 +700,17 @@ class _CommutatorSpan:
         return out
 
     def rows_mod_p(self, img, p):
-        """B's rows under the map of K0 with basis images ``img``."""
-        for row in self.rows:
+        """B's rows under the map of K0 with basis images ``img``, latest
+        leading column first.
+
+        The order is free: ``echelon_mod_p``'s pivot columns and
+        ``kernel_mod_p``'s kernel depend only on the span of the rows.
+        It is chosen for speed: rows that lead late become pivots at late
+        columns, which hold only the slots from their own column on, so
+        the multiply-adds of the rows that follow them are short.
+        """
+        for row in sorted(self.rows, key=lambda row: min(row, default=0),
+                          reverse=True):
             yield {c: sum(a * b for a, b in zip(x, img)) % p
                    for c, x in row.items()}
 
@@ -717,6 +732,9 @@ class _CommutatorSpan:
         When K0 = Q, B_Q is B."""
         flat = self.flat
         d = flat.dim
+        if d == 1:
+            return [{c: a[0] for c, a in row.items() if a[0]}
+                    for row in self.rows]
         units = [[int(k == l) for k in range(d)] for l in range(d)]
         out = []
         for row in self.rows:

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.fastfield import (
     FlatTower,
+    _lane_fold,
+    _pack,
+    _slot_bits,
+    _slots,
     echelon_mod_p,
     kernel_mod_p,
     primes,
@@ -134,3 +139,45 @@ def test_packed_elimination_matches_oracle(system):
     for vec in kernel.values():
         for row in rows:
             assert sum(v * vec.get(c, 0) for c, v in row.items()) % p == 0
+
+
+@given(modular_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pivots_and_kernel_do_not_depend_on_row_order(system, data):
+    p, columns, rows = system
+    pivots = echelon_mod_p(rows, p)
+    shuffled = echelon_mod_p(data.draw(st.permutations(rows)), p)
+    assert shuffled.keys() == pivots.keys()
+    assert kernel_mod_p(shuffled, columns, p) == \
+        kernel_mod_p(pivots, columns, p)
+
+
+# descending, as primes() yields them: the 2000th is the last prime
+# span_condition may try (SPAN_PRIME_CAP), and 2 makes the fold's premise
+# p >= 2^(bitlen(p) - 1) tight
+FOLD_PRIMES = (2 ** 61 - 1, next(islice(primes(), 1999, None)), 101, 7, 3, 2)
+
+
+@st.composite
+def folded_rows(draw):
+    """(p, m, s, lanes): up to m slot values of s bits, each below
+    2^(s-1), the bound every slot of ``echelon_mod_p`` keeps."""
+    p = draw(st.sampled_from(FOLD_PRIMES))
+    m = draw(st.integers(1, 20))
+    s = _slot_bits(p, m)
+    top = (1 << (s - 1)) - 1
+    lanes = draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
+                          min_size=1, max_size=m))
+    return p, m, s, lanes
+
+
+@given(folded_rows())
+@settings(max_examples=300, deadline=None)
+def test_lane_fold_keeps_residues_and_bounds_every_slot(case):
+    p, m, s, lanes = case
+    folded = _slots(_lane_fold(p, s, m)(_pack(lanes, s)), s)
+    assert len(folded) <= len(lanes)  # nothing carried out of the top
+    folded += [0] * (len(lanes) - len(folded))
+    for v, w in zip(lanes, folded):
+        assert w % p == v % p
+        assert w <= (2 << p.bit_length()) - 1

@@ -710,6 +710,31 @@ def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
         assert calls == drawn
 
 
+@pytest.mark.parametrize("key", [("v", 1, 1), ("vi", 1, 1)])
+def test_rows_mod_p_come_latest_leading_column_first(families_q4, key):
+    """``rows_mod_p`` gives B's rows, each once, under the map, in
+    non-increasing leading column (K0 = Q for v, Q(r) for vi r+)."""
+    fam = families_q4[key]
+    dense = TypeIIMatrix(fam).dense()
+    span = typeii._CommutatorSpan(fam.desc, len(dense),
+                                  [e.lift(fam.desc) for row in dense
+                                   for e in row])
+    p, img = next((p, img) for p in primes()
+                  if (img := span.flat.embedding(p)) is not None)
+    got = list(span.rows_mod_p(img, p))
+    leads = [min(row) for row in got]
+    assert len(got) == len(dense) ** 2
+    assert leads == sorted(leads, reverse=True)
+    assert leads[0] > leads[-1]
+
+    def key_of(row):
+        return sorted(row.items())
+
+    want = [{c: sum(a * b for a, b in zip(x, img)) % p
+             for c, x in row.items()} for row in span.rows]
+    assert sorted(map(key_of, got)) == sorted(map(key_of, want))
+
+
 @given(span_inputs())
 @settings(max_examples=30, deadline=None)
 def test_restriction_of_scalars_multiplies_the_rank_by_the_degree(data):
