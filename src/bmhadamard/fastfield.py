@@ -9,9 +9,11 @@ denominator; results convert back to TowerElement losslessly.  There is
 one product kernel, ``FlatTower.int_mul``, over the nonzero structure
 constants ``triples``; ``mul`` is that product with a gcd strip.
 ``flat_tower(desc)`` builds one ``FlatTower`` per descriptor, which the
-Jones sweeps, the dense type-II check, the Jones graph and the span
-rank share.  Each of them takes integer coordinates over one common
-denominator and zero-tests integer vectors whose scale is positive.
+Jones sweeps, the dense type-II check, the Jones graph, the span rank
+and both routes of the Haagerup sets share.  Each of them takes integer
+coordinates over one common denominator and zero-tests or compares
+integer vectors whose scale is positive; the Haagerup sets turn their
+distinct values back into tower elements with ``from_flat``.
 
 Ranks are found mod p: ``FlatTower.embedding`` is one map of a tower
 onto F_p (for the span rank, of the real subfield below the imaginary
@@ -174,7 +176,8 @@ def flat_tower(desc):
 
     Building one costs dim**2 tower products, and a tower is never
     mutated, so every caller shares it: the Jones sweeps, the dense
-    type-II check, ``nomura.JonesGraph`` and ``typeii.span_condition``.
+    type-II check, ``nomura.JonesGraph``, ``typeii.span_condition`` and
+    the Haagerup sets of ``invariants``.
     """
     return FlatTower(desc)
 

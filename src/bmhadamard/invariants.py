@@ -2,14 +2,19 @@
 
 H(W) collects the cross ratios W_{x1,y1} W_{x2,y2} / (W_{x2,y1} W_{x1,y2});
 K(W) = {w + 1/w : w in H(W) \\ {1}}.  Both are equivalence invariants, so
-exact set comparison separates inequivalent matrices.  Two independent
-routes compute H(W): an O(n^4) sweep over the dense matrix (factored
-through relation-class patterns) and the closed three-part union formula
-driven by intersection-number positivity.  The union is written once,
-over formal monomials in w1, w2, w3 reduced to each family's independent
-weights; those monomials are the all-q descriptions, and evaluating them
-on a family's weights gives its H(W) without the dense matrix.  The two
-routes must agree at q = 4.
+exact set comparison separates inequivalent matrices.  Two routes
+compute H(W), and they must agree at q = 4.  What makes them independent
+is what they enumerate: the brute force sweeps the dense matrix's n^4
+quadruples through their relation-class patterns, while the formula
+evaluates the closed three-part union, written once over formal
+monomials in w1, w2, w3 (driven by intersection-number positivity and
+reduced to each family's independent weights) that describe H(W) for
+all even q.  What they share is the arithmetic: integer coordinates of
+the family's tower (``fastfield.flat_tower``), with ``FlatTower.int_mul``
+as the only product, so every value of one route has one positive
+scale.  Equal values then have equal integer tuples, inverses are read
+by index rather than divided, and only the distinct values of H and K
+become tower elements.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exactfield import TowerElement
+from .fastfield import flat_tower
 from .intervals import element_sign
 from .scheme import parametric_scheme
 from .typeii import family_coefficients, normalize_case
@@ -34,29 +40,38 @@ class HypothesisFail(ValueError):
 class HaagerupData:
     """Canonically sorted H(W) and K(W) over one tower."""
 
-    def __init__(self, h_elements, provenance):
-        h = _dedup_sorted(h_elements)
-        inverses = [x.inverse() for x in h]
-        self.h_set = h
-        self.k_set = _dedup_sorted(
-            x + x_inv for x, x_inv in zip(h, inverses) if not x == 1)
+    def __init__(self, h_set, k_set, provenance):
+        self.h_set = h_set
+        self.k_set = k_set
         self.provenance = provenance
-        if not any(x == 1 for x in h):
-            raise AssertionError("1 must lie in H(W)")
-        inv = _dedup_sorted(inverses)
-        if [e.coefficients() for e in inv] != [e.coefficients() for e in h]:
-            raise AssertionError("H(W) must be inversion-closed")
 
     def __repr__(self):
         return (f"HaagerupData(|H|={len(self.h_set)}, |K|={len(self.k_set)}, "
                 f"{self.provenance})")
 
 
-def _dedup_sorted(elements):
-    seen = {}
-    for e in elements:
-        seen.setdefault(e.coefficients(), e)
-    return tuple(seen[k] for k in sorted(seen))
+def _haagerup_data(flat, scale, values, provenance):
+    """HaagerupData from integer coordinates over one positive scale.
+
+    ``values`` maps each value of H(W), an integer tuple v standing for
+    v / scale, to the tuple of its inverse.  At one scale two values are
+    equal exactly when their tuples are, and the tuples sort as the
+    coefficients do, so the checks and K = {x + 1/x : x != 1} run on
+    tuples; only the distinct results become tower elements.
+    """
+    one = (scale,) + (0,) * (flat.dim - 1)
+    if one not in values:
+        raise AssertionError("1 must lie in H(W)")
+    if set(values.values()) != values.keys():
+        raise AssertionError("H(W) must be inversion-closed")
+    k_set = {tuple(a + b for a, b in zip(x, x_inv))
+             for x, x_inv in values.items() if x != one}
+    return HaagerupData(_elements(flat, scale, values),
+                        _elements(flat, scale, k_set), provenance)
+
+
+def _elements(flat, scale, vectors):
+    return tuple(flat.from_flat((v, scale)) for v in sorted(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +82,32 @@ def haagerup_bruteforce(mat):
 
     The value of a quadruple depends only on the four relation classes
     involved, so the n^4 sweep collects patterns first.  Pattern
-    (c11, c22, c21, c12) has the value ratio[c11][c21] * ratio[c22][c12]
-    read from the family's table ratio[i][j] = w_i / w_j, one product
-    per unordered pair of ratio indices.
+    (c11, c22, c21, c12) has the value R[c11][c21] * R[c22][c12] of the
+    family's table R[i][j] = w_i / w_j: one ``int_mul`` of the table's
+    integer coordinates over one denominator den per unordered pair of
+    ratio indices, so every value has the scale tden * den^2.  Its
+    inverse R[c21][c11] * R[c12][c22] is read by index, as the
+    construction certifies R[j][i] = 1 / R[i][j].
     """
     if mat.scheme.n > 64:
         raise TooLarge("the quartic sweep is limited to n <= 64")
-    ratio = mat.family.ratios
-    pairs = {tuple(sorted(((c11, c21), (c22, c12))))
-             for c11, c22, c21, c12 in _class_patterns(mat.scheme)}
-    values = [ratio[i][j] * ratio[k][l] for (i, j), (k, l) in pairs]
-    return HaagerupData(values, "bruteforce")
+    fam = mat.family
+    flat = flat_tower(fam.desc)
+    m = len(fam.ratios)
+    ratio, den = flat.int_coords([x for row in fam.ratios for x in row])
+    products = {}
+
+    def product(u, v):
+        key = (u, v) if u <= v else (v, u)
+        if key not in products:
+            products[key] = tuple(flat.int_mul(ratio[key[0]], ratio[key[1]]))
+        return products[key]
+
+    values = {}
+    for c11, c22, c21, c12 in _class_patterns(mat.scheme):
+        values[product(c11 * m + c21, c22 * m + c12)] = \
+            product(c21 * m + c11, c12 * m + c22)
+    return _haagerup_data(flat, flat.tden * den * den, values, "bruteforce")
 
 
 @cache
@@ -253,32 +283,44 @@ def table_one_row(case):
     return row
 
 
-def evaluate_monomials(monomials, family):
-    """Formal monomials -> exact tower elements for one family.
-
-    A negative power reads 1/w_i off the family's ``inverses``.
-    """
-    indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
-    basis = [family.weights[i] for i in indices]
-    inverses = [family.inverses[i] for i in indices]
-    out = []
-    for sign, exps in monomials:
-        v = TowerElement.rational(sign, family.desc)
-        for b, b_inv, e in zip(basis, inverses, exps):
-            v = v * (b ** e if e >= 0 else b_inv ** -e)
-        out.append(v)
-    return out
-
-
 def haagerup_formula(family):
     """H(W) of a constructed family from the three-part union.
 
-    The union's monomials (``monomial_h_set`` at the family's q) are
-    evaluated on the family's independent weights, and 1 is added.
+    The union's monomials (``monomial_h_set`` at the family's q) and 1
+    are evaluated on integer coordinates of the family's independent
+    weights and their ``inverses`` over one denominator den.  Each
+    monomial is its sign times F factors, its powers padded with 1 up to
+    the union's largest degree F, so every value has the scale
+    den * (tden * den)^F.  The inverse of a monomial is the one with
+    negated exponents, read by index.
     """
-    h = evaluate_monomials(monomial_h_set(family.case, family.q), family)
-    return HaagerupData([TowerElement.rational(1, family.desc)] + h,
-                        "formula")
+    case = normalize_case(family.case)
+    indices, _ = _INDEPENDENT_WEIGHTS[case]
+    flat = flat_tower(family.desc)
+    (one, *coords), den = flat.int_coords(
+        [TowerElement.rational(1, family.desc)]
+        + [family.weights[i] for i in indices]
+        + [family.inverses[i] for i in indices])
+    basis, inverses = coords[:len(indices)], coords[len(indices):]
+    monomials = monomial_h_set(case, family.q) | {(1, (0,) * len(indices))}
+    degree = max(sum(map(abs, exps)) for _, exps in monomials)
+    evaluated = {}
+
+    def value(sign, exps):
+        if (sign, exps) not in evaluated:
+            factors = [b if e > 0 else b_inv
+                       for b, b_inv, e in zip(basis, inverses, exps)
+                       for _ in range(abs(e))]
+            v = one if sign > 0 else [-c for c in one]
+            for f in factors + [one] * (degree - len(factors)):
+                v = flat.int_mul(v, f)
+            evaluated[sign, exps] = tuple(v)
+        return evaluated[sign, exps]
+
+    values = {value(sign, exps): value(sign, tuple(-e for e in exps))
+              for sign, exps in monomials}
+    return _haagerup_data(flat, den * (flat.tden * den) ** degree, values,
+                          "formula")
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,14 @@ def nomura_dimension(mat):
     return component_report(mat)["dim_N"]
 
 
-def component_report(mat):
+def component_report(mat, graph=None):
+    """The Jones-graph components of ``mat``, on ``graph`` when given
+    (``jones_graph_for(mat)``, so that a caller can reuse it)."""
     if not check_symmetric(mat.family):
         raise NotSymmetricAlgebra(
             "symmetry functional vanished; component method not applicable")
-    graph = jones_graph_for(mat)
+    if graph is None:
+        graph = jones_graph_for(mat)
     labels = graph.component_labels()
     n = graph.n
     if len({labels[a * n + a] for a in range(n)}) != 1:
@@ -188,17 +191,19 @@ def triangle_counters(scheme, x, y, z):
     return c
 
 
-def jones_structure_report(mat):
+def jones_structure_report(mat, graph=None):
     """Replay the three steps of the dim-2 argument on the actual graph.
 
     (a) pairs inside one R0-u-R3 class are mutually connected,
     (b) every R1 u R2 vertex has a neighbor among the class pairs,
     (c) the off-diagonal vertex set is a single component.
     Also checks the marginal identities of the triangle counters.
-    Raises StepFailed on the first broken step.
+    Raises StepFailed on the first broken step.  ``graph``, when given,
+    is ``jones_graph_for(mat)``, built and searched by an earlier call.
     """
     scheme = mat.scheme
-    graph = jones_graph_for(mat)
+    if graph is None:
+        graph = jones_graph_for(mat)
     labels = graph.component_labels()
     n = scheme.n
 

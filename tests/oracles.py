@@ -9,7 +9,12 @@ from bmhadamard.exactfield import Reducible, TowerElement, adjoin_radical
 from bmhadamard.fastfield import rational_reconstruct
 from bmhadamard.identities import _COUNTERS, _LINES
 from bmhadamard.intervals import element_sign
-from bmhadamard.invariants import HaagerupData, _class_patterns
+from bmhadamard.invariants import (
+    _INDEPENDENT_WEIGHTS,
+    HaagerupData,
+    _class_patterns,
+    monomial_h_set,
+)
 from bmhadamard.pell import base_solutions, descend
 from bmhadamard.ratfunc import RatQ, r_value_at
 from bmhadamard.scheme import parametric_scheme
@@ -20,6 +25,7 @@ from bmhadamard.typeii import (
     ZeroWeight,
     all_families,
     case_a_values,
+    normalize_case,
 )
 
 
@@ -187,13 +193,60 @@ def kernel_mod_p_oracle(pivots, columns, p):
     return kernel
 
 
+def _dedup_sorted(elements):
+    seen = {}
+    for e in elements:
+        seen.setdefault(e.coefficients(), e)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def _haagerup_data_oracle(h_elements, provenance):
+    """HaagerupData of tower elements, with one tower inverse per
+    distinct value of H(W)."""
+    h = _dedup_sorted(h_elements)
+    inverses = [x.inverse() for x in h]
+    k = _dedup_sorted(x + x_inv for x, x_inv in zip(h, inverses)
+                      if not x == 1)
+    if not any(x == 1 for x in h):
+        raise AssertionError("1 must lie in H(W)")
+    inv = _dedup_sorted(inverses)
+    if [e.coefficients() for e in inv] != [e.coefficients() for e in h]:
+        raise AssertionError("H(W) must be inversion-closed")
+    return HaagerupData(h, k, provenance)
+
+
 def haagerup_bruteforce_oracle(mat):
     """H(W) and K(W) of the dense matrix, dividing in the tower once per
     class pattern (c11, c22, c21, c12): w_c11 w_c22 / (w_c21 w_c12)."""
     w = mat.weights
     values = [w[c11] * w[c22] / (w[c21] * w[c12])
               for c11, c22, c21, c12 in _class_patterns(mat.scheme)]
-    return HaagerupData(values, "bruteforce")
+    return _haagerup_data_oracle(values, "bruteforce")
+
+
+def evaluate_monomials(monomials, family):
+    """Formal monomials -> exact tower elements for one family.
+
+    A negative power reads 1/w_i off the family's ``inverses``.
+    """
+    indices, _ = _INDEPENDENT_WEIGHTS[normalize_case(family.case)]
+    basis = [family.weights[i] for i in indices]
+    inverses = [family.inverses[i] for i in indices]
+    out = []
+    for sign, exps in monomials:
+        v = TowerElement.rational(sign, family.desc)
+        for b, b_inv, e in zip(basis, inverses, exps):
+            v = v * (b ** e if e >= 0 else b_inv ** -e)
+        out.append(v)
+    return out
+
+
+def haagerup_formula_oracle(family):
+    """H(W) and K(W) from the three-part union, each monomial evaluated
+    by tower products."""
+    h = evaluate_monomials(monomial_h_set(family.case, family.q), family)
+    return _haagerup_data_oracle([TowerElement.rational(1, family.desc)] + h,
+                                 "formula")
 
 
 def y_vector(dense, a, b):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bmhadamard import cli, identities
+from bmhadamard import cli, identities, nomura
 from bmhadamard.cli import main
 from bmhadamard.exactfield import TowerElement
 from bmhadamard.identities import CASES, ViolationFound, scan_nonvanishing
@@ -214,6 +214,24 @@ def test_report_bytes_match_the_golden_report(tmp_path, suite):
     assert main(["report", "--suite", suite, "--q", "4",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{suite}.json").read_bytes()
+
+
+def test_section6_builds_one_jones_graph_per_family(monkeypatch):
+    # the structure replay of iv and vi r+ reuses the graph that the
+    # component count built and searched: 7 graphs for 7 families
+    built = []
+    init = nomura.JonesGraph.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(nomura.JonesGraph, "__init__", counting_init)
+    checks = cli.suite_section6(q=4)
+    assert len(built) == 7
+    golden = json.loads((GOLDEN / "section6.json").read_text())["checks"]
+    assert sorted([c, ok, w] for c, ok, w in checks) == \
+        sorted([r["check_id"], r["status"], r.get("witness")] for r in golden)
 
 
 def test_report_sweeps_bound_below_4_is_a_usage_error(capsys):

@@ -3,7 +3,11 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import haagerup_bruteforce_oracle
+from oracles import (
+    evaluate_monomials,
+    haagerup_bruteforce_oracle,
+    haagerup_formula_oracle,
+)
 
 from bmhadamard.exactfield import QQ, TowerElement
 from bmhadamard.invariants import (
@@ -11,7 +15,6 @@ from bmhadamard.invariants import (
     _monomial_reduce,
     canonical_real_key,
     check_inverse_inequivalence,
-    evaluate_monomials,
     haagerup_bruteforce,
     haagerup_formula,
     k_in_interval,
@@ -130,6 +133,20 @@ def test_monomial_reduction_holds_off_q4(q, e):
         [reduced] = evaluate_monomials([_monomial_reduce(case, *e)], fam)
         assert reduced == w1 ** e[0] * w2 ** e[1] * w3 ** e[2], \
             (case, r_sign, branch)
+
+
+@given(q=st.integers(2, 500).map(lambda k: 2 * k))
+@settings(max_examples=15, deadline=None)
+def test_formula_route_matches_tower_oracle(q):
+    # integer coordinates against tower products, monomial by monomial,
+    # in every variant at even q up to 10^3, where coefficients are large
+    for case, r_sign, branch in FAMILY_KEYS:
+        fam = _family(case, q, r_sign, branch)
+        got, want = haagerup_formula(fam), haagerup_formula_oracle(fam)
+        assert [e.coefficients() for e in got.h_set] == \
+            [e.coefficients() for e in want.h_set], fam
+        assert [e.coefficients() for e in got.k_set] == \
+            [e.coefficients() for e in want.k_set], fam
 
 
 def test_haagerup_invariant_properties(families_q4):
