@@ -40,12 +40,6 @@ class Interval:
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(cands), max(cands))
 
-    def scale(self, q):
-        q = Fraction(q)
-        if q >= 0:
-            return Interval(self.lo * q, self.hi * q)
-        return Interval(self.hi * q, self.lo * q)
-
     def width(self):
         return self.hi - self.lo
 
@@ -102,9 +96,6 @@ class ComplexInterval:
     def __mul__(self, other):
         return ComplexInterval(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)
-
-    def scale(self, q):
-        return ComplexInterval(self.re.scale(q), self.im.scale(q))
 
     def abs_squared(self):
         aa = self.re * self.re

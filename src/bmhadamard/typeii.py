@@ -535,10 +535,9 @@ def non_butson_witness(family):
 
 # the candidate primes span_condition draws before it gives up: over
 # seventy times the most any verdict drew in six runs of the test suite
-# (21, for a random 5 x 5 input over vi's tower, where half the primes
-# map K0 = Q(r) onto F_p and the kernel lift needs about ten of those;
-# 300 inputs of the test's strategy drew at most 27), and far above the
-# 1 to 3 of each q = 4 verdict
+# (21, for a random 5 x 5 input over vi's tower, where the kernel lift
+# needs about ten primes; 300 inputs of the test's strategy drew at most
+# 27), and far above the 1 to 3 of each q = 4 verdict
 SPAN_PRIME_CAP = 2000
 
 
@@ -564,41 +563,51 @@ def span_condition(dense, desc, return_rank=False):
     a (x_(v,y) - x_(y,v)); B keeps one column (v, y) per pair, the entry
     a, and A = B M with M onto, so again rank A = rank B.
 
+    The n rows of one w sum to zero for every H: column (v, y) gets
+    conj(H_wv) H_wy from row (w, v) and its negative from row (w, y).
+    So B keeps the n(n - 1) rows (w, v), v < n - 1, with the same span:
+    every rank, pivot column and kernel below is that of all n^2 rows.
+
     The rank r of B over K0 is pinned between a lower and an upper
-    bound, both exact.  Each prime p is used through one ring map of K0
-    onto F_p (``FlatTower.embedding``), and p is skipped when it has none.
+    bound, both exact.  The upper bound is fixed before any prime:
 
-    * Lower bound.  The map sends the elements of K0 with p-integral
-      coordinates onto F_p.  B's exact rows are integer coordinates over
-      K0 (B times one positive integer), so a nonzero minor mod p is the
-      image of a nonzero minor over K0: the rank mod p is at most r.
-    * Upper bound 1, the number of columns of B.  A rank mod p equal to
-      it settles r; this is the route of every real tower of full rank.
-    * Upper bound 2, (n - 1)^2, when H*H is diagonal, which is checked
-      exactly.  The n sums of the rows of one w vanish identically, and
-      the n sums of the rows of one v are the off-diagonal entries of
-      H*H, so they vanish too.  The row and column indicator vectors of
-      an n x n grid span 2n - 1 dimensions, so rank A <= n^2 - (2n - 1).
-      A rank mod p of (n - 1)^2 then settles r.
-    * Upper bound 3, a kernel certificate over Q, in every other case.
-      With d = [K0:Q] and K0's basis e, restriction of scalars writes B
-      as the d-times-larger matrix B_Q over Q: its entry at row (r, k)
-      and column (c, l) is coordinate k of B[r][c] e_l.  B_Q x = 0 says
-      that B kills the vector of K0 with coordinates x, so
-      rank_Q B_Q = d r.  The reduced-echelon kernel of B_Q mod p is
-      combined over primes by CRT and lifted by rational
-      reconstruction, and each lifted vector is checked to satisfy
-      B_Q x = 0 exactly.  Their identity block on the free columns makes
-      them independent, so rank_Q B_Q is at most the rank of B_Q mod p,
-      which is also a lower bound, and r = rank_p(B_Q) / d.  When
-      K0 = Q, B_Q is B and the elimination under the map serves both.
-      A prime whose rank falls below the best so far, or whose pivots
-      come later, is dropped; a failed reconstruction or check asks for
-      another prime.
+    * the number of columns of B, the route of every real tower of full
+      rank;
+    * or (n - 1)^2, when that is smaller and H*H is diagonal, which is
+      checked exactly.  The n sums of the rows of one w vanish, and the
+      n sums of the rows of one v are the off-diagonal entries of H*H,
+      so they vanish too.  The row and column indicator vectors of an
+      n x n grid span 2n - 1 dimensions, so rank A <= n^2 - (2n - 1).
 
-    The order of B's rows is free (``_CommutatorSpan.rows_mod_p`` picks
-    the fastest).  Under least-column pivoting, column c is a pivot iff
-    the row space holds a vector whose least column is c, and the
+    Each prime p is used through one ring map of K0 onto F_p
+    (``FlatTower.embedding``) when it has one.  The map sends the
+    elements of K0 with p-integral coordinates onto F_p.  B's exact rows
+    are integer coordinates over K0 (B times one positive integer), so a
+    nonzero minor mod p is the image of a nonzero minor over K0: the
+    rank mod p is a lower bound, and when it equals the upper bound it
+    settles r.
+
+    Otherwise a kernel certificate over Q bounds r.  With d = [K0:Q] and
+    K0's basis e, restriction of scalars writes B as the d-times-larger
+    matrix B_Q over Q: its entry at row (r, k) and column (c, l) is
+    coordinate k of B[r][c] e_l.  B_Q x = 0 says that B kills the vector
+    of K0 with coordinates x, so rank_Q B_Q = d r.  B_Q is an integer
+    matrix, so once a rank under a map has fallen short, every prime
+    eliminates it, with a map of K0 or without; before that a prime
+    with no map is skipped, as B_Q is d times larger than B.
+    The reduced-echelon kernel of B_Q mod p is combined over primes by
+    CRT and lifted by rational reconstruction, and each lifted vector is
+    checked to satisfy B_Q x = 0 exactly.  Their identity block on the
+    free columns makes them independent, so rank_Q B_Q is at most the
+    rank of B_Q mod p, which is also a lower bound, and
+    r = rank_p(B_Q) / d.  When K0 = Q, B_Q is B and the elimination
+    under the map serves both.  A prime whose rank falls below the best
+    so far, or whose pivots come later, is dropped; a failed
+    reconstruction or check asks for another prime.
+
+    The order of B's rows is free (``_CommutatorSpan.rows`` picks the
+    fastest).  Under least-column pivoting, column c is a pivot iff the
+    row space holds a vector whose least column is c, and the
     reduced-echelon kernel is unique, so the pivots compared across
     primes and the kernels combined by CRT depend only on the row space.
 
@@ -608,19 +617,22 @@ def span_condition(dense, desc, return_rank=False):
     n = len(dense)
     if any(len(row) != n for row in dense):
         raise NotSquare("dense matrix is not square")
-    H = [e.lift(desc) for row in dense for e in row]
-    span = _CommutatorSpan(desc, n, H)
+    span = _CommutatorSpan(desc, n, [e.lift(desc) for row in dense
+                                     for e in row])
     target, d = (n - 1) ** 2, span.flat.dim
+    upper = len(span.columns)
+    if target < upper and span.gram_is_diagonal():
+        upper = target
     best, modulus, residues = None, 1, {}
     for p in islice(primes(), SPAN_PRIME_CAP):
-        img = span.flat.embedding(p)
-        if img is None:
-            continue
-        pivots = echelon_mod_p(span.rows_mod_p(img, p), p)
-        rank = len(pivots)
-        if rank == len(span.columns) or \
-                rank == target and span.gram_is_diagonal():
-            break
+        img = span.flat.embedding(p)  # never None when K0 = Q
+        if img is not None:
+            pivots = echelon_mod_p(span.rows_mod_p(img, p), p)
+            if len(pivots) == upper:
+                rank = upper
+                break
+        elif best is None:
+            continue  # the kernel route has not started
         if d > 1:
             pivots = echelon_mod_p(span.rows_over_q, p)
         key = sorted(pivots)
@@ -643,25 +655,29 @@ def span_condition(dense, desc, return_rank=False):
 
 
 class _CommutatorSpan:
-    """The matrix B of ``span_condition``: exactly, mod p, and over Q.
+    """The matrix B of ``span_condition``, read off one table of products.
 
-    ``products`` holds conj(H_wv) H_wy over K, from the integer
-    coordinates of H and conj(H) (row-major, over ``hden`` and ``cden``):
-    its exact values times tower.tden * hden * cden > 0, so zero tests
-    on them are exact.  ``rows`` reads B, times the same integer, off
-    them as integer coordinates over K0 (``flat``): the low half of K's
-    basis is K0's, and the high half is t times it.  ``rows_over_q`` is
-    B_Q, the restriction of scalars of B to Q, on ``q_columns``; its
-    entries are ``flat.int_mul`` products, so they share the one
-    positive scale of ``rows`` times flat.tden.
+    H is kept as ``entries``, row-major indices into its m distinct
+    values h_a, and ``table`` holds T[a][b] = conj(h_a) h_b over K: m^2
+    ``int_mul`` products of the integer coordinates of the h_a and their
+    conjugates over one denominator den, so each entry is its exact
+    value times ``scale`` = tower.tden * den^2 > 0.  ``rows`` reads B's
+    exact rows, its rows mod p and B_Q off T, reading each signed entry
+    of T once: its parts over K0 (``flat``) are the low half of its
+    coordinates, K0's basis, and the high half, t times it.
     """
 
     def __init__(self, desc, n, H):
         self.n = n
         self.tower = flat_tower(desc)
-        self.h, self.hden = self.tower.int_coords(H)
-        self.hc, self.cden = self.tower.int_coords([complex_conj(e)
-                                                    for e in H])
+        index = {}
+        self.entries = [index.setdefault(e, len(index)) for e in H]
+        m = len(index)
+        coords, den = self.tower.int_coords(
+            [complex_conj(e) for e in index] + list(index))
+        self.scale = self.tower.tden * den * den
+        self.table = [[self.tower.int_mul(c, h) for h in coords[m:]]
+                      for c in coords[:m]]
         self.split = desc.depth > 0 and embed_signature(desc)[-1] < 0
         self.flat = (flat_tower(desc.prefix(desc.depth - 1)) if self.split
                      else self.tower)
@@ -670,82 +686,70 @@ class _CommutatorSpan:
         d = self.flat.dim
         self.q_columns = [c * d + l for c in self.columns for l in range(d)]
 
-    @cached_property
-    def products(self):
-        """Exact conj(H_wv) H_wy for v != y, keyed (w, v, y)."""
-        n, h, hc, mul = self.n, self.h, self.hc, self.tower.int_mul
-        return {(w, v, y): mul(hc[w * n + v], h[w * n + y])
-                for w in range(n) for v in range(n) for y in range(n)
-                if v != y}
+    def rows(self, read):
+        """B's rows, [{column: read(x)}], x an entry's integer
+        coordinates over K0 times ``scale``.
 
-    @cached_property
-    def rows(self):
-        """B's rows exactly, [{column: integer coordinates over K0}]."""
-        n, prod, half = self.n, self.products, self.flat.dim
-        out = []
-        for w in range(n):
-            for v in range(n):
+        Row (w, v), v < n - 1, has a = T[H_wv][H_wy] at (v, y), v < y,
+        and a = -T[H_wy][H_wv] at (y, v), y < v; when split, a's low half
+        goes there and its high half to the transposed column.  The order
+        is free (see ``span_condition``) and chosen for speed, latest
+        leading column first: v from n - 2 down, then w, as row (w, v)
+        leads at column (0, max(v, 1)).  Rows that lead late become
+        pivots at late columns, which hold only the slots from their own
+        column on, so the multiply-adds of the rows that follow are short.
+        """
+        n, h, half = self.n, self.entries, self.flat.dim
+        cells = {}
+        for a, row in enumerate(self.table):
+            for b, x in enumerate(row):
+                parts = (x[:half], x[half:]) if self.split else (x,)
+                cells[a, b, 1] = [read(part) for part in parts]
+                cells[a, b, -1] = [read([-c for c in part]) for part in parts]
+        for v in range(n - 2, -1, -1):
+            for w in range(n):
                 row = {}
                 for y in range(n):
                     if y != v:
-                        # a is the row's entry at (lo, hi); the one at
-                        # (hi, lo) is -sigma(a)
                         lo, hi = min(v, y), max(v, y)
-                        a = prod[(w, v, y)] if v < y else \
-                            [-x for x in prod[(w, y, v)]]
-                        row[lo * n + hi] = a[:half]
+                        parts = cells[h[w * n + lo], h[w * n + hi],
+                                      1 if v < y else -1]
+                        row[lo * n + hi] = parts[0]
                         if self.split:
-                            row[hi * n + lo] = a[half:]
-                out.append(row)
-        return out
+                            row[hi * n + lo] = parts[1]
+                yield row
 
     def rows_mod_p(self, img, p):
-        """B's rows under the map of K0 with basis images ``img``, latest
-        leading column first.
-
-        The order is free: ``echelon_mod_p``'s pivot columns and
-        ``kernel_mod_p``'s kernel depend only on the span of the rows.
-        It is chosen for speed: rows that lead late become pivots at late
-        columns, which hold only the slots from their own column on, so
-        the multiply-adds of the rows that follow them are short.
-        """
-        for row in sorted(self.rows, key=lambda row: min(row, default=0),
-                          reverse=True):
-            yield {c: sum(a * b for a, b in zip(x, img)) % p
-                   for c, x in row.items()}
+        """B's rows under the map of K0 with basis images ``img``."""
+        return self.rows(lambda x: sum(a * b for a, b in zip(x, img)) % p)
 
     def gram_is_diagonal(self):
-        """Exact: is H*H diagonal, sum_w conj(H_wv) H_wy = 0 for v != y?"""
-        n, prod = self.n, self.products
-        for v in range(n):
-            for y in range(n):
-                if v != y and any(map(sum, zip(*(prod[(w, v, y)]
-                                                 for w in range(n))))):
-                    return False
-        return True
+        """Exact: is H*H diagonal, sum_w T[H_wv][H_wy] = 0 for v != y?
+
+        H*H is Hermitian, so the pairs v < y suffice."""
+        n, h, table = self.n, self.entries, self.table
+        return not any(any(map(sum, zip(*(table[h[w * n + v]][h[w * n + y]]
+                                          for w in range(n)))))
+                       for v, y in combinations(range(n), 2))
 
     @cached_property
     def rows_over_q(self):
         """B_Q's rows, [{c * d + l: entry}]: row (r, k) of B_Q follows
         row r of B, and its entry at (c, l) is coordinate k of B[r][c]
-        times the basis element e_l of K0, d = [K0:Q] (zeros left out).
-        When K0 = Q, B_Q is B."""
-        flat = self.flat
-        d = flat.dim
-        if d == 1:
-            return [{c: a[0] for c, a in row.items() if a[0]}
-                    for row in self.rows]
-        units = [[int(k == l) for k in range(d)] for l in range(d)]
-        out = []
-        for row in self.rows:
-            over_q = [{} for _ in range(d)]
-            for c, a in row.items():
-                for l, e in enumerate(units):
-                    for k, x in enumerate(flat.int_mul(a, e)):
-                        if x:
-                            over_q[k][c * d + l] = x
-            out += over_q
-        return out
+        times the basis element e_l of K0, d = [K0:Q] (zeros left out),
+        times flat.tden, read off K0's structure constants.  When K0 = Q,
+        B_Q is B."""
+        d, triples = self.flat.dim, self.flat.triples
+
+        def times(x):  # [k][l]: coordinate k of x e_l
+            out = [[0] * d for _ in range(d)]
+            for i, l, k, t in triples:
+                out[k][l] += x[i] * t
+            return out
+
+        return [{c * d + l: y for c, m in row.items()
+                 for l, y in enumerate(m[k]) if y}
+                for row in self.rows(times) for k in range(d)]
 
     def annihilates(self, vectors):
         """Exact: B_Q x = 0 for every (vector, den) of ``_lift``.

@@ -229,9 +229,40 @@ def test_section6_builds_one_jones_graph_per_family(monkeypatch):
     monkeypatch.setattr(nomura.JonesGraph, "__init__", counting_init)
     checks = cli.suite_section6(q=4)
     assert len(built) == 7
+    assert_section6_golden(checks)
+
+
+def assert_section6_golden(checks):
     golden = json.loads((GOLDEN / "section6.json").read_text())["checks"]
     assert sorted([c, ok, w] for c, ok, w in checks) == \
         sorted([r["check_id"], r["status"], r.get("witness")] for r in golden)
+
+
+def test_section6_evaluates_the_symmetry_functional_once_per_family(
+        monkeypatch):
+    # the nomura.symmetric record is component_report's own check
+    calls = []
+    honest = nomura.check_symmetric
+
+    def counting(family):
+        calls.append(family)
+        return honest(family)
+
+    monkeypatch.setattr(nomura, "check_symmetric", counting)
+    checks = cli.suite_section6(q=4)
+    assert len(calls) == 7
+    assert_section6_golden(checks)
+
+
+def test_section6_records_a_vanished_symmetry_functional(monkeypatch):
+    monkeypatch.setattr(nomura, "check_symmetric",
+                        lambda family: family.case != "iv")
+    checks = {c: (ok, w) for c, ok, w in cli.suite_section6(q=4)}
+    assert checks["nomura.symmetric.case_iv"] == (False, None)
+    ok, witness = checks["nomura.dimension.case_iv"]
+    assert not ok and "symmetry functional vanished" in witness
+    assert checks["nomura.symmetric.case_v"] == (True, None)
+    assert checks["nomura.dimension.case_v"][0]
 
 
 def test_report_sweeps_bound_below_4_is_a_usage_error(capsys):

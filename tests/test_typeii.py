@@ -12,7 +12,7 @@ from oracles import (
 
 from bmhadamard import typeii
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
-from bmhadamard.fastfield import FlatTower, primes, sparse_rank
+from bmhadamard.fastfield import FlatTower, flat_tower, primes, sparse_rank
 from bmhadamard.intervals import complex_embed
 from bmhadamard.identities import g_quadric, h_det
 from bmhadamard.typeii import (
@@ -590,7 +590,8 @@ def test_real_subfield_matrix_factors_the_generator_matrix(desc, n, data):
     """A = B N entrywise: B's entries (a0, a1) at columns (v, y), (y, v),
     v < y, times N's block [[1, -1], [t, t]], give A's entries
     a0 + t a1 and -a0 + t a1 = -sigma(a); over Q, A = B M with the block
-    [1, -1], so B has one column per pair."""
+    [1, -1], so B has one column per pair.  B holds A's rows (w, v) with
+    v < n - 1, v from n - 2 down, then w, times one positive scale."""
     basis = FlatTower(desc).basis
     coord = st.one_of(st.just(0), st.integers(-3, 3),
                       st.fractions(-2, 2, max_denominator=3))
@@ -601,17 +602,18 @@ def test_real_subfield_matrix_factors_the_generator_matrix(desc, n, data):
     assert span.split == (desc != QQ)
     assert len(span.columns) == n * (n - 1) // (1 if span.split else 2)
     k0 = span.flat
-    den = span.tower.tden * span.hden * span.cden
     t = TowerElement.generator(desc) if span.split else 0
     zero = [0] * k0.dim
-    flat, want = oracle_span_rows(dense, desc)
-    for row_b, row_a in zip(span.rows, want, strict=True):
+    flat, rows = oracle_span_rows(dense, desc)
+    want = [rows[w * n + v] for v in range(n - 2, -1, -1) for w in range(n)]
+    for row_b, row_a in zip(span.rows(tuple), want, strict=True):
         got = {}
         for v in range(n):
             for y in range(v + 1, n):
                 if v * n + y not in row_b:
                     continue
-                a0, a1 = (k0.from_flat((row_b.get(c, zero), den)).lift(desc)
+                a0, a1 = (k0.from_flat((row_b.get(c, zero), span.scale))
+                          .lift(desc)
                           for c in (v * n + y, y * n + v))
                 got[v * n + y] = a0 + t * a1
                 got[y * n + v] = -a0 + t * a1
@@ -710,10 +712,30 @@ def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
         assert calls == drawn
 
 
+@pytest.mark.parametrize("key", list(SPAN_RANKS_Q4))
+def test_span_matrix_costs_one_product_per_pair_of_entries(
+        families_q4, monkeypatch, key):
+    """H has m <= 4 distinct entries, and the whole verdict makes at most
+    m^2 ``int_mul`` calls, those of the table conj(h_a) h_b."""
+    fam = families_q4[key]
+    dense = TypeIIMatrix(fam).dense()
+    m = len({e for row in dense for e in row})
+    honest, products = FlatTower.int_mul, []
+
+    def int_mul(self, x, y):
+        products.append(self)
+        return honest(self, x, y)
+
+    monkeypatch.setattr(FlatTower, "int_mul", int_mul)
+    assert span_condition(dense, fam.desc, return_rank=True)[1] == \
+        SPAN_RANKS_Q4[key]
+    assert m <= 4 and len(products) <= m * m
+
+
 @pytest.mark.parametrize("key", [("v", 1, 1), ("vi", 1, 1)])
 def test_rows_mod_p_come_latest_leading_column_first(families_q4, key):
-    """``rows_mod_p`` gives B's rows, each once, under the map, in
-    non-increasing leading column (K0 = Q for v, Q(r) for vi r+)."""
+    """``rows_mod_p`` gives B's n(n - 1) rows, each once, under the map,
+    in non-increasing leading column (K0 = Q for v, Q(r) for vi r+)."""
     fam = families_q4[key]
     dense = TypeIIMatrix(fam).dense()
     span = typeii._CommutatorSpan(fam.desc, len(dense),
@@ -723,7 +745,7 @@ def test_rows_mod_p_come_latest_leading_column_first(families_q4, key):
                   if (img := span.flat.embedding(p)) is not None)
     got = list(span.rows_mod_p(img, p))
     leads = [min(row) for row in got]
-    assert len(got) == len(dense) ** 2
+    assert len(got) == len(dense) * (len(dense) - 1)
     assert leads == sorted(leads, reverse=True)
     assert leads[0] > leads[-1]
 
@@ -731,7 +753,7 @@ def test_rows_mod_p_come_latest_leading_column_first(families_q4, key):
         return sorted(row.items())
 
     want = [{c: sum(a * b for a, b in zip(x, img)) % p
-             for c, x in row.items()} for row in span.rows]
+             for c, x in row.items()} for row in span.rows(tuple)]
     assert sorted(map(key_of, got)) == sorted(map(key_of, want))
 
 
@@ -749,16 +771,21 @@ def test_restriction_of_scalars_multiplies_the_rank_by_the_degree(data):
         span.flat.dim * oracle_span_rank(dense, desc)
 
 
-def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
-    """Over vi r+'s tower, K0 = Q(r) has degree 2.  A rank-one H has a
-    span rank below both (n-1)^2 and the column count, so each prime
-    eliminates B under its map (16 rows) and then B_Q (32 rows), and the
-    kernel certificate of B_Q gives the rank."""
+def rank_one_over_vi():
+    """A rank-one 4 x 4 H over vi r+'s tower, where K0 = Q(r) has degree
+    2: its span rank is below both (n-1)^2 and the column count."""
     desc = family_coefficients("vi", 4, 1, 1).desc
     b = FlatTower(desc).basis
     u = [b[0] + j * b[1] for j in range(1, 5)]
     v = [b[0] * (k + 1) + b[2] - k * b[3] for k in range(4)]
-    dense = [[x * y for y in v] for x in u]
+    return [[x * y for y in v] for x in u], desc
+
+
+def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
+    """Each prime with a map of K0 = Q(r) eliminates B under it (12 rows,
+    n(n - 1)) and then B_Q (24 rows), and the kernel certificate of B_Q
+    gives the rank."""
+    dense, desc = rank_one_over_vi()
     honest, sizes = typeii.echelon_mod_p, []
 
     def echelon(rows, p):
@@ -770,7 +797,45 @@ def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
     rank = oracle_span_rank(dense, desc)
     assert rank not in (9, 12)
     assert span_condition(dense, desc, return_rank=True) == (False, rank)
-    assert sizes and sizes == [16, 32] * (len(sizes) // 2)
+    assert sizes and sizes == [12, 24] * (len(sizes) // 2)
+
+
+def test_kernel_route_eliminates_b_q_on_primes_with_no_map(monkeypatch):
+    """Once a prime with a map of K0 = Q(r) has fallen short of the upper
+    bound, every prime eliminates the integer matrix B_Q, one with no map
+    too.  A prime with no map drawn before that is skipped: the bound
+    route needs the map.  The first lift is made to fail, so that the
+    kernel certificate needs a second prime."""
+    dense, desc = rank_one_over_vi()
+    k0 = flat_tower(desc.prefix(desc.depth - 1))
+    first_primes = list(itertools.islice(primes(), 12))
+    first, later = [p for p in first_primes if k0.embedding(p) is None][:2]
+    mapped = next(p for p in first_primes if k0.embedding(p) is not None)
+    honest_echelon, honest_lift = typeii.echelon_mod_p, typeii._lift
+    calls, drawn, lifts = [], [], []
+
+    def echelon(rows, p):
+        rows = list(rows)
+        calls.append((p, len(rows)))
+        return honest_echelon(rows, p)
+
+    def reordered():
+        head = (first, mapped, later)
+        for p in itertools.chain(head, (p for p in primes() if p not in head)):
+            drawn.append(p)
+            yield p
+
+    def lift(residues, modulus):
+        lifts.append(modulus)
+        return None if len(lifts) == 1 else honest_lift(residues, modulus)
+
+    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
+    monkeypatch.setattr(typeii, "primes", reordered)
+    monkeypatch.setattr(typeii, "_lift", lift)
+    rank = oracle_span_rank(dense, desc)
+    assert span_condition(dense, desc, return_rank=True) == (False, rank)
+    assert drawn == [first, mapped, later]
+    assert calls == [(mapped, 12), (mapped, 24), (later, 24)]
 
 
 def non_hadamard_4x4():
