@@ -390,7 +390,8 @@ def scan_nonvanishing(expr_id, case, q_set):
 
     expr_id:
       nomura_symmetric_k : the symmetry functional for i = 1, 2, 3
-      jones_adjacency    : sums p_ij^m p_3k^i w_i^2/(w_k w_j), m = 1, 2
+      jones_adjacency    : sums p_ij^m p_3k^i w_i^2/(w_k w_j), m = 1, 2,
+                           of W and of its entrywise inverse W^(-)
       jones_component    : infeasibility of the linear system on the
                            unknown triangle counters (with both ratio
                            sums and all marginals imposed)
@@ -426,25 +427,12 @@ def _symmetry_ok(case, values, q):
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))
 
 
-def _variant_coords(case, q):
-    """(flat, w, inv) for every weight vector of a family at q (branches
-    x r signs): the descriptor's ``FlatTower`` and the integer
-    coordinates of the weights w_i and of their inverses 1/w_i, all
-    eight over one denominator den > 0."""
-    for fam in all_families(q, (case,)):
-        flat = flat_tower(fam.desc)
-        coords, _ = flat.int_coords(fam.weights + fam.inverses)
-        yield flat, coords[:4], coords[4:]
-
-
 def _term_table(flat, x, y, keys):
     """{(i, j, k): x_i^2 y_j y_k} over the keys, on integer coordinates.
 
     Each term is int_mul(int_mul(x_i, x_i), int_mul(y_j, y_k)), three
     products of vectors over one den, so every term is its tower value
-    times the same tden^3 * den^4 > 0.  With x the weights and y their
-    inverses the terms stand for w_i^2/(w_j w_k); swapped, for the same
-    of the inverted weights, w_j w_k/w_i^2.
+    times the same tden^3 * den^4 > 0.
     """
     mul = flat.int_mul
     squares = [mul(v, v) for v in x]
@@ -455,6 +443,19 @@ def _term_table(flat, x, y, keys):
             yy = pairs[(j, k)] = pairs[(k, j)] = mul(y[j], y[k])
         out[(i, j, k)] = mul(squares[i], yy)
     return out
+
+
+def _term_tables(case, q, keys):
+    """(flat, ff, gg) for each r sign of a family's branch +1 at q: the
+    ``FlatTower`` and the ``_term_table``s of w_i^2/(w_j w_k) (ff) and
+    of w_j w_k/w_i^2 (gg), from the weights and inverses over one den.
+    gg and ff are the tables of branch -1, W^(-)."""
+    for fam in all_families(q, (case,), branches=(1,)):
+        flat = flat_tower(fam.desc)
+        coords, _ = flat.int_coords(fam.weights + fam.inverses)
+        w, inv = coords[:4], coords[4:]
+        yield flat, _term_table(flat, w, inv, keys), \
+            _term_table(flat, inv, w, keys)
 
 
 def _integral(coeffs):
@@ -475,7 +476,7 @@ def _int_sum(terms, coeffs, dim):
 
 def _adjacency_sums(case, q):
     """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) on integer coordinates,
-    for m = 1, 2 in each weight variant, in that order.
+    for m = 1, 2 of W (ff), then of W^(-) (gg), for each r sign.
 
     The coefficients are scaled to integers and every term shares one
     positive scale (``_term_table``), so each sum is its tower value
@@ -487,10 +488,10 @@ def _adjacency_sums(case, q):
                          if p_at[i][j][m] and p_at[3][k][i]})
               for m in (1, 2)]
     keys = coeffs[0].keys() | coeffs[1].keys()
-    for flat, w, inv in _variant_coords(case, q):
-        ff = _term_table(flat, w, inv, keys)
-        for coeff in coeffs:
-            yield _int_sum(ff, coeff, flat.dim)
+    for flat, ff, gg in _term_tables(case, q, keys):
+        for terms in (ff, gg):
+            for coeff in coeffs:
+                yield _int_sum(terms, coeff, flat.dim)
 
 
 def _jones_adjacency_ok(case, q):
@@ -514,18 +515,11 @@ _LINES = {t: [(t[:a] + t[a + 1:], t[:a] + (1,) + t[a + 1:])
 _SIGNS = {t: -1 if sum(t) % 2 else 1 for t in _COUNTERS}
 
 
-def _component_tables(case, q, keys):
-    """(flat, ff, gg) of each weight variant: the ``_term_table`` of the
-    weights and that of their inverses, over the given keys."""
-    for flat, w, inv in _variant_coords(case, q):
-        yield flat, _term_table(flat, w, inv, keys), \
-            _term_table(flat, inv, w, keys)
-
-
 def _component_sums(case, q):
-    """(A_ff, B_ff, A_gg, B_gg, A_ff*B_gg - A_gg*B_ff) of each weight
-    variant on integer coordinates, or nothing when the marginals are
-    inconsistent (see ``_jones_component_ok``).
+    """(A_ff, B_ff, A_gg, B_gg, A_ff*B_gg - A_gg*B_ff) of each r sign's
+    branch +1 on integer coordinates, or nothing when the marginals are
+    inconsistent (see ``_jones_component_ok``).  For W^(-), ff and gg
+    swap: so do A and B, and the last entry changes sign.
 
     A sums the known counters and c0 with integer-scaled coefficients, B
     the signs s; every term of ff and gg shares one positive scale
@@ -547,7 +541,7 @@ def _component_sums(case, q):
              (3, 3, 3): p_at[3][3][3] - 1}
     fixed = _integral({t: c for t, c in {**known, **c0}.items() if c})
     keys = set(known) | set(_COUNTERS)
-    for flat, ff, gg in _component_tables(case, q, keys):
+    for flat, ff, gg in _term_tables(case, q, keys):
         (a_ff, b_ff), (a_gg, b_gg) = [
             (_int_sum(terms, fixed, flat.dim), _int_sum(terms, _SIGNS, flat.dim))
             for terms in (ff, gg)]

@@ -394,7 +394,7 @@ def check_inverse_inequivalence(case, q=4):
         raise HypothesisFail("the scalar argument applies to families i, ii")
     q = Fraction(q)
     n = q * q - 1
-    fam = family_coefficients(case, q)
+    fam = family_coefficients(case, q, 1, 1)
     if case == "i":
         blocks = [[0], [1, 2, 3]]
         valencies = [Fraction(1), n - 1]

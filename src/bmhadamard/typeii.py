@@ -6,11 +6,11 @@ fixes the pairwise values a_{i,j} = w_i/w_j + w_j/w_i, a point in the
 image of the rational map phi, as explicit rational functions of q (and
 of r with r^2 = (17q-1)(q-1) for the last family).  Every family is
 built by the one explicit inverse of phi: its seed weight w_s (``SEEDS``)
-is the root (a_{0,s} + branch*s)/2 of w^2 - a_{0,s}*w + 1, with
+is the root (a_{0,s} + s)/2 of w^2 - a_{0,s}*w + 1, with
 s^2 = a_{0,s}^2 - 4 adjoined in a minimal tower, and each other weight
-and its inverse are a_{0,i}/2 +- c_i*branch*s, c_i in a's field
-(``_weights_from_seed``).  The quadratic-root choice is recorded as
-``branch`` and the sign of r as ``r_sign``.
+and its inverse are a_{0,i}/2 +- c_i*s, c_i in a's field
+(``_weights_from_seed``).  ``branch`` -1, the other root, is the
+entrywise inverse W^(-); the sign of r is ``r_sign``.
 
 Everything decided here is an exact zero test; the interval arithmetic
 in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
@@ -225,11 +225,13 @@ def discriminant_root(a):
 def family_coefficients(case, q, r_sign=1, branch=1):
     """Construct one family exactly at an even rational q >= 4.
 
-    The seed weight w_s is the ``branch`` root (a_{0,s} + branch*s)/2 of
-    w^2 - a_{0,s} w + 1, and the inverse of phi from the pair
-    (w_0, w_s) = (1, w_s) gives the other weights and every inverse.
-    Cached, as ``case_a_symbolic`` is: scans and suites ask for the
-    same variants at the same q, and a family is never mutated.
+    Branch +1 takes the seed weight w_s = (a_{0,s} + s)/2, a root of
+    w^2 - a_{0,s} w + 1, and the inverse of phi from (1, w_s) gives the
+    other weights and every inverse.  Branch -1 is W^(-), branch +1 with
+    ``weights`` and ``inverses`` exchanged: delta -> -delta exchanges
+    x_i and y_i in ``_weights_from_seed``, and the tower does not depend
+    on delta.  Cached, and never mutated; the key of ``functools.cache``
+    is the argument spelling, so (case, q) and (case, q, 1, 1) are two.
     """
     case = normalize_case(case)
     q = Fraction(q)
@@ -237,18 +239,21 @@ def family_coefficients(case, q, r_sign=1, branch=1):
         raise QTooSmall(f"q = {q} < 4")
     if branch not in (1, -1) or r_sign not in (1, -1):
         raise InvalidCase("branch and r_sign must be +-1")
+    if branch == -1:
+        fam = family_coefficients(case, q, r_sign, 1)
+        return WeightFamily(case, q, -1, r_sign, fam.desc, fam.inverses,
+                            fam.weights, fam.r_value)
     r_val = r_value_at(q, r_sign) if case == "vi" else None
     a = [[None] * 4 for _ in range(4)]
     for (i, j), v in zip(PAIRS, case_a_values(case, q, r_val)):
         a[i][j] = a[j][i] = v
     desc, s = discriminant_root(a[0][SEEDS[case]])
-    weights, inverses = _weights_from_seed(a, 0, SEEDS[case], s * branch)
+    weights, inverses = _weights_from_seed(a, 0, SEEDS[case], s)
     if case == "vi" and not weights[1] * weights[2] == -weights[3]:
         raise InvalidCase("w1*w2 = -w3 failed; inconsistent construction")
     if r_val is not None:
         r_val = r_val.lift(desc)
-    return WeightFamily(case, q, branch, r_sign, desc, weights, inverses,
-                        r_val)
+    return WeightFamily(case, q, 1, r_sign, desc, weights, inverses, r_val)
 
 
 def all_families(q, cases=CASES, branches=(1, -1)):

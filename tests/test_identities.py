@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bmhadamard import identities, linalg
+from bmhadamard import identities, linalg, typeii
 from bmhadamard.exactfield import QQ, TowerElement
 from bmhadamard.fastfield import FlatTower
 from bmhadamard.identities import (
@@ -309,24 +310,27 @@ def test_weight_variants_give_both_ratio_tables(q):
     # ff holds the integer coordinates of w_i^2/(w_j w_k), gg those of
     # the same of the inverted weights, w_j w_k/w_i^2, both times one
     # positive scale that every term of both tables shares; the values
-    # are built here by plain division
+    # are built here by plain division.  The tables come once per r sign
+    # of branch +1, and they are gg and ff of branch -1, W^(-)
     keys = list(itertools.product(range(4), repeat=3))
     for case in CASES:
-        variants = list(identities._component_tables(case, q, keys))
-        families = all_families(q, (case,))
+        variants = list(identities._term_tables(case, q, keys))
+        families = all_families(q, (case,), branches=(1,))
         assert len(variants) == len(families)
         for (flat, ff, gg), fam in zip(variants, families):
-            w = fam.weights
+            inverse = family_coefficients(case, q, fam.r_sign, -1)
+            assert inverse.desc == fam.desc
             scale = ff[(0, 0, 0)][0]  # the coordinates of scale * 1
             assert scale > 0
 
             def scaled(x):
                 return [scale * c for c in x.lift(fam.desc).coefficients()]
 
-            assert ff == {(i, j, k): scaled(w[i] * w[i] / (w[j] * w[k]))
-                          for i, j, k in keys}
-            assert gg == {(i, j, k): scaled(w[j] * w[k] / (w[i] * w[i]))
-                          for i, j, k in keys}
+            for w, f, g in ((fam.weights, ff, gg), (inverse.weights, gg, ff)):
+                assert f == {(i, j, k): scaled(w[i] * w[i] / (w[j] * w[k]))
+                             for i, j, k in keys}
+                assert g == {(i, j, k): scaled(w[j] * w[k] / (w[i] * w[i]))
+                             for i, j, k in keys}
 
 
 def _positive_multiple(vec, el):
@@ -347,22 +351,33 @@ def _positive_multiple(vec, el):
 def test_integer_jones_sums_match_tower_oracle(q):
     # every integer sum of both Jones checks, over all 14 variants, is a
     # positive multiple of the same sum in tower arithmetic, and the
-    # verdicts agree
+    # verdicts agree.  The integer sums come per r sign, W then W^(-);
+    # the oracle's per family of all_families, which it builds itself
     for case in CASES:
         fams = all_families(q, (case,))
+        index = {(fam.branch, fam.r_sign): v for v, fam in enumerate(fams)}
+        r_signs = [fam.r_sign for fam in fams if fam.branch == 1]
+        order = [index[branch, r] for r in r_signs for branch in (1, -1)]
         got = list(identities._adjacency_sums(case, q))
         want = jones_adjacency_oracle(case, q)
         assert len(got) == len(want) == 2 * len(fams)
-        for n, (vec, el) in enumerate(zip(got, want)):
-            assert _positive_multiple(vec, el.lift(fams[n // 2].desc))
+        for n, vec in enumerate(got):
+            v = order[n // 2]
+            el = want[2 * v + n % 2]
+            assert _positive_multiple(vec, el.lift(fams[v].desc))
         assert identities._jones_adjacency_ok(case, q) == \
             all(not el.is_zero() for el in want)
         got = list(identities._component_sums(case, q))
         want = jones_component_oracle(case, q)
-        assert len(got) == len(want)
-        for sums, els, fam in zip(got, want, fams):
-            for vec, el in zip(sums, els):
-                assert _positive_multiple(vec, el.lift(fam.desc))
+        assert 2 * len(got) == len(want)
+        for (a_ff, b_ff, a_gg, b_gg, d), r in zip(got, r_signs):
+            # for W^(-), ff and gg swap: so do A and B, and d changes sign
+            for branch, sums in ((1, (a_ff, b_ff, a_gg, b_gg, d)),
+                                 (-1, (a_gg, b_gg, a_ff, b_ff,
+                                       [-x for x in d]))):
+                v = index[branch, r]
+                for vec, el in zip(sums, want[v]):
+                    assert _positive_multiple(vec, el.lift(fams[v].desc))
         assert identities._jones_component_ok(case, q) == \
             jones_component_verdict(want)
 
@@ -371,7 +386,7 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
     # The closed form of _jones_component_ok against linalg.solve on the
     # full system.  Weights w_1..w_3 in {+-1, +-2, +-3} give no solvable
     # system at these q, so the term tables are drawn directly and handed
-    # to the check by _component_tables, as integer vectors of the one
+    # to the check by _term_tables, as integer vectors of the one
     # tower Q: the drawn (ff, gg) pairs stand in for the terms of the
     # weights and of their inverses.  A gg row that is a multiple of the
     # ff row makes solvable systems common; a skewed p_12^3 makes the
@@ -401,7 +416,7 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
                                    for tab in pair) for pair in tables]
         monkeypatch.setattr(identities, "parametric_scheme",
                             lambda: SimpleNamespace(p_at=lambda q: p_at))
-        monkeypatch.setattr(identities, "_component_tables",
+        monkeypatch.setattr(identities, "_term_tables",
                             lambda case, q, keys: iter(vectors))
         want = all(_component_system_solution(p_at, ff, gg) is None
                    for ff, gg in tables)
@@ -410,6 +425,23 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
 
     check()
     assert seen == {True, False}
+
+
+def test_sweeps_build_each_tower_once(monkeypatch):
+    # all three sweeps of every case at two q build each (case, q, r sign)
+    # once, 7 per q: W^(-) is derived from W's cached family.  A fresh
+    # cache, through which the module's own calls go, makes the count
+    # independent of what earlier tests built
+    fresh = cache(typeii.family_coefficients.__wrapped__)
+    monkeypatch.setattr(typeii, "family_coefficients", fresh)
+    built = []
+    real = typeii._weights_from_seed
+    monkeypatch.setattr(typeii, "_weights_from_seed",
+                        lambda *args: built.append(args) or real(*args))
+    for expr in ("nomura_symmetric_k", "jones_adjacency", "jones_component"):
+        for case in CASES:
+            scan_nonvanishing(expr, case, [1002, 1004])
+    assert len(built) == 2 * 7
 
 
 def test_scan_rejects_unknown_expression():
