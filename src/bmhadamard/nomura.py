@@ -8,6 +8,18 @@ counting them gives dim N.  Every adjacency decision here is an exact
 zero test in the tower field; there is no tolerance anywhere in this
 module.
 
+The component search runs on twin classes.  Two vertices whose ratio
+vectors Y are equal entry by entry have equal adjacency rows, so the
+graph is a blow-up of its quotient on classes of equal Y: each class is
+a clique when <Y, Y> != 0 and an independent set otherwise, and two
+classes are joined completely or not at all.  A component of the
+quotient with two or more classes is one component of the graph (every
+member of a class is adjacent to every member of a neighbouring class);
+a class alone in its quotient component is one component when it is a
+clique, and otherwise splits into singletons.  So searching one
+representative per class and testing a lone class against itself gives
+exactly the components of the search over all n^2 vertices.
+
 The symmetry precondition is the nonvanishing of
 sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..d, checked
 exactly from the intersection numbers before the component method is
@@ -38,13 +50,17 @@ class JonesGraph:
     """Adjacency oracle and component labels on the n^2 pair vertices.
 
     ``ratios`` is the m x m table ratios[i][j] = w_i / w_j of the m
-    weights (``typeii.weight_ratios``, or a family's ``ratios``).  With
-    ratio[i*m + j] its entries row by row, the x-th term of
-    <Y_ab, Y_cd> is ratio[u] * ratio[v], u = R(x,a)*m + R(x,b) and
-    v = R(x,c)*m + R(x,d).  The m^2 ratios get integer coordinates over
-    one denominator den, and
-    ``FlatTower.int_mul`` forms their m^2 x m^2 product table: each
-    entry is the true product times the same tden * den^2 > 0.
+    weights (``typeii.weight_ratios``, or a family's ``ratios``).  The
+    m^2 ratios get integer coordinates over one denominator den, so two
+    are equal exactly when their coordinate vectors are; the distinct
+    vectors are numbered in order of first appearance, the value ids
+    (every w_i / w_i gets the id of 1).  The profile of vertex (a, b)
+    is the value id of ratios[R(x,a)][R(x,b)] = (Y_ab)_x for each x, so
+    equal profiles mean equal Y and equal rows of the adjacency matrix.
+    The x-th term of <Y_ab, Y_cd> is value[u] * value[v], u and v the
+    x-th ids of the two profiles, and ``FlatTower.int_mul`` forms the
+    product table of the distinct values: each entry is the true product
+    times the same tden * den^2 > 0.
 
     Each entry is packed into one int, coordinate k in a signed slot of
     ``bits`` bits.  A sum of n entries is sum_k S_k * 2^(k*bits), and
@@ -58,52 +74,73 @@ class JonesGraph:
         self.n = n = len(scheme_rel)
         flat = flat_tower(desc)
         m = len(ratios)
-        ratios, _ = flat.int_coords([x for row in ratios for x in row])
-        products = [[flat.int_mul(x, y) for y in ratios] for x in ratios]
+        coords, _ = flat.int_coords([x for row in ratios for x in row])
+        ids = {}
+        value_id = [ids.setdefault(vec, len(ids)) for vec in coords]
+        products = [[flat.int_mul(x, y) for y in ids] for x in ids]
         top = max(abs(c) for row in products for vec in row for c in vec)
         bits = (n * top).bit_length() + 1
         self.table = [[sum(c << (k * bits) for k, c in enumerate(vec))
                        for vec in row] for row in products]
-        # vertex (a, b) -> its ratio index R(x,a)*m + R(x,b) for each x
-        self.ratio_index = {(a, b): [r[a] * m + r[b] for r in scheme_rel]
-                            for a in range(n) for b in range(n)}
+        self.profile = {(a, b): tuple(value_id[r[a] * m + r[b]]
+                                      for r in scheme_rel)
+                        for a in range(n) for b in range(n)}
         self._labels = None
 
     def adjacent(self, ab, cd):
         """Exact: is <Y_ab, Y_cd> nonzero?"""
         table = self.table
         return sum(table[u][v] for u, v in
-                   zip(self.ratio_index[ab], self.ratio_index[cd])) != 0
+                   zip(self.profile[ab], self.profile[cd])) != 0
 
     def vertices(self):
         return [(a, b) for a in range(self.n) for b in range(self.n)]
 
     def component_labels(self):
-        """BFS component labels over all n^2 vertices, fully exact."""
+        """Component labels of all n^2 vertices, numbered in the order of
+        each component's least vertex: a breadth-first search over one
+        representative per twin class, every test exact."""
         if self._labels is not None:
             return self._labels
         verts = self.vertices()
-        labels = [-1] * len(verts)
-        comp = 0
-        for start in range(len(verts)):
-            if labels[start] >= 0:
+        by_profile = {}
+        for i, v in enumerate(verts):
+            by_profile.setdefault(self.profile[v], []).append(i)
+        classes = list(by_profile.values())  # ordered by least member
+        reps = [verts[cls[0]] for cls in classes]
+        seen = [False] * len(classes)
+        # the least vertex of each vertex's component; a group's is cls[0],
+        # as its other classes come later in the order by least member
+        least = [0] * len(verts)
+        for start, cls in enumerate(classes):
+            if seen[start]:
                 continue
-            labels[start] = comp
-            frontier = [verts[start]]
-            unvisited = [i for i in range(len(verts)) if labels[i] < 0]
-            while frontier:
-                u = frontier.pop()
+            seen[start] = True
+            group = [start]
+            frontier = [start]
+            unvisited = [c for c in range(start + 1, len(classes))
+                         if not seen[c]]
+            while frontier and unvisited:
+                u = reps[frontier.pop()]
                 still = []
-                for i in unvisited:
-                    if labels[i] >= 0:
-                        continue
-                    if self.adjacent(u, verts[i]):
-                        labels[i] = comp
-                        frontier.append(verts[i])
+                for c in unvisited:
+                    if self.adjacent(u, reps[c]):
+                        seen[c] = True
+                        group.append(c)
+                        frontier.append(c)
                     else:
-                        still.append(i)
+                        still.append(c)
                 unvisited = still
-            comp += 1
+            if len(group) == 1 and len(cls) > 1 and \
+                    not self.adjacent(reps[start], reps[start]):
+                for i in cls:  # an independent set: singletons
+                    least[i] = i
+            else:
+                for c in group:
+                    for i in classes[c]:
+                        least[i] = cls[0]
+        rank = {v: k for k, v in enumerate(sorted(set(least)))}
+        labels = [rank[v] for v in least]
         self._labels = labels
         return labels
 

@@ -10,7 +10,7 @@ Everything here is plain integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .exactfield import squarefree_decompose
 from .ratfunc import PolyQ
@@ -93,21 +93,59 @@ def descend(problem, xy):
     return (x, y), steps
 
 
+# x is sieved in windows of at most _SIEVE_CHUNK bytes, against the squares
+# mod each of these moduli that is coprime to d
+_SIEVE_CHUNK = 1 << 16
+_SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _nonsquare_classes(problem):
+    """[(m, residues)]: the x mod m for which (x^2 - a)/d is not a square
+    mod m, for each sieve modulus m coprime to d (0 is a square)."""
+    d, a = problem.d, problem.a
+    out = []
+    for m in _SIEVE_MODULI:
+        if gcd(m, d) == 1:
+            squares = {y * y % m for y in range(m)}
+            d_inv = pow(d, -1, m)
+            out.append((m, [r for r in range(m)
+                            if (r * r - a) * d_inv % m not in squares]))
+    return out
+
+
 def descent_oracle(problem, x_limit):
     """Enumerate all solutions with x <= x_limit and certify the descent.
 
-    x runs, in increasing order, only through the residues r mod d with
-    r^2 = a (mod d).  Returns the solution count; raises if any solution
-    fails to reduce to a base solution (disproving the descent lemma).
+    x runs in increasing order through a sieve, in windows of at most
+    ``_SIEVE_CHUNK`` bytes: a window marks the x with x^2 = a (mod d),
+    then clears every x whose y^2 = (x^2 - a)/d is not a square mod some
+    m coprime to d.  d is invertible mod m, so y^2 = (x^2 - a) d^-1
+    (mod m) depends on x mod m alone, and a cleared x has no integral y.
+    Every solution survives, and each survivor gets the exact ``isqrt``
+    test.  Returns the solution count; raises on the first solution, in
+    increasing x, that fails to reduce to a base solution (disproving
+    the descent lemma).
     """
     bases = set(base_solutions(problem))
     count = 0
     d, a = problem.d, problem.a
     x0 = isqrt(a) if isqrt(a) ** 2 == a else isqrt(a) + 1
     roots = [r for r in range(d) if (r * r - a) % d == 0]
-    starts = range(x0 - x0 % d, x_limit + 1, d)
-    for x in (s + r for s in starts for r in roots):
-        if x0 <= x <= x_limit:
+    classes = _nonsquare_classes(problem)
+    for lo in range(x0, x_limit + 1, _SIEVE_CHUNK):
+        size = min(_SIEVE_CHUNK, x_limit + 1 - lo)
+        mask = bytearray(size)
+        for r in roots:
+            s = (r - lo) % d
+            mask[s::d] = b"\1" * len(range(s, size, d))
+        for m, residues in classes:
+            for r in residues:
+                s = (r - lo) % m
+                mask[s::m] = bytes(len(range(s, size, m)))
+        pos = mask.find(1)
+        while pos >= 0:
+            x = lo + pos
+            pos = mask.find(1, pos + 1)
             y2 = (x * x - a) // d
             y = isqrt(y2)
             if y * y == y2:

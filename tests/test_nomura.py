@@ -3,7 +3,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import y_inner, y_vector
+from hypothesis import example, given, settings, strategies as st
+from oracles import component_labels_oracle, field_scheme, y_inner, y_vector
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.nomura import (
@@ -19,7 +20,13 @@ from bmhadamard.nomura import (
     symmetry_values,
     triangle_counters,
 )
-from bmhadamard.typeii import TypeIIMatrix, WeightFamily, weight_ratios
+from bmhadamard.scheme import parametric_scheme
+from bmhadamard.typeii import (
+    TypeIIMatrix,
+    WeightFamily,
+    family_coefficients,
+    weight_ratios,
+)
 
 
 def fourier4():
@@ -205,3 +212,75 @@ def test_r03_classes_partition_the_points(petersen):
     chain = SimpleNamespace(n=3, rel=[[0, 3, 1], [3, 0, 3], [1, 3, 0]])
     with pytest.raises(StepFailed):
         _r03_classes(chain)
+
+
+def test_twin_search_matches_the_bfs_oracle(families_q4):
+    # label for label, on all 14 families at q = 4
+    for key, fam in families_q4.items():
+        graph = jones_graph_for(TypeIIMatrix(fam))
+        assert graph.component_labels() == component_labels_oracle(graph), key
+
+
+GAUSSIAN_DESC, _I = adjoin_radical(QQ, -1)
+_ONE = TowerElement.rational(1, GAUSSIAN_DESC)
+GAUSSIAN_UNITS = (_ONE, -_ONE, _I, -_I)
+
+
+@st.composite
+def gaussian_unit_tables(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    rel = [[draw(st.integers(0, m - 1)) for _ in range(n)] for _ in range(n)]
+    ratios = [[draw(st.sampled_from(GAUSSIAN_UNITS)) for _ in range(m)]
+              for _ in range(m)]
+    return rel, ratios
+
+
+@given(gaussian_unit_tables())
+# every vertex has Y = (-i, 1), and <Y, Y> = 0: four singletons
+@example(([[0, 0], [1, 1]], [[-_I, -_I], [-_ONE, _ONE]]))
+@settings(max_examples=150, deadline=None)
+def test_twin_search_matches_the_bfs_oracle_on_random_tables(table):
+    # ratios in {+-1, +-i}: <Y, Y> can vanish, so twin classes that are
+    # independent sets occur alongside cliques
+    rel, ratios = table
+    graph = JonesGraph(rel, ratios, GAUSSIAN_DESC)
+    assert graph.component_labels() == component_labels_oracle(graph)
+
+
+def test_lone_self_orthogonal_class_splits(families_q4, monkeypatch):
+    # a stub in which the off-diagonal vertices are all adjacent and the
+    # diagonal class (one profile, all ones) is adjacent to nothing, not
+    # even itself: its 15 vertices must come out as 15 singletons
+    graph = jones_graph_for(TypeIIMatrix(families_q4[("iv", 1, 1)]))
+    monkeypatch.setattr(graph, "adjacent",
+                        lambda ab, cd: ab[0] != ab[1] and cd[0] != cd[1])
+    labels = graph.component_labels()
+    assert labels == component_labels_oracle(graph)
+    assert graph.component_sizes() == [210] + [1] * 15
+    assert [labels[a * 15 + a] for a in range(15)] == [0] + list(range(2, 16))
+
+
+F_2E_MODULI = {4: 0b10011, 8: 0b1000011}  # t^4 + t + 1, t^6 + t + 1
+
+
+@pytest.fixture(scope="module")
+def field_scheme_q8():
+    return field_scheme(8, F_2E_MODULI[8])
+
+
+@pytest.mark.parametrize("q, valencies", [(4, (1, 4, 8, 2)),
+                                          (8, (1, 24, 32, 6))])
+def test_field_scheme_matches_the_parametric_scheme(q, valencies):
+    scheme = field_scheme(q, F_2E_MODULI[q])
+    assert scheme.valencies == valencies
+    p_at = parametric_scheme().p_at(q)
+    assert [[list(row) for row in table] for table in p_at] == scheme.p
+
+
+@pytest.mark.parametrize("case, r_sign", [("iv", 1), ("v", 1), ("vi", 1)])
+def test_components_at_q8(case, r_sign, field_scheme_q8):
+    # n = 63: the off-diagonal pairs form one component, the diagonal one
+    fam = family_coefficients(case, 8, r_sign, 1)
+    graph = JonesGraph(field_scheme_q8.rel, fam.ratios, fam.desc)
+    assert graph.component_sizes() == [3906, 63]

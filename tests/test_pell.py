@@ -1,6 +1,10 @@
+import tracemalloc
+
+import oracles
 import pytest
 from oracles import descent_oracle_every_x
 
+from bmhadamard import pell
 from bmhadamard.pell import (
     FUNDAMENTAL_17,
     PROBLEM_17_64,
@@ -58,13 +62,61 @@ def test_descent_oracle_small():
     assert count >= 6  # several solutions below 10^4, all accounted for
 
 
-@pytest.mark.parametrize("x_limit", [1, 8, 9, 26, 10 ** 3, 10 ** 4 + 7])
+# d = 2, 6 and 15 share a factor with a sieve modulus, which is then unused;
+# 64 and 25 are squares, so (8, 0) and (5, 0) are solutions with y = 0
+SIEVE_PROBLEMS = (PROBLEM_17_64, PellProblem(2, 7, (3, 2)),
+                  PellProblem(13, 36, (649, 180)), PellProblem(6, 10, (5, 2)),
+                  PellProblem(6, 25, (5, 2)), PellProblem(15, 1, (4, 1)))
+CHUNK = pell._SIEVE_CHUNK
+
+
+@pytest.mark.parametrize("x_limit", [1, 8, 9, 26, 10 ** 3, 10 ** 4 + 7,
+                                     CHUNK - 1, CHUNK, CHUNK + 1])
 def test_descent_oracle_matches_every_x(x_limit):
-    # the residue-stepped scan against testing every x
-    for problem in (PROBLEM_17_64, PellProblem(2, 7, (3, 2)),
-                    PellProblem(13, 36, (649, 180))):
+    # the sieve against testing every x
+    for problem in SIEVE_PROBLEMS:
         assert descent_oracle(problem, x_limit) == \
             descent_oracle_every_x(problem, x_limit)
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 34])
+def test_descent_oracle_across_window_edges(chunk, monkeypatch):
+    # small windows put a window edge next to every x_limit and solution
+    monkeypatch.setattr(pell, "_SIEVE_CHUNK", chunk)
+    for problem in SIEVE_PROBLEMS:
+        for x_limit in range(90):
+            assert descent_oracle(problem, x_limit) == \
+                descent_oracle_every_x(problem, x_limit), (problem, x_limit)
+
+
+@pytest.mark.parametrize("dropped", [(9, 1), (26, 6)])
+def test_descent_oracle_reports_the_first_failing_solution(dropped,
+                                                           monkeypatch):
+    # with a base taken off the list, the sieve names the same first
+    # failing solution as the scan of every x
+    bases = [b for b in base_solutions(PROBLEM_17_64) if b != dropped]
+    monkeypatch.setattr(pell, "base_solutions", lambda problem: bases)
+    monkeypatch.setattr(oracles, "base_solutions", lambda problem: bases)
+    messages = []
+    for scan in (descent_oracle, descent_oracle_every_x):
+        with pytest.raises(AssertionError) as info:
+            scan(PROBLEM_17_64, 10 ** 4)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"({dropped[0]},{dropped[1]}) reduced")
+
+
+def test_descent_oracle_memory_stays_in_one_window():
+    # one mask over every x <= 10^6 would take about 1 MB; a window of
+    # at most 64 KiB keeps the peak well below 256 KiB
+    descent_oracle(PROBLEM_17_64, 10)  # warm every import and cache
+    tracemalloc.start()
+    try:
+        assert descent_oracle(PROBLEM_17_64, 10 ** 6) == 15
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_integral_r_q_values():
