@@ -7,10 +7,12 @@ w^2 - a*w + 1, i.e. (a +- sqrt(a^2 - 4))/2, so square roots are the
 only levels it needs.  Elements are stored as nested pairs (a, b)
 meaning a + b*t, bottoming out at the base field K_0: `fractions.Fraction`
 for towers over Q, or `ratfunc.RatQ` for the tower Q(q)(r) of
-`ratfunc.RF_DESC`.  Every element of every tower is a ``TowerElement``,
-and every operation returns one.  Equality is structural on reduced
-coefficients, so exact zero tests are just comparisons; nothing here
-ever rounds.
+`ratfunc.RF_DESC`.  The base may also be the ring `ratfunc.PolyQ`, as in
+`ratfunc.RING_DESC`, where the ring operations (+, -, *, conjugation and
+zero tests) apply and inverses do not.  Every element of every tower is
+a ``TowerElement``, and every operation returns one.  Equality is
+structural on reduced coefficients, so exact zero tests are just
+comparisons; nothing here ever rounds.
 
 Depth stays at most 3 for everything this package builds (a real
 quadratic level for a square root of a rational, optionally topped by
@@ -136,6 +138,13 @@ def _neg(x):
     return -x
 
 
+def _scale(x, c):
+    # x times a base-field value c, coordinate by coordinate
+    if isinstance(x, tuple):
+        return (_scale(x[0], c), _scale(x[1], c))
+    return x * c
+
+
 def _mul(levels, depth, x, y):
     # (a + b t)(c + d t) = ac + bd s + (ad + bc) t  with t^2 = s
     if depth == 0:
@@ -194,7 +203,8 @@ class TowerDescriptor:
     ``levels`` is a tuple of radicands; level j adjoins a root t of
     t^2 = s where s is a raw rep at depth j.  ``base`` is
     the class of the level-0 values: ``Fraction`` for Q, ``RatQ`` for
-    Q(q).  Descriptors are immutable and compare structurally.
+    Q(q), ``PolyQ`` for the ring Q[q].  Descriptors are immutable and
+    compare structurally.
     """
 
     __slots__ = ("levels", "base", "_hash")
@@ -337,6 +347,10 @@ class TowerElement:
         return TowerElement(self.desc, _neg(self.rep))
 
     def __mul__(self, other):
+        if not isinstance(other, TowerElement) and self._is_scalar(other):
+            base = self.desc.base
+            c = other if isinstance(other, base) else base(other)
+            return TowerElement(self.desc, _scale(self.rep, c))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented

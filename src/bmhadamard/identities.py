@@ -4,9 +4,13 @@ converse direction of the classification, all over exact function fields.
 Three kinds of arithmetic live here.  Small multivariate Laurent
 polynomials (MPoly, <= 4 variables) carry the foundational identities
 behind the reconstruction map: their denominators are monomials, bar
-one pair that is cleared by cross-multiplying.  The per-family work
-happens in Q(q)[r]/(r^2-(17q-1)(q-1)), the tower ``ratfunc.RF_DESC``,
-so "vanishes identically in q" is literal.  The two Jones sweeps run at
+one pair that is cleared by cross-multiplying.  The family's a-values
+are elements of Q(q)[r]/(r^2-(17q-1)(q-1)), the tower
+``ratfunc.RF_DESC``, and the converse is decided on their numerators
+over one common denominator D: the constraints, homogenized by D, are
+evaluated with no polynomial gcd in the ring Q[q][r]/(r^2-(17q-1)(q-1))
+(``ratfunc.RING_DESC``), where a zero is a zero in q, so "vanishes
+identically in q" is literal.  The two Jones sweeps run at
 each q on the integer coordinates of the weight tower
 (``fastfield.flat_tower``): every term w_i^2/(w_j w_k) is built by the
 same three ``int_mul``s from the weights and their inverses over one
@@ -22,12 +26,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 
 from .exactfield import TowerElement
 from .fastfield import flat_tower
-from .ratfunc import RF_DESC, RatQ, r_value_at, ratfunc_specialize
+from .ratfunc import (
+    RING_DESC,
+    PolyQ,
+    RatQ,
+    r_value_at,
+    ratfunc_specialize,
+)
 from .scheme import parametric_scheme
 from .typeii import (
     CASES,
@@ -170,19 +180,24 @@ class MPoly:
 # ---------------------------------------------------------------------------
 # the basic polynomials, generic over any commutative ring elements
 
-def g_quadric(x, y, z):
-    """x^2 + y^2 + z^2 - xyz - 4."""
-    return x * x + y * y + z * z - x * y * z - 4
+def g_quadric(x, y, z, t=1):
+    """t(x^2 + y^2 + z^2) - xyz - 4t^3: x^2 + y^2 + z^2 - xyz - 4,
+    homogenized by t.  At (t*x, t*y, t*z, t) it is t^3 times the value
+    at (x, y, z), and t = 1 gives the quadric itself."""
+    return t * (x * x + y * y + z * z) - x * y * z - 4 * t * t * t
 
 
-def h_det(a01, a02, a03, a12, a13, a23):
-    """det [[2, a01, a02], [a01, 2, a12], [a03, a13, a23]]."""
-    return (2 * (2 * a23 - a12 * a13)
+def h_det(a01, a02, a03, a12, a13, a23, t=1):
+    """det [[2, a01, a02], [a01, 2, a12], [a03, a13, a23]], homogenized
+    by t: the degree-1 term times t^2, the degree-2 terms times t.  At
+    the a-values times t it is t^3 times the determinant, and t = 1
+    gives the determinant itself."""
+    return (2 * (2 * t * t * a23 - t * a12 * a13)
             - a01 * (a01 * a23 - a12 * a03)
-            + a02 * (a01 * a13 - 2 * a03))
+            + a02 * (a01 * a13 - 2 * t * a03))
 
 
-def h_four(lookup, i, j, k, l):
+def h_four(lookup, i, j, k, l, t=1):
     """The four-index determinant constraint on X_{i,j} = lookup(i, j).
 
     It is ``h_det`` relabelled, with the sign flipped:
@@ -192,7 +207,7 @@ def h_four(lookup, i, j, k, l):
     four indices give only the values at the six splits in ``H_SPLITS``.
     """
     X = lookup
-    return -h_det(X(k, l), X(k, i), X(k, j), X(l, i), X(l, j), X(i, j))
+    return -h_det(X(k, l), X(k, i), X(k, j), X(l, i), X(l, j), X(i, j), t)
 
 
 def symmetry_functional(p, lookup):
@@ -288,24 +303,40 @@ def verify_core_identities():
 class EPolynomial:
     """e_k = sum_{i<j} P_{k,i} P_{k,j} X_{i,j} + sum_i P_{k,i}^2 - n.
 
-    Linear in the X_{i,j}; coefficients are rational functions of q.
+    Linear in the X_{i,j}; coefficients are rational functions of q,
+    held as values of the base ring of the X's tower (``e_polynomials``).
     """
 
     def __init__(self, k, coeffs, constant):
         self.k = k
-        self.coeffs = coeffs      # {(i, j): RatQ}
-        self.constant = constant  # RatQ
+        self.coeffs = coeffs      # {(i, j): RatQ or PolyQ}
+        self.constant = constant  # RatQ or PolyQ
 
-    def evaluate(self, values):
-        """Plug in X_{i,j} -> values[(i,j)], elements over ``RF_DESC``."""
-        acc = TowerElement.rational(self.constant, RF_DESC)
+    def evaluate(self, values, t=1):
+        """Plug in X_{i,j} -> values[(i,j)], homogenized by t (the
+        constant term times t): tower elements over a base ring that
+        holds the coefficients, ``RF_DESC``'s RatQ or ``RING_DESC``'s
+        PolyQ."""
+        acc = self.constant * t
         for pair, c in self.coeffs.items():
-            acc = acc + values[pair] * c
+            acc = values[pair] * c + acc
         return acc
 
 
-def e_polynomials():
-    """The d linear forms cutting out type-II points, k = 1..d."""
+@cache
+def e_polynomials(base=RatQ):
+    """The d linear forms cutting out type-II points, k = 1..d.
+
+    The coefficients are values of ``base``: RatQ, or PolyQ for
+    numerators over ``RING_DESC``, where each coefficient is checked to
+    be a polynomial (denominator 1) and ValueError is raised otherwise.
+    Cached; the forms are shared and never mutated.
+    """
+    if base is PolyQ:
+        return tuple(EPolynomial(e.k, {pair: _polynomial(c)
+                                       for pair, c in e.coeffs.items()},
+                                 _polynomial(e.constant))
+                     for e in e_polynomials())
     P = parametric_scheme().P
     d = len(P) - 1
     n = sum(P[0][j] for j in range(d + 1))
@@ -315,7 +346,14 @@ def e_polynomials():
                   for i in range(d + 1) for j in range(i + 1, d + 1)}
         constant = sum((P[k][i] * P[k][i] for i in range(d + 1)), RatQ(0)) - n
         out.append(EPolynomial(k, coeffs, constant))
-    return out
+    return tuple(out)
+
+
+def _polynomial(c):
+    """A RatQ of denominator 1 as its PolyQ numerator."""
+    if c.den != 1:
+        raise ValueError(f"{c!r} is not a polynomial in q")
+    return c.num
 
 
 def _pair_values(case):
@@ -323,31 +361,82 @@ def _pair_values(case):
     return {pair: vec[t] for t, pair in enumerate(PAIRS)}
 
 
-def converse_constraints(values):
-    """All g, h and e_k values at a substitution dict {(i,j): element
-    over ``RF_DESC``}."""
+def converse_constraints(values, t=1):
+    """All g, h and e_k values at a substitution dict {(i,j): element},
+    homogenized by t.
+
+    With t = 1 and elements over ``RF_DESC`` these are the constraints
+    themselves.  With numerators N = t*a over ``RING_DESC`` and t their
+    denominator (``converse_numerators``), each g and h is t^3 times,
+    and each e_k t times, its value at a.  The e_k coefficients are taken
+    in the base ring of the elements' tower.
+    """
     def X(i, j):
         return values[(min(i, j), max(i, j))]
 
     out = []
     for tri in itertools.combinations(range(4), 3):
         out.append(g_quadric(X(tri[0], tri[1]), X(tri[0], tri[2]),
-                             X(tri[1], tri[2])))
+                             X(tri[1], tri[2]), t))
     for split in H_SPLITS:
-        out.append(h_four(X, *split))
-    for e in e_polynomials():
-        out.append(e.evaluate(values))
+        out.append(h_four(X, *split, t))
+    for e in e_polynomials(values[(0, 1)].desc.base):
+        out.append(e.evaluate(values, t))
     return out
+
+
+def converse_numerators(values):
+    """(N, D) for a substitution dict of elements over ``RF_DESC``.
+
+    D is the monic lcm of the denominators of every coordinate, and
+    N[(i, j)] = D * values[(i, j)], an element over ``RING_DESC``: each
+    coordinate is its numerator times D over its denominator.  When no
+    value involves r, every N lies in Q[q], the base ring of
+    ``RING_DESC``, and is kept there, at depth 0.
+    """
+    dens = {c.den for v in values.values() for c in v.rep}
+    D = PolyQ(1)
+    for den in dens:
+        D = D * den.divmod(D.gcd(den))[0]
+    nums = {pair: tuple(D.divmod(c.den)[0] * c.num for c in v.rep)
+            for pair, v in values.items()}
+    if any(b for _, b in nums.values()):
+        return {pair: TowerElement(RING_DESC, n)
+                for pair, n in nums.items()}, D
+    base = RING_DESC.prefix(0)
+    return {pair: TowerElement(base, a) for pair, (a, _) in nums.items()}, D
+
+
+def converse_zeros(values):
+    """Which converse constraints vanish identically at a substitution
+    dict of elements over ``RF_DESC``: one bool per entry of
+    ``converse_constraints(values)``, decided on
+    ``converse_numerators(values)`` as ``verify_converse`` explains."""
+    nums, den = converse_numerators(values)
+    return [c.is_zero() for c in converse_constraints(nums, den)]
 
 
 def verify_converse(case):
     """Does the family's a-vector annihilate every constraint in q?
 
-    Works in Q(q) extended by r for the sixth family, so a True answer
-    is an identity for all q, not a sampled statement.
+    The six a-values are put over their lcm denominator D, a monic
+    polynomial, and the constraints are evaluated on the numerators
+    N = D*a, homogenized by D (``converse_zeros``), in the ring
+    Q[q][r]/(r^2 - (17q-1)(q-1)) of ``RING_DESC``, with no polynomial
+    gcd along the way.  That is sound:
+
+    * D != 0 in Q(q), so each g and h at (N, D) is D^3 times, and each
+      e_k D times, its value at a; one is zero exactly when the other is.
+    * (17q-1)(q-1) is not a square in Q(q), so the ring embeds in the
+      field Q(q)(r) of ``RF_DESC`` with {1, r} a basis of both: an
+      element is zero exactly when both of its PolyQ coordinates are.
+    * The e_k coefficients are polynomials in q, as ``e_polynomials``
+      checks, so each e_k at (N, D) lies in the ring.
+
+    A True answer is an identity for all q, and for the sixth family for
+    both signs of r, not a sampled statement.
     """
-    values = _pair_values(case)
-    return all(c.is_zero() for c in converse_constraints(values))
+    return all(converse_zeros(_pair_values(case)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ inputs are fixed algebraic numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 
@@ -119,8 +120,15 @@ class ComplexInterval:
 # ---------------------------------------------------------------------------
 # embedding tower elements
 
+@cache
 def _embed_roots(desc, digits):
-    """Values of each level's adjoined root under the principal embedding."""
+    """Values of each level's adjoined root under the principal embedding.
+
+    Cached per (descriptor, digits), as ``exactfield.embed_signature``
+    is per descriptor: the enclosures depend on nothing else, and every
+    ``element_sign`` and ``complex_embed`` call on one tower reads the
+    same tuple.  A try that raises (PrecisionExhausted) is not cached.
+    """
     roots = []
     for s in desc.levels:
         # t = sqrt(s): real for s >= 0, imaginary for s <= 0
@@ -134,7 +142,7 @@ def _embed_roots(desc, digits):
         else:
             raise PrecisionExhausted
         roots.append(root)
-    return roots
+    return tuple(roots)
 
 
 class PrecisionExhausted(Exception):

@@ -7,7 +7,10 @@ held as depth-1 `exactfield` tower elements over the base field
 ``RatQ`` with descriptor ``RF_DESC`` (``QF`` is q and ``RF_R`` is r
 there).  All identities "in q" proved by this package are equalities of
 reduced elements of that tower, so they hold identically, not just at
-sampled points.
+sampled points.  ``RING_DESC`` is the same level over the base ring
+``PolyQ``, the ring Q[q][r]/(r**2 - (17q-1)(q-1)) of numerators: its
+arithmetic runs with no polynomial gcd, and it embeds in the field of
+``RF_DESC``, so a zero there is a zero in Q(q)(r).
 
 A ``PolyQ`` holds integer coefficients over one positive denominator,
 reduced so that gcd(content, denominator) = 1: arithmetic runs on
@@ -251,12 +254,16 @@ class PolyQ:
     Stored as integers over one positive denominator: ``ints`` has no
     trailing zero and gcd(content, ``den``) = 1, so every polynomial
     has one representation and equality is structural.  ``coeffs`` is
-    the same polynomial as a tuple of Fractions.
+    the same polynomial as a tuple of Fractions.  A bare int or Fraction
+    is the constant polynomial, and the zero polynomial is falsy, as a
+    base ring of an `exactfield` tower needs (``RING_DESC``).
     """
 
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = (coeffs,)
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         self.ints, self.den = _reduced(
@@ -288,13 +295,15 @@ class PolyQ:
     def is_zero(self):
         return not self.ints
 
+    def __bool__(self):
+        return bool(self.ints)
+
     def leading(self):
         return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(other)
-        if not isinstance(other, PolyQ):
+        other = _as_polyq(other)
+        if other is NotImplemented:
             return NotImplemented  # a RatQ compares itself with a PolyQ
         return self.ints == other.ints and self.den == other.den
 
@@ -304,11 +313,8 @@ class PolyQ:
             return hash(self.leading())
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(other)
-        elif not isinstance(other, PolyQ):
-            return NotImplemented
+    def _plus(self, other, sign):
+        """self + sign * other for a PolyQ other and sign +-1."""
         a, b = self.ints, other.ints
         da, db = self.den, other.den
         if da != db:
@@ -317,12 +323,16 @@ class PolyQ:
             b = [x * (den // db) for x in b]
         else:
             den = da
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
+            out[i] += sign * c
         return PolyQ._make(out, den)
+
+    def __add__(self, other):
+        other = _as_polyq(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -330,24 +340,25 @@ class PolyQ:
         return PolyQ._make([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(other)
-        elif not isinstance(other, PolyQ):
+        other = _as_polyq(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PolyQ._make([x * c.numerator for x in self.ints],
-                               self.den * c.denominator)
-        if not isinstance(other, PolyQ):
+        # a PolyQ is tested first: isinstance against Fraction is an ABC
+        # check, slow on the hot path of products of polynomials
+        if isinstance(other, PolyQ):
+            return PolyQ._make(_mul_ints(self.ints, other.ints),
+                               self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return PolyQ._make(_mul_ints(self.ints, other.ints),
-                           self.den * other.den)
+        c = Fraction(other)
+        return PolyQ._make([x * c.numerator for x in self.ints],
+                           self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -424,6 +435,14 @@ class PolyQ:
             if c:
                 terms.append(f"{c}*q^{i}" if i else f"{c}")
         return "PolyQ<" + " + ".join(terms) + ">"
+
+
+def _as_polyq(v):
+    if isinstance(v, PolyQ):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return PolyQ(v)
+    return NotImplemented
 
 
 _ONE = PolyQ((1,))
@@ -599,6 +618,13 @@ RF_DESC = TowerDescriptor((R_SQUARED,), RatQ)
 
 QF = TowerElement.rational(Q, RF_DESC)
 RF_R = TowerElement.generator(RF_DESC)
+
+
+# the ring Q[q][r]/(r^2 - (17q-1)(q-1)) of numerators: values A(q) + B(q)*r
+# with polynomial A and B.  It embeds in RF_DESC's field, because
+# (17q-1)(q-1) is no square in Q(q), so {1, r} stays a basis there and an
+# element is zero exactly when both of its coordinates are.
+RING_DESC = TowerDescriptor((R_SQUARED.num,), PolyQ)
 
 
 def ratfunc_specialize(f, q0, r_value=None):

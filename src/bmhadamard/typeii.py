@@ -22,10 +22,12 @@ below, and an exact check bounds it above.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, islice
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .fastfield import (
     echelon_mod_p,
@@ -397,63 +399,88 @@ def is_type_ii(family):
     """Spectral type-II test: beta_k * beta'_k = n for k = 1..d.
 
     beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights,
-    the family's ``inverses``.
+    the family's ``inverses``.  Both are read off integer coordinates
+    of the family's ``flat_tower``: the weights and inverses over one
+    denominator den (one ``int_coords`` call), and P over the lcm s of
+    its denominators, so each beta_k and beta'_k is an integer
+    combination with value beta * den * s.  Their ``int_mul`` is then
+    beta_k * beta'_k times tden * (den * s)^2 > 0, and it equals
+    n * tden * (den * s)^2 times the unit coordinate exactly when
+    beta_k * beta'_k = n.  No product is divided or reduced.
     Where a concrete scheme exists (q = 4) the dense identity
-    W * (W^(-))^T = n I is verified as well and must agree.
+    W * (W^(-))^T = n I is verified as well, on the same coordinates,
+    and must agree.
     Returns (bool, certificate dict).
     """
+    flat = flat_tower(family.desc)
+    coords, den = flat.int_coords(family.weights + family.inverses)
+    w, w_inv = coords[:4], coords[4:]
     P = parametric_scheme().eigenmatrix_at(family.q)
+    s = lcm(*(x.denominator for row in P for x in row))
     n = family.n
-    w = family.weights
-    w_inv = family.inverses
-    betas, betas_p, products = [], [], []
-    for k in range(4):
-        beta = sum((w[j] * P[k][j] for j in range(4)),
-                   TowerElement.rational(0, family.desc))
-        beta_p = sum((w_inv[j] * P[k][j] for j in range(4)),
-                     TowerElement.rational(0, family.desc))
-        betas.append(beta)
-        betas_p.append(beta_p)
-        products.append(beta * beta_p)
-    ok = all(products[k] == n for k in range(1, 4))
+    target = [n * flat.tden * (den * s) ** 2] + [0] * (flat.dim - 1)
+    products = []
+    for row in P:
+        p = [int(x * s) for x in row]
+        beta = [sum(map(mul, p, col)) for col in zip(*w)]
+        beta_p = [sum(map(mul, p, col)) for col in zip(*w_inv)]
+        products.append(flat.int_mul(beta, beta_p) == target)
+    ok = all(products[1:])
     cert = {
-        "beta_products_equal_n": [products[k] == n for k in range(4)],
+        "beta_products_equal_n": products,
         "n": n,
     }
-    if ok and not products[0] == n:
+    if ok and not products[0]:
         # the trace argument forces k = 0 as well; a failure here would
         # contradict the spectral identity
         raise AssertionError("beta_0 beta'_0 != n while k>=1 all pass")
     if family.q == 4:
-        dense_ok = _dense_type_ii_check(family)
+        dense_ok = _dense_type_ii_check(family, (coords, den))
         cert["dense_identity"] = dense_ok
         if dense_ok != ok:
             raise AssertionError("dense and spectral type-II tests disagree")
     return ok, cert
 
 
-def _dense_type_ii_check(family):
+def _dense_type_ii_check(family, weight_coords=None):
     """Exact dense identity W * (W^(-))^T = n I, on integer coordinates.
 
     Entry (x, y) is the sum over t of w_rel[x][t] / w_rel[y][t], which
-    is the family's ratios[rel[x][t]][rel[y][t]].  The 16 ratios get
-    integer coordinates over one denominator den, so each of the n**2
-    entries is the integer-vector sum of its n terms, compared with
-    n * den * e_0 on the diagonal and with 0 off it.
+    is w_i * (1/w_j) for (i, j) = (rel[x][t], rel[y][t]).
+    ``weight_coords`` is ``int_coords`` of the weights and then the
+    inverses, over one denominator den (computed when not given).  The
+    16 products are ``int_mul``s of those, each its ratio times
+    tden * den^2 > 0.  Entries with the same multiset of terms have the
+    same sum (``_entry_terms``), so each distinct multiset is summed once
+    as an integer vector, and compared with n * tden * den^2 * e_0 where
+    it sits on the diagonal and with 0 where it sits off it.
     """
     scheme = TypeIIMatrix(family).scheme
     flat = flat_tower(family.desc)
-    coords, den = flat.int_coords([x for row in family.ratios for x in row])
-    ratio = [coords[i:i + 4] for i in range(0, 16, 4)]
+    if weight_coords is None:
+        weight_coords = flat.int_coords(family.weights + family.inverses)
+    coords, den = weight_coords
+    ratio = [[flat.int_mul(wi, wj) for wj in coords[4:]] for wi in coords[:4]]
     zero = [0] * flat.dim
-    diagonal = [scheme.n * den] + zero[1:]
-    for x, row in enumerate(scheme.rel):
-        for y, col in enumerate(scheme.rel):
-            terms = (ratio[i][j] for i, j in zip(row, col))
-            acc = [sum(c) for c in zip(*terms)]
-            if acc != (diagonal if x == y else zero):
-                return False
+    diagonal = [scheme.n * flat.tden * den * den] + zero[1:]
+    for on_diagonal, terms in _entry_terms(scheme.rel):
+        acc = list(zero)
+        for (i, j), m in terms:
+            for k, c in enumerate(ratio[i][j]):
+                acc[k] += m * c
+        if acc != (diagonal if on_diagonal else zero):
+            return False
     return True
+
+
+@cache
+def _entry_terms(rel):
+    """The distinct (x == y, terms) over the entries (x, y) of
+    W * (W^(-))^T, terms being the multiset {(rel[x][t], rel[y][t])}
+    over t as sorted ((i, j), count) pairs: four for an association
+    scheme, one per class of (x, y)."""
+    return {(x == y, tuple(sorted(Counter(zip(row, col)).items())))
+            for x, row in enumerate(rel) for y, col in enumerate(rel)}
 
 
 def is_hadamard(family):

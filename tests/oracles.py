@@ -146,6 +146,20 @@ def dense_type_ii_oracle(family):
     return True
 
 
+def beta_products_oracle(family):
+    """[beta_k * beta'_k == n for k = 0..d] in tower arithmetic:
+    beta_k = sum_j w_j P_{k,j} over the weights, beta'_k over the
+    family's ``inverses``."""
+    P = parametric_scheme().eigenmatrix_at(family.q)
+    zero = TowerElement.rational(0, family.desc)
+    out = []
+    for row in P:
+        beta = sum((w * p for w, p in zip(family.weights, row)), zero)
+        beta_p = sum((w * p for w, p in zip(family.inverses, row)), zero)
+        out.append(beta * beta_p == family.n)
+    return out
+
+
 def echelon_mod_p_oracle(rows, p):
     """Row echelon form mod p of sparse rows {column: value}, one dict
     per row and one % per entry; least-column pivoting, each pivot row

@@ -14,6 +14,8 @@ from bmhadamard.identities import (
     H_SPLITS,
     MPoly,
     converse_constraints,
+    converse_numerators,
+    converse_zeros,
     e_polynomials,
     even_q_range,
     g_quadric,
@@ -25,7 +27,7 @@ from bmhadamard.identities import (
     verify_converse,
     verify_core_identities,
 )
-from bmhadamard.ratfunc import Q, RF_DESC, RatQ
+from bmhadamard.ratfunc import Q, RF_DESC, RF_R, RING_DESC, PolyQ, RatQ
 from bmhadamard.scheme import ParametricScheme, parametric_scheme
 from bmhadamard.typeii import (
     PAIRS,
@@ -112,11 +114,69 @@ def test_h_splits_give_every_permutation_value():
     assert perms == splits
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_converse_numerators_agree_with_field_values(case):
+    vals = identities._pair_values(case)
+    field = [c.is_zero() for c in converse_constraints(vals)]
+    assert converse_zeros(vals) == field
+    assert verify_converse(case) == all(field)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_converse_numerators_clear_the_denominators(case):
+    vals = identities._pair_values(case)
+    nums, den = converse_numerators(vals)
+    assert den.leading() == 1
+    for pair, v in vals.items():
+        # only the sixth family involves r; the others stay in Q[q]
+        assert nums[pair].desc == RING_DESC.prefix(1 if case == "vi" else 0)
+        # N = D * a, coordinate by coordinate
+        for n, a in zip(nums[pair].lift(RING_DESC).rep, v.rep):
+            assert RatQ(n) == a * den
+
+
+def test_homogenized_forms_scale_by_the_cube():
+    # g and h at (t*x, t) are t^3 times, and e_k t times, their value at x
+    vals = {p: v + RF_R * Fraction(1, 5)
+            for p, v in identities._pair_values("vi").items()}
+    t = RatQ(PolyQ((3, -1, 2)))
+    plain = converse_constraints(vals)
+    scaled = converse_constraints({p: v * t for p, v in vals.items()}, t)
+    for k, (a, b) in enumerate(zip(plain, scaled)):
+        assert not a.is_zero()
+        assert b == a * (t if k >= 10 else t * t * t), k
+
+
 def test_perturbed_vector_fails_converse():
     vec = case_a_symbolic("iv")
     vals = {p: vec[t] for t, p in enumerate(PAIRS)}
     vals[(0, 1)] = vals[(0, 1)] + 1
-    assert not all(c.is_zero() for c in converse_constraints(vals))
+    zeros = converse_zeros(vals)
+    assert not all(zeros)
+    assert zeros == [c.is_zero() for c in converse_constraints(vals)]
+
+
+def test_r_perturbation_fails_converse():
+    # only the r-coordinate of a01 moves, so every e_k moves by a pure
+    # multiple of r: a zero test blind to the r-coordinate misses it
+    vals = identities._pair_values("vi")
+    vals[(0, 1)] = vals[(0, 1)] + RF_R / Q
+    zeros = converse_zeros(vals)
+    assert zeros[10:] == [False] * 3
+    assert zeros == [c.is_zero() for c in converse_constraints(vals)]
+    nums, den = converse_numerators(vals)
+    for e in e_polynomials(PolyQ):
+        plain, r_part = e.evaluate(nums, den).rep
+        assert r_part and not plain
+
+
+def test_e_coefficients_are_polynomials():
+    for e, f in zip(e_polynomials(), e_polynomials(PolyQ)):
+        assert f.constant == e.constant
+        assert f.coeffs == e.coeffs
+        assert all(isinstance(c, PolyQ) for c in f.coeffs.values())
+    with pytest.raises(ValueError):
+        identities._polynomial(1 / Q)
 
 
 # -- the within-case algebra used by the derivations ---------------------------

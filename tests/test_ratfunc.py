@@ -23,6 +23,7 @@ from bmhadamard.ratfunc import (
     QF,
     RF_DESC,
     RF_R,
+    RING_DESC,
     RatQ,
     R_SQUARED,
     ratfunc_specialize,
@@ -266,3 +267,30 @@ def test_adjoin_radical_strips_square_factors_over_q_of_q():
     with pytest.raises(Reducible) as exc:
         adjoin_radical(q_of_q, square)
     assert exc.value.root * exc.value.root == square
+
+
+# -- PolyQ as the base ring of a tower ----------------------------------------
+
+def test_polyq_zero_is_falsy():
+    assert not PolyQ(())
+    assert not PolyQ((0, 0))
+    assert bool(PolyQ((0, 1)))
+    assert bool(PolyQ((Fraction(1, 3),)))
+
+
+def test_polyq_takes_a_bare_constant():
+    assert PolyQ(3) == PolyQ((3,))
+    assert hash(PolyQ(3)) == hash(PolyQ((3,))) == hash(3)
+    assert PolyQ(Fraction(1, 2)) == PolyQ.const(Fraction(1, 2))
+    assert PolyQ(0) == PolyQ(())
+
+
+def test_ring_descriptor_zero_test():
+    zero = TowerElement.rational(0, RING_DESC)
+    r = TowerElement.generator(RING_DESC)
+    assert zero.is_zero()
+    assert not r.is_zero()
+    assert not TowerElement.rational(PolyQ.x(), RING_DESC).is_zero()
+    # r^2 is (17q-1)(q-1): a nonzero constant of the ring, r-coordinate 0
+    assert r * r == TowerElement.rational(R_SQUARED.num, RING_DESC)
+    assert (r * r - R_SQUARED.num).is_zero()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    beta_products_oracle,
     dense_type_ii_oracle,
     family_division_oracle,
     lift_per_coordinate_oracle,
@@ -363,12 +364,29 @@ def test_type_ii_all_families(families_q4):
         assert all(cert["beta_products_equal_n"]), key
 
 
+def test_beta_products_match_the_tower_oracle(families_q4):
+    for key, fam in families_q4.items():
+        cert = is_type_ii(fam)[1]
+        assert cert["beta_products_equal_n"] == beta_products_oracle(fam), key
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 500), st.sampled_from(typeii.CASES),
+       st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+def test_beta_products_match_the_oracle_at_even_q(half, case, branch, r_sign):
+    fam = family_coefficients(case, 2 * half, r_sign, branch)
+    ok, cert = is_type_ii(fam)
+    assert ok
+    assert cert["beta_products_equal_n"] == beta_products_oracle(fam)
+
+
 def test_all_ones_is_not_type_ii():
     ones = [TowerElement.rational(1) for _ in range(4)]
     fake = WeightFamily("iv", 4, 1, 1, QQ, ones, [w.inverse() for w in ones],
                         None)
     ok, cert = is_type_ii(fake)
     assert not ok and not cert["dense_identity"]
+    assert cert["beta_products_equal_n"] == beta_products_oracle(fake)
 
 
 def test_dense_check_matches_the_triple_loop(families_q4):
@@ -389,6 +407,7 @@ def test_perturbed_weight_fails_every_type_ii_test(families_q4, key):
     assert dense_type_ii_oracle(fake) is False
     ok, cert = is_type_ii(fake)
     assert not ok and cert["dense_identity"] is False
+    assert cert["beta_products_equal_n"] == beta_products_oracle(fake)
 
 
 def test_hadamard_verdicts(families_q4):
