@@ -3,8 +3,8 @@
 Everything here is exact: algebraic numbers live in explicit quadratic
 towers over Q, rational functions of the scheme parameter q are kept
 symbolic, and every claim the package certifies reduces to a zero test
-in one of those structures.  Floating point appears only as a redundant
-interval-arithmetic guard.
+in one of those structures, or to an exact sign in a quadratic tower.
+Floating point appears only as a redundant interval-arithmetic guard.
 """
 
 from .exactfield import (
@@ -14,12 +14,13 @@ from .exactfield import (
     adjoin_radical,
     field_sqrt,
     complex_conj,
+    element_sign,
     is_real,
     Reducible,
     DivisionByZero,
     IncompatibleTowers,
 )
-from .intervals import complex_embed, element_sign, abs_is_one
+from .intervals import complex_embed, abs_is_one
 from .ratfunc import PolyQ, RatQ, RF_DESC, ratfunc_specialize, r_value_at
 from .scheme import (
     ConcreteScheme,

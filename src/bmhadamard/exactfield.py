@@ -529,23 +529,55 @@ def embed_signature(desc):
     every radicand to be a totally ordered (real) element, i.e.
     imaginary levels may only sit at positions where no later radicand
     depends on them.  Every tower this package builds satisfies that
-    (imaginary level on top).
-    Cached per descriptor: ``complex_conj`` asks once per element, and
-    the interval refinement behind each answer depends only on the
-    levels; ``embed_signature.__wrapped__`` is the uncached function.
+    (imaginary level on top).  Each radicand's sign is ``element_sign``'s
+    exact rule over the levels below it.
+    Cached per descriptor: ``complex_conj`` and ``element_sign`` ask
+    once per element; ``embed_signature.__wrapped__`` is the uncached
+    function.
     """
-    from .intervals import element_sign  # local import, avoids a cycle
-
     signs = []
     for j, s in enumerate(desc.levels):
         if any(sg < 0 for sg in signs):
             raise IncompatibleTowers(
                 "imaginary level below another level: embedding undefined")
-        sg = element_sign(TowerElement(desc.prefix(j), s))
+        sg = _sign(signs, desc.levels, j, s)
         if sg == 0:
             raise ValueError("degenerate level (zero radicand)")
         signs.append(sg)
     return tuple(signs)
+
+
+def element_sign(x):
+    """Exact sign (-1, 0, +1) of a real element of a tower over Q, under
+    the default embedding, where a real level's root is the positive
+    square root of its radicand.
+
+    Decided level by level on x = a + b*t, t^2 = s.  At an imaginary
+    level x is real only when b = 0, and then it has a's sign.  At a
+    real level, x has the sign that a and b share, or b's when a = 0;
+    when their signs differ, x = (a^2 - b^2*s)/(a - b*t) and a - b*t
+    has a's sign, so x has a's sign times that of a^2 - b^2*s, one level
+    down.  Raises ValueError for an element that is not real.
+    """
+    return _sign(embed_signature(x.desc), x.desc.levels, x.desc.depth,
+                 x.rep)
+
+
+def _sign(signs, levels, depth, x):
+    # signs[j] is +1 for a real level j, -1 for an imaginary one
+    if depth == 0:
+        return (x > 0) - (x < 0)
+    a, b = x
+    low = depth - 1
+    if _is_zero(b):
+        return _sign(signs, levels, low, a)
+    if signs[low] < 0:
+        raise ValueError("element is not real")
+    sa = _sign(signs, levels, low, a)
+    sb = _sign(signs, levels, low, b)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sign(signs, levels, low, _norm(levels, depth, x))
 
 
 def is_real(x):

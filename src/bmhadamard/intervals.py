@@ -2,9 +2,12 @@
 
 Intervals carry exact Fraction endpoints, so +, -, * lose nothing; the
 only rounding happens in sqrt, where integer isqrt gives directed
-bounds.  ``complex_embed`` refines until the enclosure is narrower than
-the requested 10**-precision, which always terminates because the
-inputs are fixed algebraic numbers.
+bounds.  Nothing here decides a sign: each level's root is placed on the
+real or the imaginary axis by the exact signs of
+``exactfield.embed_signature``, and ``complex_embed`` refines until the
+enclosure is narrower than the requested 10**-precision.  The
+enclosures serve the CSV export and ``abs_is_one``, an independent
+check of the exact unimodularity verdicts.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import isqrt
+
+# element_sign is re-exported: perfbench's tracer patches it through here
+from .exactfield import element_sign, embed_signature  # noqa: F401
 
 
 class Interval:
@@ -33,9 +39,6 @@ class Interval:
     def __sub__(self, other):
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other):
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
@@ -44,30 +47,12 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def is_exactly_zero(self):
-        return self.lo == 0 == self.hi
-
-    def sign(self):
-        """+1, -1, or None if the enclosure straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.is_exactly_zero():
-            return 0
-        return None
-
     def mid(self):
         return (self.lo + self.hi) / 2
-
-    def __repr__(self):
-        return f"Interval({self.lo}, {self.hi})"
 
 
 def sqrt_interval(x, digits):
     """Enclosure of sqrt(x) for a nonnegative interval, ~``digits`` wide."""
-    if x.lo < 0:
-        raise ValueError("sqrt of an interval reaching below zero")
     scale = 10 ** digits
     lo_n = x.lo * scale * scale
     hi_n = x.hi * scale * scale
@@ -88,12 +73,6 @@ class ComplexInterval:
     def __add__(self, other):
         return ComplexInterval(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other):
-        return ComplexInterval(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexInterval(-self.re, -self.im)
-
     def __mul__(self, other):
         return ComplexInterval(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)
@@ -107,14 +86,8 @@ class ComplexInterval:
     def width(self):
         return max(self.re.width(), self.im.width())
 
-    def is_real(self):
-        return self.im.is_exactly_zero()
-
     def mid(self):
         return complex(self.re.mid(), self.im.mid())
-
-    def __repr__(self):
-        return f"ComplexInterval({self.re!r}, {self.im!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -125,37 +98,25 @@ def _embed_roots(desc, digits):
     """Values of each level's adjoined root under the principal embedding.
 
     Cached per (descriptor, digits), as ``exactfield.embed_signature``
-    is per descriptor: the enclosures depend on nothing else, and every
-    ``element_sign`` and ``complex_embed`` call on one tower reads the
-    same tuple.  A try that raises (PrecisionExhausted) is not cached.
+    is per descriptor: every ``complex_embed`` call on one tower reads
+    the same tuple.  The levels below a radicand are real, so its
+    enclosure is real; it is clamped to the side of 0 that the exact
+    sign gives before its square root is taken.
     """
     roots = []
-    for s in desc.levels:
-        # t = sqrt(s): real for s >= 0, imaginary for s <= 0
-        m = _embed_rep(s, roots, digits)
-        if not m.is_real():
-            raise ValueError("radicand not certified real; embedding unsupported")
-        if m.re.lo >= 0:
-            root = ComplexInterval(sqrt_interval(m.re, digits))
-        elif m.re.hi <= 0:
-            root = ComplexInterval(0, sqrt_interval(-m.re, digits))
-        else:
-            raise PrecisionExhausted
-        roots.append(root)
+    for s, sg in zip(desc.levels, embed_signature(desc)):
+        m = _embed_rep(s, roots).re
+        lo, hi = sorted((sg * m.lo, sg * m.hi))
+        t = sqrt_interval(Interval(max(lo, 0), hi), digits)
+        roots.append(ComplexInterval(t) if sg > 0 else ComplexInterval(0, t))
     return tuple(roots)
 
 
-class PrecisionExhausted(Exception):
-    """Internal: retry the whole embedding with more digits."""
-
-
-def _embed_rep(rep, roots, digits):
+def _embed_rep(rep, roots):
     if isinstance(rep, tuple):
         a, b = rep
-        d = _rep_depth(rep)
-        av = _embed_rep(a, roots, digits)
-        bv = _embed_rep(b, roots, digits)
-        return av + bv * roots[d - 1]
+        t = roots[_rep_depth(a)]
+        return _embed_rep(a, roots) + _embed_rep(b, roots) * t
     return ComplexInterval(Interval(rep))
 
 
@@ -167,50 +128,20 @@ def _rep_depth(rep):
     return d
 
 
-def _enclosures(x, digits):
-    """Ever tighter enclosures of x under the principal embedding.
-
-    The first try works to ``digits`` digits and each next one to twice
-    as many; a try whose roots could not be placed (PrecisionExhausted)
-    yields nothing.
-    """
-    while True:
-        try:
-            roots = _embed_roots(x.desc, digits)
-        except PrecisionExhausted:
-            pass
-        else:
-            yield _embed_rep(x.rep, roots, digits)
-        digits *= 2
-
-
 def complex_embed(x, precision=30):
     """ComplexInterval enclosure of x with width <= 10**-precision.
 
     Every level's root takes its principal branch: positive real part,
-    or positive imaginary part for an imaginary level.
+    or positive imaginary part for an imaginary level.  The first try
+    works to ``precision + 8`` digits and each next one to twice as many.
     """
     target = Fraction(1, 10 ** precision)
-    return next(val for val in _enclosures(x, precision + 8)
-                if val.width() <= target)
-
-
-def element_sign(x):
-    """Exact sign (-1, 0, +1) of a real tower element, under the
-    principal embedding of ``complex_embed``.
-
-    Zero is decided structurally; otherwise the enclosure is refined
-    until it excludes zero, which terminates because embeddings of
-    nonzero elements are nonzero.
-    """
-    if x.is_zero():
-        return 0
-    for val in _enclosures(x, 20):
-        if not val.is_real():
-            raise ValueError("element is not real")
-        s = val.re.sign()
-        if s is not None:
-            return s
+    digits = precision + 8
+    while True:
+        val = _embed_rep(x.rep, _embed_roots(x.desc, digits))
+        if val.width() <= target:
+            return val
+        digits *= 2
 
 
 def abs_is_one(x, tol_digits=12):

@@ -22,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .exactfield import TowerElement
+from .exactfield import TowerElement, element_sign
 from .fastfield import flat_tower
-from .intervals import element_sign
 from .scheme import parametric_scheme
 from .typeii import family_coefficients, normalize_case
 

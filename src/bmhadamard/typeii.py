@@ -12,8 +12,9 @@ and its inverse are a_{0,i}/2 +- c_i*s, c_i in a's field
 (``_weights_from_seed``).  ``branch`` -1, the other root, is the
 entrywise inverse W^(-); the sign of r is ``r_sign``.
 
-Everything decided here is an exact zero test; the interval arithmetic
-in :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
+Everything decided here is an exact zero test or an exact sign
+(``exactfield.element_sign``); the interval arithmetic in
+:mod:`bmhadamard.intervals` only double-checks unimodularity claims.
 The isolation rank (``span_condition``) is certified over the real
 subfield K0 below the tower's imaginary level, where the generator
 matrix has the same rank: a rank mod p under a map of K0 bounds it
@@ -41,10 +42,11 @@ from .exactfield import (
     TowerElement,
     adjoin_radical,
     complex_conj,
+    element_sign,
     embed_signature,
     is_real,
 )
-from .intervals import element_sign, abs_is_one
+from .intervals import abs_is_one
 from .ratfunc import QF, RF_DESC, RF_R, ratfunc_specialize, r_value_at
 from .scheme import parametric_scheme, petersen_scheme
 
@@ -215,11 +217,9 @@ def discriminant_root(a):
         return adjoin_radical(a.desc, a * a - 4)
     except Reducible as split:
         s = split.root
-        try:
-            if element_sign(s) < 0:
-                s = -s
-        except ValueError:
-            pass  # non-real split root: keep the one adjoin_radical found
+        # a non-real split root is kept as adjoin_radical found it
+        if is_real(s) and element_sign(s) < 0:
+            s = -s
         return a.desc, s
 
 

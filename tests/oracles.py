@@ -5,10 +5,15 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from bmhadamard.exactfield import Reducible, TowerElement, adjoin_radical
+from bmhadamard.exactfield import (
+    Reducible,
+    TowerElement,
+    adjoin_radical,
+    is_real,
+)
 from bmhadamard.fastfield import rational_reconstruct
 from bmhadamard.identities import _COUNTERS, _LINES
-from bmhadamard.intervals import element_sign
+from bmhadamard.intervals import complex_embed
 from bmhadamard.invariants import (
     _INDEPENDENT_WEIGHTS,
     HaagerupData,
@@ -58,6 +63,23 @@ def euclid_gcd(a, b):
     return tuple(c / a[-1] for c in a)
 
 
+def element_sign_oracle(x):
+    """Sign (-1, 0, +1) of a real tower element, read off ever tighter
+    ``complex_embed`` enclosures until one excludes 0, which ends because
+    the embedding of a nonzero element is nonzero.  Raises ValueError
+    when the enclosure has an imaginary part, i.e. x is not real."""
+    if x.is_zero():
+        return 0
+    precision = 20
+    while True:
+        z = complex_embed(x, precision)
+        if not z.im.lo == 0 == z.im.hi:
+            raise ValueError("element is not real")
+        if z.re.lo > 0 or z.re.hi < 0:
+            return 1 if z.re.lo > 0 else -1
+        precision *= 2
+
+
 def phi_oracle(weights):
     """a_{i,j} = w_i/w_j + w_j/w_i by one division and one more inverse
     per pair, over the deepest of the weights' towers."""
@@ -96,11 +118,8 @@ def family_division_oracle(case, q, r_sign=1, branch=1):
         desc, root = adjoin_radical(a[0][s].desc, a[0][s] * a[0][s] - 4)
     except Reducible as split:
         desc, root = a[0][s].desc, split.root
-        try:
-            if element_sign(root) < 0:
-                root = -root
-        except ValueError:
-            pass
+        if is_real(root) and element_sign_oracle(root) < 0:
+            root = -root
     w_s = (a[0][s].lift(desc) + root * branch) / 2
     weights = [TowerElement.rational(1, desc)] * 4
     weights[s] = w_s

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from bmhadamard.exactfield import (
     TowerElement,
     adjoin_radical,
     complex_conj,
+    element_sign,
     embed_signature,
     field_sqrt,
     is_real,
@@ -19,7 +21,9 @@ from bmhadamard.exactfield import (
     rational_sqrt,
     squarefree_decompose,
 )
-from bmhadamard.intervals import abs_is_one, complex_embed, element_sign
+from bmhadamard.intervals import abs_is_one, complex_embed
+from bmhadamard.typeii import all_families
+from oracles import element_sign_oracle
 
 
 def sqrt_field(m):
@@ -135,7 +139,7 @@ def test_embed_unimodular_weight():
 
 def test_embed_rational_is_exact():
     z = complex_embed(TowerElement.rational(2), 30)
-    assert z.re.lo == 2 == z.re.hi and z.im.is_exactly_zero()
+    assert z.re.lo == 2 == z.re.hi and z.im.lo == 0 == z.im.hi
 
 
 def test_embed_negative_branch_weight():
@@ -157,17 +161,11 @@ def test_element_sign():
     # tight signs around sqrt(165) = 12.845...
     assert element_sign(TowerElement.rational(13, d) - s) == 1
     assert element_sign(TowerElement.rational(12, d) - s) == -1
-
-
-def test_complex_conj_and_is_real():
+    # at an imaginary level only b = 0 is real
     d, s = sqrt_field(-15)
-    w = (TowerElement.rational(-7, d) + s) / 8
-    assert complex_conj(w) == (TowerElement.rational(-7, d) - s) / 8
-    assert not is_real(w)
-    assert is_real(w + complex_conj(w))
-    assert is_real(w * complex_conj(w))
-    d2, s2 = sqrt_field(17)
-    assert is_real(s2)  # real radical: conjugation fixes everything
+    with pytest.raises(ValueError, match="not real"):
+        element_sign(s)
+    assert element_sign(s * s) == -1
 
 
 def test_cached_signature_agrees_with_uncached(families_q4):
@@ -200,18 +198,19 @@ small_fraction = st.fractions(
     max_denominator=6)
 
 
+def nest(cs):
+    # flat coordinates (as in TowerElement.coefficients) to a nested rep
+    if len(cs) == 1:
+        return cs[0]
+    half = len(cs) // 2
+    return (nest(cs[:half]), nest(cs[half:]))
+
+
 @st.composite
 def tower_elements(draw, desc_pool=tuple(range(len(DESCS)))):
     desc = DESCS[draw(st.sampled_from(desc_pool))]
     coords = draw(st.lists(small_fraction, min_size=desc.degree,
                            max_size=desc.degree))
-
-    def nest(cs):
-        if len(cs) == 1:
-            return cs[0]
-        half = len(cs) // 2
-        return (nest(cs[:half]), nest(cs[half:]))
-
     return TowerElement(desc, nest(tuple(coords)))
 
 
@@ -275,3 +274,97 @@ def test_equal_elements_hash_alike(x):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+# -- exact signs against the enclosure oracle ---------------------------------
+
+def sqrt_convergents(m):
+    """The continued-fraction convergents p/q of sqrt(m), m > 0 not a
+    square, which alternate below and above sqrt(m)."""
+    a0 = isqrt(m)
+    mm, d, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    while True:
+        yield Fraction(p1, q1)
+        mm = d * a - mm
+        d = (m - mm * mm) // d
+        a = (a0 + mm) // d
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
+def near_convergents(m, eps, count):
+    """The first ``count`` convergents c of sqrt(m) with
+    |c - sqrt(m)| < eps, from |c^2 - m| < eps * (c + isqrt(m))."""
+    out = []
+    for c in sqrt_convergents(m):
+        if abs(c * c - m) < eps * (c + isqrt(m)):
+            out.append(c)
+            if len(out) == count:
+                return out
+
+
+def agrees_with_sign_oracle(x):
+    try:
+        want = element_sign_oracle(x)
+    except ValueError:
+        with pytest.raises(ValueError, match="not real"):
+            element_sign(x)
+    else:
+        assert element_sign(x) == want, x
+
+
+# every family tower at q = 4 and at q = 200, named by its first family
+SIGN_TOWERS = {}
+for _q in (4, 200):
+    for _fam in all_families(_q):
+        SIGN_TOWERS.setdefault(_fam.desc, f"q{_q}-{_fam.label()}")
+
+
+@pytest.mark.parametrize("desc", list(SIGN_TOWERS),
+                         ids=list(SIGN_TOWERS.values()))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_element_sign_matches_the_enclosure_oracle(desc, data):
+    coords = data.draw(st.lists(small_fraction, min_size=desc.degree,
+                                max_size=desc.degree))
+    x = TowerElement(desc, nest(coords))
+    agrees_with_sign_oracle(x)
+    if embed_signature(desc)[-1] < 0:
+        agrees_with_sign_oracle(x + complex_conj(x))
+    m = desc.levels[0]
+    if m > 0:
+        # c - sqrt(m) within 10**-25 of 0, on either side
+        c = data.draw(st.sampled_from(
+            near_convergents(int(m), Fraction(1, 10 ** 25), 6)))
+        y = c - TowerElement.generator(desc.prefix(1)).lift(desc)
+        assert element_sign(y) == element_sign_oracle(y) == (
+            1 if c * c > m else -1)
+
+
+@pytest.mark.parametrize("precision", (12, 30))
+def test_complex_embed_root_of_a_radicand_near_zero(precision):
+    # 0 < c - sqrt2 < 10**-40: the radicand's enclosure straddles 0 at the
+    # first try, and its exact sign places the root on the real axis
+    d1, s = sqrt_field(2)
+    c = next(c for c in near_convergents(2, Fraction(1, 10 ** 40), 2)
+             if c * c > 2)
+    coarse = complex_embed(c - s, 12)
+    assert coarse.re.lo < 0 < coarse.re.hi
+    d2, t = adjoin_radical(d1, c - s)
+    assert d2.depth == 2 and embed_signature(d2) == (1, 1)
+    z = complex_embed(t, precision)
+    assert z.width() <= Fraction(1, 10 ** precision)
+    assert z.im.lo == 0 == z.im.hi and z.re.hi > 0
+    fine = complex_embed(t, 2 * precision)
+    assert z.re.lo <= fine.re.mid() <= z.re.hi
+
+
+def test_complex_conj_and_is_real():
+    d, s = sqrt_field(-15)
+    w = (TowerElement.rational(-7, d) + s) / 8
+    assert complex_conj(w) == (TowerElement.rational(-7, d) - s) / 8
+    assert not is_real(w)
+    assert is_real(w + complex_conj(w))
+    assert is_real(w * complex_conj(w))
+    d2, s2 = sqrt_field(17)
+    assert is_real(s2)  # real radical: conjugation fixes everything

@@ -12,7 +12,13 @@ from oracles import (
 )
 
 from bmhadamard import typeii
-from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical, complex_conj
+from bmhadamard.exactfield import (
+    QQ,
+    Reducible,
+    TowerElement,
+    adjoin_radical,
+    complex_conj,
+)
 from bmhadamard.fastfield import FlatTower, flat_tower, primes, sparse_rank
 from bmhadamard.intervals import complex_embed
 from bmhadamard.identities import g_quadric, h_det
@@ -468,6 +474,27 @@ def test_discriminant_root_split_discriminant():
     assert desc == d and s == t and s * s == -3
     w = (one + s) / 2
     assert w * w - w + 1 == 0 and complex_conj(w) != w
+    # a = w + 1/w with w = 1 + sqrt(-15): a^2 - 4 = (w - 1/w)^2 splits in
+    # Q(sqrt -15) with a root that is not real, kept as found
+    d, t = adjoin_radical(QQ, -15)
+    w = TowerElement.rational(1, d) + t
+    a = w + w.inverse()
+    with pytest.raises(Reducible) as split:
+        adjoin_radical(d, a * a - 4)
+    desc, s = discriminant_root(a)
+    assert desc == d and s == split.value.root
+    assert s * s == a * a - 4 and complex_conj(s) != s
+
+
+def test_discriminant_root_passes_on_a_failing_sign(monkeypatch):
+    # only a non-real root skips the sign; an error while deciding the
+    # sign of a real one is not read as "non-real"
+    def broken(x):
+        raise ValueError("sign undecided")
+
+    monkeypatch.setattr(typeii, "element_sign", broken)
+    with pytest.raises(ValueError, match="sign undecided"):
+        discriminant_root(TowerElement.rational(Fraction(5, 2)))
 
 
 @given(st.integers(2, 5000))
