@@ -63,8 +63,13 @@ def rational_sqrt(x):
 def squarefree_decompose(n):
     """Write a nonzero integer n as m * c**2 with m squarefree.
 
-    Returns (m, c), c > 0.  Trial division; the radicands handled here
-    stay below ~10**10 so this is plenty.
+    Returns (m, c), c > 0.  Trial division by 2 and the odd numbers up
+    to the square root of the unfactored part: about max(p2, sqrt(p1))/2
+    divisions, p1 >= p2 the two largest prime factors of n.  The size of
+    n does not bound it.  Case i's radicand of 1.2e34 at q = 10**9 splits
+    at once, while ``construct --case i --q 10**12`` spends 64 s here on
+    a large prime factor.  ROADMAP.md item 11 plans a bounded canonical
+    form.
     """
     if n == 0:
         raise ValueError("need a nonzero integer")

@@ -8,12 +8,12 @@ positive int denominator), or integer vectors over one shared
 denominator; results convert back to TowerElement losslessly.  There is
 one product kernel, ``FlatTower.int_mul``, over the nonzero structure
 constants ``triples``; ``mul`` is that product with a gcd strip.
-``flat_tower(desc)`` builds one ``FlatTower`` per descriptor, which the
-Jones sweeps, the dense type-II check, the Jones graph, the span rank
-and both routes of the Haagerup sets share.  Each of them takes integer
-coordinates over one common denominator and zero-tests or compares
-integer vectors whose scale is positive; the Haagerup sets turn their
-distinct values back into tower elements with ``from_flat``.
+``flat_tower(desc)`` builds one ``FlatTower`` per descriptor.  Two
+places call ``int_coords``: ``typeii.WeightFamily.coords``, once per
+family, whose ``ratio_table`` every certificate of a family reads, and
+the span rank of a dense matrix.  Their users zero-test or compare
+integer vectors whose scale is positive; the a-matrix and the Haagerup
+sets turn values back into tower elements with ``from_flat``.
 
 Ranks are found mod p: ``FlatTower.embedding`` is one map of a tower
 onto F_p (for the span rank, of the real subfield below the imaginary
@@ -175,9 +175,9 @@ def flat_tower(desc):
     """The one ``FlatTower`` of a descriptor.
 
     Building one costs dim**2 tower products, and a tower is never
-    mutated, so every caller shares it: the Jones sweeps, the dense
-    type-II check, ``nomura.JonesGraph``, ``typeii.span_condition`` and
-    the Haagerup sets of ``invariants``.
+    mutated, so every caller shares it: ``typeii.WeightFamily.coords``,
+    through which the certificates of a family read it, and
+    ``typeii.span_condition``.
     """
     return FlatTower(desc)
 

@@ -10,16 +10,18 @@ are elements of Q(q)[r]/(r^2-(17q-1)(q-1)), the tower
 over one common denominator D: the constraints, homogenized by D, are
 evaluated with no polynomial gcd in the ring Q[q][r]/(r^2-(17q-1)(q-1))
 (``ratfunc.RING_DESC``), where a zero is a zero in q, so "vanishes
-identically in q" is literal.  The two Jones sweeps run at
-each q on the integer coordinates of the weight tower
-(``fastfield.flat_tower``): every term w_i^2/(w_j w_k) is built by the
-same three ``int_mul``s from the weights and their inverses over one
-denominator, so a sum is its tower value times one positive integer and
-is zero exactly when that value is.  The one thing this module does *not* do is recompute
-ideal-membership certificates: those are replaced by identical
-vanishing of the explicit substitutions plus nonvanishing sweeps over
-even q (default bound 200), which is what the downstream consumers
-actually rely on.
+identically in q" is literal.
+
+The two Jones sweeps run at each q on the family's integer ratio table
+(``typeii.WeightFamily.ratio_table``), which both sweeps share: every
+term w_i^2/(w_j w_k) is one ``int_mul`` of two of its entries, so a sum
+is its tower value times one positive integer and is zero exactly when
+that value is.
+
+This module does not recompute ideal-membership certificates.  They are
+replaced by identical vanishing of the explicit substitutions plus
+nonvanishing sweeps over even q (default bound 200), which is what the
+downstream consumers actually rely on.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from functools import cache, partial
 from math import lcm
 
 from .exactfield import TowerElement
-from .fastfield import flat_tower
 from .ratfunc import (
     RING_DESC,
     PolyQ,
@@ -516,35 +517,19 @@ def _symmetry_ok(case, values, q):
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))
 
 
-def _term_table(flat, x, y, keys):
-    """{(i, j, k): x_i^2 y_j y_k} over the keys, on integer coordinates.
-
-    Each term is int_mul(int_mul(x_i, x_i), int_mul(y_j, y_k)), three
-    products of vectors over one den, so every term is its tower value
-    times the same tden^3 * den^4 > 0.
-    """
-    mul = flat.int_mul
-    squares = [mul(v, v) for v in x]
-    pairs, out = {}, {}
-    for i, j, k in keys:
-        yy = pairs.get((j, k))
-        if yy is None:
-            yy = pairs[(j, k)] = pairs[(k, j)] = mul(y[j], y[k])
-        out[(i, j, k)] = mul(squares[i], yy)
-    return out
-
-
 def _term_tables(case, q, keys):
     """(flat, ff, gg) for each r sign of a family's branch +1 at q: the
-    ``FlatTower`` and the ``_term_table``s of w_i^2/(w_j w_k) (ff) and
-    of w_j w_k/w_i^2 (gg), from the weights and inverses over one den.
+    ``FlatTower`` and, over the keys, the terms w_i^2/(w_j w_k) =
+    R[i][j] R[i][k] (ff) and w_j w_k/w_i^2 = R[j][i] R[k][i] (gg), each
+    one ``int_mul`` of two entries of the family's ``ratio_table`` R.
+    So every term is its tower value times the same tden * scale^2 > 0.
     gg and ff are the tables of branch -1, W^(-)."""
     for fam in all_families(q, (case,), branches=(1,)):
-        flat = flat_tower(fam.desc)
-        coords, _ = flat.int_coords(fam.weights + fam.inverses)
-        w, inv = coords[:4], coords[4:]
-        yield flat, _term_table(flat, w, inv, keys), \
-            _term_table(flat, inv, w, keys)
+        flat = fam.coords[0]
+        R, _ = fam.ratio_table
+        yield flat, \
+            {(i, j, k): flat.int_mul(R[i][j], R[i][k]) for i, j, k in keys}, \
+            {(i, j, k): flat.int_mul(R[j][i], R[k][i]) for i, j, k in keys}
 
 
 def _integral(coeffs):
@@ -568,7 +553,7 @@ def _adjacency_sums(case, q):
     for m = 1, 2 of W (ff), then of W^(-) (gg), for each r sign.
 
     The coefficients are scaled to integers and every term shares one
-    positive scale (``_term_table``), so each sum is its tower value
+    positive scale (``_term_tables``), so each sum is its tower value
     times a positive integer: it is zero exactly when that value is.
     """
     p_at = parametric_scheme().p_at(q)
@@ -612,7 +597,7 @@ def _component_sums(case, q):
 
     A sums the known counters and c0 with integer-scaled coefficients, B
     the signs s; every term of ff and gg shares one positive scale
-    (``_term_table``).  So each A and B is its tower value times a
+    (``_term_tables``).  So each A and B is its tower value times a
     positive integer, the same one for ff and gg, and the last entry,
     an ``int_mul`` of two such, is the tower value of
     A_ff*B_gg - A_gg*B_ff times a positive integer.  Each is zero

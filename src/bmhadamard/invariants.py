@@ -9,12 +9,13 @@ quadruples through their relation-class patterns, while the formula
 evaluates the closed three-part union, written once over formal
 monomials in w1, w2, w3 (driven by intersection-number positivity and
 reduced to each family's independent weights) that describe H(W) for
-all even q.  What they share is the arithmetic: integer coordinates of
-the family's tower (``fastfield.flat_tower``), with ``FlatTower.int_mul``
-as the only product, so every value of one route has one positive
-scale.  Equal values then have equal integer tuples, inverses are read
-by index rather than divided, and only the distinct values of H and K
-become tower elements.
+all even q.  What they share is the arithmetic: the family's one
+integer view, the brute force its ``ratio_table`` and the formula its
+``coords`` (``typeii.WeightFamily``), with ``FlatTower.int_mul`` as the
+only product, so every value of one route has one positive scale.
+Equal values then have equal integer tuples, inverses are read by index
+rather than divided, and only the distinct values of H and K become
+tower elements.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .exactfield import TowerElement, element_sign
-from .fastfield import flat_tower
+from .exactfield import element_sign
 from .scheme import parametric_scheme
 from .typeii import family_coefficients, normalize_case
 
@@ -82,18 +82,18 @@ def haagerup_bruteforce(mat):
     The value of a quadruple depends only on the four relation classes
     involved, so the n^4 sweep collects patterns first.  Pattern
     (c11, c22, c21, c12) has the value R[c11][c21] * R[c22][c12] of the
-    family's table R[i][j] = w_i / w_j: one ``int_mul`` of the table's
-    integer coordinates over one denominator den per unordered pair of
-    ratio indices, so every value has the scale tden * den^2.  Its
-    inverse R[c21][c11] * R[c12][c22] is read by index, as the
-    construction certifies R[j][i] = 1 / R[i][j].
+    family's ``ratio_table`` R, R[i][j] = w_i / w_j times one scale > 0:
+    one ``int_mul`` per unordered pair of table entries, so every value
+    has the scale tden * scale^2.  Its inverse R[c21][c11] * R[c12][c22]
+    is read by index, as the construction certifies R[j][i] = 1 / R[i][j].
     """
     if mat.scheme.n > 64:
         raise TooLarge("the quartic sweep is limited to n <= 64")
     fam = mat.family
-    flat = flat_tower(fam.desc)
-    m = len(fam.ratios)
-    ratio, den = flat.int_coords([x for row in fam.ratios for x in row])
+    flat = fam.coords[0]
+    table, scale = fam.ratio_table
+    m = len(table)
+    ratio = [x for row in table for x in row]
     products = {}
 
     def product(u, v):
@@ -106,7 +106,7 @@ def haagerup_bruteforce(mat):
     for c11, c22, c21, c12 in _class_patterns(mat.scheme):
         values[product(c11 * m + c21, c22 * m + c12)] = \
             product(c21 * m + c11, c12 * m + c22)
-    return _haagerup_data(flat, flat.tden * den * den, values, "bruteforce")
+    return _haagerup_data(flat, flat.tden * scale ** 2, values, "bruteforce")
 
 
 @cache
@@ -286,21 +286,19 @@ def haagerup_formula(family):
     """H(W) of a constructed family from the three-part union.
 
     The union's monomials (``monomial_h_set`` at the family's q) and 1
-    are evaluated on integer coordinates of the family's independent
-    weights and their ``inverses`` over one denominator den.  Each
-    monomial is its sign times F factors, its powers padded with 1 up to
-    the union's largest degree F, so every value has the scale
-    den * (tden * den)^F.  The inverse of a monomial is the one with
-    negated exponents, read by index.
+    are evaluated on the family's ``coords``, the weights and their
+    ``inverses`` over one denominator den, of which they read 1 = w_0
+    and the independent weights.  Each monomial is its sign times F
+    factors, its powers padded with 1 up to the union's largest degree
+    F, so every value has the scale den * (tden * den)^F.  The inverse
+    of a monomial is the one with negated exponents, read by index.
     """
     case = normalize_case(family.case)
     indices, _ = _INDEPENDENT_WEIGHTS[case]
-    flat = flat_tower(family.desc)
-    (one, *coords), den = flat.int_coords(
-        [TowerElement.rational(1, family.desc)]
-        + [family.weights[i] for i in indices]
-        + [family.inverses[i] for i in indices])
-    basis, inverses = coords[:len(indices)], coords[len(indices):]
+    flat, coords, den = family.coords
+    one = coords[0]
+    basis = [coords[i] for i in indices]
+    inverses = [coords[4 + i] for i in indices]
     monomials = monomial_h_set(case, family.q) | {(1, (0,) * len(indices))}
     degree = max(sum(map(abs, exps)) for _, exps in monomials)
     evaluated = {}

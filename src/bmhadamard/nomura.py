@@ -28,7 +28,6 @@ trusted.
 
 from __future__ import annotations
 
-from .fastfield import flat_tower
 from .identities import symmetry_functional
 from .scheme import parametric_scheme
 
@@ -49,18 +48,18 @@ class StepFailed(AssertionError):
 class JonesGraph:
     """Adjacency oracle and component labels on the n^2 pair vertices.
 
-    ``ratios`` is the m x m table ratios[i][j] = w_i / w_j of the m
-    weights (``typeii.weight_ratios``, or a family's ``ratios``).  The
-    m^2 ratios get integer coordinates over one denominator den, so two
-    are equal exactly when their coordinate vectors are; the distinct
-    vectors are numbered in order of first appearance, the value ids
-    (every w_i / w_i gets the id of 1).  The profile of vertex (a, b)
-    is the value id of ratios[R(x,a)][R(x,b)] = (Y_ab)_x for each x, so
-    equal profiles mean equal Y and equal rows of the adjacency matrix.
-    The x-th term of <Y_ab, Y_cd> is value[u] * value[v], u and v the
-    x-th ids of the two profiles, and ``FlatTower.int_mul`` forms the
-    product table of the distinct values: each entry is the true product
-    times the same tden * den^2 > 0.
+    ``table`` is an m x m table of integer vectors, table[i][j] the
+    coordinates of w_i / w_j over ``flat`` times one scale > 0 shared by
+    every entry (a family's ``ratio_table``), so two ratios are equal
+    exactly when their vectors are; the distinct vectors are numbered in
+    order of first appearance, the value ids (every w_i / w_i gets the
+    id of 1).  The profile of vertex (a, b) is the value id of
+    table[R(x,a)][R(x,b)] = (Y_ab)_x for each x, so equal profiles mean
+    equal Y and equal rows of the adjacency matrix.  The x-th term of
+    <Y_ab, Y_cd> is value[u] * value[v], u and v the x-th ids of the two
+    profiles, and ``FlatTower.int_mul`` forms the product table of the
+    distinct values: each entry is the true product times the same
+    tden * scale^2 > 0.
 
     Each entry is packed into one int, coordinate k in a signed slot of
     ``bits`` bits.  A sum of n entries is sum_k S_k * 2^(k*bits), and
@@ -70,13 +69,12 @@ class JonesGraph:
     0 < |S_k| < 2^bits.  So a test is exact: n ints summed against 0.
     """
 
-    def __init__(self, scheme_rel, ratios, desc):
+    def __init__(self, scheme_rel, table, flat):
         self.n = n = len(scheme_rel)
-        flat = flat_tower(desc)
-        m = len(ratios)
-        coords, _ = flat.int_coords([x for row in ratios for x in row])
+        m = len(table)
         ids = {}
-        value_id = [ids.setdefault(vec, len(ids)) for vec in coords]
+        value_id = [ids.setdefault(tuple(vec), len(ids))
+                    for row in table for vec in row]
         products = [[flat.int_mul(x, y) for y in ids] for x in ids]
         top = max(abs(c) for row in products for vec in row for c in vec)
         bits = (n * top).bit_length() + 1
@@ -156,7 +154,8 @@ class JonesGraph:
 
 
 def jones_graph_for(mat):
-    return JonesGraph(mat.scheme.rel, mat.family.ratios, mat.family.desc)
+    table, _ = mat.family.ratio_table
+    return JonesGraph(mat.scheme.rel, table, mat.family.coords[0])
 
 
 # ---------------------------------------------------------------------------

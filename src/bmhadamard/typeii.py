@@ -12,6 +12,11 @@ and its inverse are a_{0,i}/2 +- c_i*s, c_i in a's field
 (``_weights_from_seed``).  ``branch`` -1, the other root, is the
 entrywise inverse W^(-); the sign of r is ``r_sign``.
 
+A family's values become integers in one place, its cached
+``WeightFamily.coords`` and ``ratio_table``; every certificate of a
+family, here and in the identities, invariants and nomura modules,
+reads those two.
+
 Everything decided here is an exact zero test or an exact sign
 (``exactfield.element_sign``); the interval arithmetic in
 :mod:`bmhadamard.intervals` only double-checks unimodularity claims.
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, islice
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .fastfield import (
     echelon_mod_p,
@@ -162,12 +167,8 @@ class WeightFamily:
     """Exact weights (1, w1, w2, w3) of one constructed family, and
     their ``inverses`` 1/w_i, which the construction gives alongside.
 
-    ``ratios`` is the family's one table of weight ratios,
-    ratios[i][j] = w_i / w_j, one product per entry of weights and
-    inverses: the a-matrix, the dense type-II and Haagerup certificates,
-    the formal-monomial H(W) and the Jones graph read it.  The spectral
-    type-II test and the Jones sweeps need only the weights and
-    ``inverses``.
+    ``coords`` and ``ratio_table`` are the family's one integer view,
+    computed once and kept; no other code converts a family's values.
     """
 
     def __init__(self, case, q, branch, r_sign, desc, weights, inverses,
@@ -188,11 +189,32 @@ class WeightFamily:
         return self.q * self.q - 1
 
     @cached_property
-    def ratios(self):
-        return _ratio_rows(self.weights, self.inverses)
+    def coords(self):
+        """(flat, vectors, den): the family's ``flat_tower`` and one
+        ``int_coords`` of the weights, then the inverses, over one
+        denominator den; vectors[0] is w_0 = 1, that is (den, 0, ...)."""
+        flat = flat_tower(self.desc)
+        vectors, den = flat.int_coords(self.weights + self.inverses)
+        return flat, vectors, den
+
+    @cached_property
+    def ratio_table(self):
+        """(table, scale): table[i][j] = ``int_mul``(w_i, 1/w_j) on
+        ``coords``, the integer coordinates of w_i / w_j times
+        scale = tden * den^2 > 0.  Equal ratios have equal entries."""
+        flat, vectors, den = self.coords
+        table = tuple(tuple(tuple(flat.int_mul(wi, wj)) for wj in vectors[4:])
+                      for wi in vectors[:4])
+        return table, flat.tden * den * den
 
     def a_matrix(self):
-        return _pair_sums(self.ratios)
+        """a_{i,j} = w_i/w_j + w_j/w_i, off ``ratio_table`` and its
+        transpose, 2 on the diagonal."""
+        flat = self.coords[0]
+        table, scale = self.ratio_table
+        return [[flat.from_flat((tuple(map(add, x, y)), scale))
+                 for x, y in zip(row, col)]
+                for row, col in zip(table, zip(*table))]
 
     def label(self):
         bits = [f"case={self.case}", f"q={self.q}",
@@ -271,28 +293,20 @@ def all_families(q, cases=CASES, branches=(1, -1)):
 def weight_ratios(weights):
     """The table ratios[i][j] = w_i / w_j of nonzero weights, in the
     deepest of their towers: one inverse per weight, one product per
-    entry.  Every w_i / w_j the package uses is read from such a table,
-    directly or through ``WeightFamily.ratios``."""
+    entry.  ``phi`` and ``reconstruct_weights`` read it; a constructed
+    family's ratios are its integer ``WeightFamily.ratio_table``."""
     ws = list(weights)
     desc = max((w.desc for w in ws), key=lambda d: d.depth)
     ws = [w.lift(desc) for w in ws]
     if any(w.is_zero() for w in ws):
         raise ZeroWeight("weight ratios need nonzero weights")
-    return _ratio_rows(ws, [w.inverse() for w in ws])
-
-
-def _ratio_rows(weights, inverses):
-    """ratios[i][j] = w_i * (1/w_j), one product per entry."""
-    return tuple(tuple(wi * wj for wj in inverses) for wi in weights)
+    inverses = [w.inverse() for w in ws]
+    return tuple(tuple(wi * wj for wj in inverses) for wi in ws)
 
 
 def phi(weights):
     """a_{i,j} = w_i/w_j + w_j/w_i for a vector of nonzero weights."""
-    return _pair_sums(weight_ratios(weights))
-
-
-def _pair_sums(ratios):
-    """a_{i,j} = ratios[i][j] + ratios[j][i], 2 on the diagonal."""
+    ratios = weight_ratios(weights)
     return [[x + y for x, y in zip(row, col)]
             for row, col in zip(ratios, zip(*ratios))]
 
@@ -399,21 +413,19 @@ def is_type_ii(family):
     """Spectral type-II test: beta_k * beta'_k = n for k = 1..d.
 
     beta_k = sum_j w_j P_{k,j} and beta'_k uses the inverted weights,
-    the family's ``inverses``.  Both are read off integer coordinates
-    of the family's ``flat_tower``: the weights and inverses over one
-    denominator den (one ``int_coords`` call), and P over the lcm s of
-    its denominators, so each beta_k and beta'_k is an integer
-    combination with value beta * den * s.  Their ``int_mul`` is then
-    beta_k * beta'_k times tden * (den * s)^2 > 0, and it equals
+    the family's ``inverses``.  Both are read off the family's
+    ``coords``, the weights and inverses over one denominator den, and
+    P over the lcm s of its denominators, so each beta_k and beta'_k is
+    an integer combination with value beta * den * s.  Their ``int_mul``
+    is then beta_k * beta'_k times tden * (den * s)^2 > 0, and it equals
     n * tden * (den * s)^2 times the unit coordinate exactly when
     beta_k * beta'_k = n.  No product is divided or reduced.
     Where a concrete scheme exists (q = 4) the dense identity
-    W * (W^(-))^T = n I is verified as well, on the same coordinates,
-    and must agree.
+    W * (W^(-))^T = n I is verified as well, on the family's
+    ``ratio_table``, and must agree.
     Returns (bool, certificate dict).
     """
-    flat = flat_tower(family.desc)
-    coords, den = flat.int_coords(family.weights + family.inverses)
+    flat, coords, den = family.coords
     w, w_inv = coords[:4], coords[4:]
     P = parametric_scheme().eigenmatrix_at(family.q)
     s = lcm(*(x.denominator for row in P for x in row))
@@ -435,34 +447,28 @@ def is_type_ii(family):
         # contradict the spectral identity
         raise AssertionError("beta_0 beta'_0 != n while k>=1 all pass")
     if family.q == 4:
-        dense_ok = _dense_type_ii_check(family, (coords, den))
+        dense_ok = _dense_type_ii_check(family)
         cert["dense_identity"] = dense_ok
         if dense_ok != ok:
             raise AssertionError("dense and spectral type-II tests disagree")
     return ok, cert
 
 
-def _dense_type_ii_check(family, weight_coords=None):
+def _dense_type_ii_check(family):
     """Exact dense identity W * (W^(-))^T = n I, on integer coordinates.
 
     Entry (x, y) is the sum over t of w_rel[x][t] / w_rel[y][t], which
-    is w_i * (1/w_j) for (i, j) = (rel[x][t], rel[y][t]).
-    ``weight_coords`` is ``int_coords`` of the weights and then the
-    inverses, over one denominator den (computed when not given).  The
-    16 products are ``int_mul``s of those, each its ratio times
-    tden * den^2 > 0.  Entries with the same multiset of terms have the
-    same sum (``_entry_terms``), so each distinct multiset is summed once
-    as an integer vector, and compared with n * tden * den^2 * e_0 where
-    it sits on the diagonal and with 0 where it sits off it.
+    is entry (i, j) = (rel[x][t], rel[y][t]) of the family's
+    ``ratio_table``: w_i / w_j times one scale > 0.  Entries with the
+    same multiset of terms have the same sum (``_entry_terms``), so each
+    distinct multiset is summed once as an integer vector, and compared
+    with n * scale * e_0 where it sits on the diagonal and with 0 where
+    it sits off it.
     """
     scheme = TypeIIMatrix(family).scheme
-    flat = flat_tower(family.desc)
-    if weight_coords is None:
-        weight_coords = flat.int_coords(family.weights + family.inverses)
-    coords, den = weight_coords
-    ratio = [[flat.int_mul(wi, wj) for wj in coords[4:]] for wi in coords[:4]]
-    zero = [0] * flat.dim
-    diagonal = [scheme.n * flat.tden * den * den] + zero[1:]
+    ratio, scale = family.ratio_table
+    zero = [0] * family.coords[0].dim
+    diagonal = [scheme.n * scale] + zero[1:]
     for on_diagonal, terms in _entry_terms(scheme.rel):
         acc = list(zero)
         for (i, j), m in terms:

@@ -31,6 +31,7 @@ from bmhadamard.typeii import (
     all_families,
     case_a_values,
     normalize_case,
+    weight_ratios,
 )
 
 
@@ -338,9 +339,12 @@ _TRIPLES = tuple(itertools.product(range(4), repeat=3))
 
 def _ratio_variants(case, q):
     """The ratio table R[i][j] = w_i / w_j of every weight vector of a
-    family at q, paired with its transpose, the table of 1/w_i."""
+    family at q, paired with its transpose, the table of 1/w_i.  Built
+    by ``weight_ratios``, one division per weight, not read from the
+    family's own integer table."""
     for fam in all_families(q, (case,)):
-        yield fam.ratios, tuple(zip(*fam.ratios))
+        ratios = weight_ratios(fam.weights)
+        yield ratios, tuple(zip(*ratios))
 
 
 def _ratio_table(ratio, keys):
@@ -398,6 +402,14 @@ def jones_component_verdict(sums):
         elif d.is_zero():
             return False
     return True
+
+
+def integer_table(ratios, flat):
+    """A table of tower elements as the integer table ``JonesGraph``
+    takes: one ``int_coords`` of every entry, over one denominator."""
+    m = len(ratios)
+    vectors, _ = flat.int_coords([x for row in ratios for x in row])
+    return [vectors[i * m:(i + 1) * m] for i in range(m)]
 
 
 def component_labels_oracle(graph):

@@ -504,6 +504,22 @@ def test_sweeps_build_each_tower_once(monkeypatch):
     assert len(built) == 2 * 7
 
 
+def test_jones_sweeps_convert_each_family_once(monkeypatch):
+    # both Jones sweeps of iv and vi at three q read one integer view per
+    # family: 3 + 6 = 9 families, one int_coords call each.  A fresh
+    # cache of family_coefficients makes every family new to the count
+    fresh = cache(typeii.family_coefficients.__wrapped__)
+    monkeypatch.setattr(typeii, "family_coefficients", fresh)
+    calls = []
+    real = FlatTower.int_coords
+    monkeypatch.setattr(FlatTower, "int_coords",
+                        lambda self, els: calls.append(1) or real(self, els))
+    for case in ("iv", "vi"):
+        for expr in ("jones_adjacency", "jones_component"):
+            scan_nonvanishing(expr, case, [4, 6, 200])
+    assert len(calls) <= 9
+
+
 def test_scan_rejects_unknown_expression():
     with pytest.raises(ValueError):
         scan_nonvanishing("bogus", "i", [4])

@@ -4,9 +4,16 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import component_labels_oracle, field_scheme, y_inner, y_vector
+from oracles import (
+    component_labels_oracle,
+    field_scheme,
+    integer_table,
+    y_inner,
+    y_vector,
+)
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
+from bmhadamard.fastfield import flat_tower
 from bmhadamard.nomura import (
     JonesGraph,
     NotSymmetricAlgebra,
@@ -147,7 +154,8 @@ def test_fourier_component_count_is_symmetrized():
     # the trivial "scheme" with one class per entry position
     rel = [[4 * i + j for j in range(4)] for i in range(4)]
     entries = [e for row in dense for e in row]
-    graph = JonesGraph(rel, weight_ratios(entries), d)
+    flat = flat_tower(d)
+    graph = JonesGraph(rel, integer_table(weight_ratios(entries), flat), flat)
     for ab in ((0, 1), (1, 2)):
         for cd in ((0, 1), (2, 1), (3, 2)):
             want = (ab[0] - ab[1] + cd[0] - cd[1]) % 4 == 0
@@ -244,8 +252,27 @@ def test_twin_search_matches_the_bfs_oracle_on_random_tables(table):
     # ratios in {+-1, +-i}: <Y, Y> can vanish, so twin classes that are
     # independent sets occur alongside cliques
     rel, ratios = table
-    graph = JonesGraph(rel, ratios, GAUSSIAN_DESC)
+    flat = flat_tower(GAUSSIAN_DESC)
+    graph = JonesGraph(rel, integer_table(ratios, flat), flat)
     assert graph.component_labels() == component_labels_oracle(graph)
+
+
+@given(gaussian_unit_tables(), st.integers(1, 10 ** 12))
+@settings(max_examples=100, deadline=None)
+def test_jones_graph_ignores_the_tables_positive_scale(table, scale):
+    # JonesGraph reads a table of integer vectors that share one unknown
+    # positive scale: scaling every entry alike changes no adjacency
+    # test and no component label
+    rel, ratios = table
+    flat = flat_tower(GAUSSIAN_DESC)
+    ints = integer_table(ratios, flat)
+    graph = JonesGraph(rel, ints, flat)
+    scaled = JonesGraph(rel, [[[scale * c for c in vec] for vec in row]
+                              for row in ints], flat)
+    verts = graph.vertices()
+    assert all(graph.adjacent(ab, cd) == scaled.adjacent(ab, cd)
+               for ab in verts for cd in verts)
+    assert graph.component_labels() == scaled.component_labels()
 
 
 def test_lone_self_orthogonal_class_splits(families_q4, monkeypatch):
@@ -282,5 +309,6 @@ def test_field_scheme_matches_the_parametric_scheme(q, valencies):
 def test_components_at_q8(case, r_sign, field_scheme_q8):
     # n = 63: the off-diagonal pairs form one component, the diagonal one
     fam = family_coefficients(case, 8, r_sign, 1)
-    graph = JonesGraph(field_scheme_q8.rel, fam.ratios, fam.desc)
+    table, _ = fam.ratio_table
+    graph = JonesGraph(field_scheme_q8.rel, table, fam.coords[0])
     assert graph.component_sizes() == [3906, 63]

@@ -191,14 +191,22 @@ def _variants_for_ratio_tests(families_q4):
 
 
 def test_ratio_table_divides_the_weights(families_q4):
+    # ratio_table holds w_i / w_j times one scale > 0, as integer
+    # coordinates over the family's FlatTower; its value is checked
+    # against the tower weights, and each entry against its transpose
     for fam in _variants_for_ratio_tests(families_q4):
-        w, r = fam.weights, fam.ratios
-        assert fam.ratios is r  # built once and kept
+        w, (table, scale) = fam.weights, fam.ratio_table
+        assert fam.ratio_table[0] is table  # built once and kept
+        flat = fam.coords[0]
+        assert scale > 0
+        zeros = (0,) * (flat.dim - 1)
         for i in range(4):
-            assert r[i][i] == 1, fam
+            assert table[i][i] == (scale,) + zeros, fam
             for j in range(4):
-                assert r[i][j] * w[j] == w[i], (fam, i, j)
-                assert r[i][j] * r[j][i] == 1, (fam, i, j)
+                ratio = flat.from_flat((table[i][j], scale))
+                assert ratio * w[j] == w[i], (fam, i, j)
+                assert flat.int_mul(table[i][j], table[j][i]) == \
+                    [flat.tden * scale * scale, *zeros], (fam, i, j)
 
 
 def test_phi_matches_the_per_pair_division(families_q4):
