@@ -26,7 +26,8 @@ from .scheme import (
     ConcreteScheme,
     ParametricScheme,
     SpectralData,
-    build_petersen_line_scheme,
+    concrete_scheme,
+    field_scheme,
 )
 from .typeii import (
     RankUndecided,
@@ -69,7 +70,7 @@ __all__ = [
     "complex_embed", "element_sign", "abs_is_one",
     "PolyQ", "RatQ", "RF_DESC", "ratfunc_specialize", "r_value_at",
     "ConcreteScheme", "ParametricScheme", "SpectralData",
-    "build_petersen_line_scheme",
+    "concrete_scheme", "field_scheme",
     "RankUndecided", "TypeIIMatrix", "WeightFamily", "all_families",
     "family_coefficients",
     "is_hadamard", "is_type_ii", "non_butson_witness", "phi",

@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-  construct   write one family (dense 15x15 at q = 4, weights otherwise)
+  construct   write one family (dense where ``scheme.concrete_scheme``
+              builds a scheme, weights otherwise)
   verify      certificate report for one family (type-II / Hadamard /
               non-Butson witness, optionally the isolation test)
   report      run a named verification suite and emit a pass/fail matrix
@@ -38,15 +39,15 @@ from .identities import (
 )
 from .ratfunc import ratfunc_specialize
 from .scheme import (
+    NoConcreteScheme,
+    NotAnEigenmatrix,
+    concrete_scheme,
     distance_matrix,
     fused_eigenmatrix_12,
     fused_eigenmatrix_13,
-    NotAnEigenmatrix,
     parametric_scheme,
-    petersen_scheme,
 )
 from .typeii import (
-    NoConcreteScheme,
     NoWitness,
     RankUndecided,
     TypeIIMatrix,
@@ -127,22 +128,20 @@ def _write_out(text, path):
 # construct
 
 def cmd_construct(args):
+    flag = "--dense" if args.dense else "--format csv"
+    if args.dense or args.format == "csv":
+        concrete_scheme(args.q, f"{flag} needs the dense matrix")
     fam = family_coefficients(args.case, args.q, args.r_sign, args.branch)
-    dense_wanted = args.dense or args.format == "csv" or \
-        (args.q == 4 and not args.weights_only)
-    if not dense_wanted:
-        payload = serialize.family_payload(fam)
-    elif args.q != 4:
-        flag = "--dense" if args.dense else "--format csv"
-        raise NoConcreteScheme(f"no concrete scheme at q = {args.q}; "
-                               f"{flag} needs the dense matrix (q = 4)")
-    elif args.format == "csv":
-        _write_out(serialize.complex_csv(TypeIIMatrix(fam).dense(),
-                                         args.precision), args.out)
-        return 0
+    try:  # dense by default wherever a concrete scheme exists
+        mat = None if args.weights_only else TypeIIMatrix(fam)
+    except NoConcreteScheme:
+        mat = None
+    if args.format == "csv":
+        text = serialize.complex_csv(mat.dense(), args.precision)
     else:
-        payload = serialize.matrix_payload(TypeIIMatrix(fam))
-    _write_out(serialize.dump_json(payload), args.out)
+        text = serialize.dump_json(serialize.family_payload(fam) if mat is None
+                                   else serialize.matrix_payload(mat))
+    _write_out(text, args.out)
     return 0
 
 
@@ -150,6 +149,8 @@ def cmd_construct(args):
 # verify
 
 def cmd_verify(args):
+    if args.span:
+        concrete_scheme(args.q, "the span test needs the dense matrix")
     fam = family_coefficients(args.case, args.q, args.r_sign, args.branch)
     t2, t2_cert = is_type_ii(fam)
     report = {
@@ -179,8 +180,6 @@ def cmd_verify(args):
     except NoWitness:
         report["non_butson_witness"] = None
     if args.span:
-        if fam.q != 4:
-            raise NoConcreteScheme("the span test needs the dense matrix (q = 4)")
         iso, rank = span_condition(TypeIIMatrix(fam).dense(), fam.desc,
                                    return_rank=True)
         report["isolated"] = iso
@@ -222,28 +221,27 @@ def _certified(scheme, P):
 
 def suite_scheme(q=4, **_):
     checks = []
-    scheme = petersen_scheme()
+    scheme = concrete_scheme(q)
     rep = scheme.verify_axioms()
     checks.append(("scheme.axioms", rep.passed, None))
     dm = distance_matrix(scheme.adjacency_matrix(1))
-    dm_ok = all(dm[i][j] == {0: 0, 1: 1, 2: 2, 3: 3}[scheme.rel[i][j]]
-                for i in range(15) for j in range(15))
-    checks.append(("scheme.distance_identity", dm_ok, None))
+    checks.append(("scheme.distance_identity",
+                   tuple(map(tuple, dm)) == scheme.rel, None))
     ps = parametric_scheme()
-    table_ok = ps.p_at(4) == tuple(tuple(map(tuple, layer))
+    table_ok = ps.p_at(q) == tuple(tuple(map(tuple, layer))
                                    for layer in scheme.p)
     checks.append(("scheme.intersection_table_q4", table_ok, None))
-    data = _certified(scheme, ps.eigenmatrix_at(4))
+    data = _certified(scheme, ps.eigenmatrix_at(q))
     checks.append(("scheme.eigenmatrix_q4", data is not None, None))
     fusions_ok = all(
         _certified(scheme.fuse(blocks),
-                   [[e(4) for e in row] for row in table()]) is not None
+                   [[e(q) for e in row] for row in table()]) is not None
         for blocks, table in (([{0}, {1, 2}, {3}], fused_eigenmatrix_12),
                               ([{0}, {1, 3}, {2}], fused_eigenmatrix_13)))
     checks.append(("scheme.fusion_eigenmatrices", fusions_ok, None))
     qrow = data is not None and all(
-        sum(data.Q[i][j] for j in range(1, 4)) == (14 if i == 0 else -1)
-        for i in range(4))
+        sum(row[1:]) == (scheme.n - 1 if i == 0 else -1)
+        for i, row in enumerate(data.Q))
     checks.append(("scheme.q_row_sums", qrow, None))
     checks.append(("scheme.parametric_consistency",
                    ps.verify_consistency(), None))
@@ -257,9 +255,9 @@ def suite_families(q=4, **_):
         label = fam.label().replace(",", ".").replace("=", "_")
         t2, cert = is_type_ii(fam)
         checks.append((f"typeii.{label}", t2, None))
-        if q == 4:
-            checks.append((f"typeii.dense.{label}",
-                           bool(cert.get("dense_identity")), None))
+        if "dense_identity" in cert:
+            checks.append((f"typeii.dense.{label}", cert["dense_identity"],
+                           None))
         had, had_cert = is_hadamard(fam)
         want_had = fam.case in ("iii", "iv", "v") or \
             (fam.case == "vi" and fam.r_sign > 0)
@@ -304,13 +302,16 @@ def suite_section5(q=4, **_):
     for fam in all_families(q):
         fo = invariants.haagerup_formula(fam)
         formulas.setdefault((fam.case, fam.r_sign), fo)
-        if q == 4:
-            bf = invariants.haagerup_bruteforce(TypeIIMatrix(fam))
-            same = [e.coefficients() for e in bf.h_set] == \
-                   [e.coefficients() for e in fo.h_set]
-            label = fam.label().replace(",", ".").replace("=", "_")
-            checks.append((f"haagerup.formula_equals_bruteforce.{label}",
-                           same, None))
+        try:
+            mat = TypeIIMatrix(fam)
+        except NoConcreteScheme:  # the brute force needs the dense matrix
+            continue
+        bf = invariants.haagerup_bruteforce(mat)
+        same = [e.coefficients() for e in bf.h_set] == \
+               [e.coefficients() for e in fo.h_set]
+        label = fam.label().replace(",", ".").replace("=", "_")
+        checks.append((f"haagerup.formula_equals_bruteforce.{label}",
+                       same, None))
     for case in CASES:
         mono = invariants.monomial_h_set(case, q)
         checks.append((f"haagerup.table_row.case_{case}",
@@ -425,20 +426,19 @@ SUITES = {
 }
 SUITE_ORDER = ["scheme", "identities", "families", "section5", "section6",
                "appendixB", "sweeps", "isolation"]
-# suites that need the concrete scheme, which is built only at q = 4 (the
-# Petersen line graph): scheme checks its axioms and tables, section6 and
-# isolation run on the dense 15 x 15 matrices
+# suites that need the concrete scheme (``scheme.concrete_scheme``, which
+# decides at which q it exists): scheme checks its axioms and tables,
+# section6 and isolation run on its dense matrices
 CONCRETE_SCHEME_SUITES = ("scheme", "section6", "isolation")
 
 
 def cmd_report(args):
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
     concrete = [name for name in names if name in CONCRETE_SCHEME_SUITES]
-    if concrete and args.q != 4:
+    if concrete:
         needs = "suite needs" if len(concrete) == 1 else "suites need"
-        raise NoConcreteScheme(
-            f"no concrete scheme at q = {args.q}; the "
-            f"{', '.join(concrete)} {needs} the concrete scheme (q = 4)")
+        concrete_scheme(args.q, f"the {', '.join(concrete)} {needs} "
+                                "the concrete scheme")
     if args.out:  # an unwritable path fails before the suites run
         open(args.out, "a").close()
     bound = args.sweep_bound

@@ -114,7 +114,7 @@ def _class_patterns(scheme):
     """The distinct class patterns of the n^4 sweep over ``scheme``.
 
     They depend only on the scheme, so every family over the shared
-    ``petersen_scheme()`` object reuses one sweep.
+    ``concrete_scheme(q)`` object reuses one sweep.
     """
     n = scheme.n
     rel = scheme.rel

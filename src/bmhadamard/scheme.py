@@ -1,9 +1,9 @@
-"""Association schemes: the concrete 15-point scheme and its q-parametric family.
+"""Association schemes: the concrete field scheme and its q-parametric family.
 
-The concrete scheme is built from the line graph of the Petersen graph
-(Kneser graph on 2-subsets of a 5-set): A1 is the line-graph adjacency,
-A2 = A1^2 - A1 - 4I, A3 = J - I - A1 - A2.  No eigenmatrix is computed
-here: ``ConcreteScheme.eigen_data`` certifies a claimed one (the
+The concrete scheme lives on F_{q^2}^*, q = 2^e (``field_scheme``), and
+``concrete_scheme`` alone decides at which q it is built, so where dense
+work runs: at q = 4, the line graph of the Petersen graph.  No eigenmatrix
+is computed here: ``ConcreteScheme.eigen_data`` certifies a claimed one (the
 parametric family's at q = 4, or a fusion's) through the character
 identity x_h x_i = sum_k p_hi^k x_k on the counted intersection numbers,
 and Q follows by the orthogonality relations (``second_eigenmatrix``).
@@ -17,8 +17,8 @@ Class order is fixed throughout: valencies (1, q^2/2 - q, q^2/2, q-2).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, reduce
+from operator import xor
 
 from . import linalg
 from .ratfunc import PolyQ, RatQ, Q
@@ -240,52 +240,56 @@ def _check_spectral(data):
 
 
 # ---------------------------------------------------------------------------
-# the concrete q = 4 instance
+# the concrete scheme
 
-def petersen_graph():
-    """Kneser graph on 2-subsets of a 5-set (adjacent iff disjoint)."""
-    verts = list(combinations(range(5), 2))
-    adj = [[1 if not (set(a) & set(b)) else 0 for b in verts] for a in verts]
-    return verts, adj
+class NoConcreteScheme(ValueError):
+    """Dense work was asked for at a q where no concrete scheme is built."""
 
 
-def build_petersen_line_scheme():
-    """The 15-vertex 3-class scheme on the edges of the Petersen graph."""
-    verts, adj = petersen_graph()
-    edges = [(i, j) for i in range(10) for j in range(i + 1, 10) if adj[i][j]]
-    m = len(edges)
-    a1 = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a != b and set(edges[a]) & set(edges[b]):
-                a1[a][b] = 1
-    # A2 = A1^2 - A1 - 4I must come out 0/1; A3 fills the rest
-    sq = [[sum(a1[i][t] * a1[t][j] for t in range(m)) for j in range(m)]
-          for i in range(m)]
-    rel = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            a2 = sq[i][j] - a1[i][j] - (4 if i == j else 0)
-            if a1[i][j]:
-                rel[i][j] = 1
-            elif a2 == 1:
-                rel[i][j] = 2
-            elif a2 == 0:
-                rel[i][j] = 3
-            else:
-                raise InternalConsistency(f"A1^2-A1-4I not 0/1 at ({i},{j})")
-    scheme = ConcreteScheme(rel)
-    if scheme.valencies != (1, 4, 8, 2):
-        raise InternalConsistency(f"unexpected valencies {scheme.valencies}")
-    return scheme
+# primitive moduli over F_2, as bit masks: t^4 + t + 1 and t^6 + t + 1
+F_2E_MODULI = {4: 0b10011, 8: 0b1000011}
+# the vertex order, by exponent k of g^k, where it is not k: at q = 4 the
+# Petersen line-graph order that dense construct and verify output follow
+VERTEX_ORDERS = {4: (0, 1, 4, 5, 11, 3, 10, 9, 13, 6, 14, 8, 7, 12, 2)}
+
+
+def field_scheme(q):
+    """The 3-class scheme on the points g^k of F_{q^2}^*, q = 2^e, for the
+    root g of ``F_2E_MODULI[q]``, listed by k or by the exponents in
+    ``VERTEX_ORDERS[q]``.  (g^k, g^l) is in R3 when (q + 1) | (k - l), that is when
+    g^(k-l) is in F_q^*, in R2 when Tr_{F_{q^2}/F_2}(g^(k + q l)) = 1, and
+    in R1 otherwise: valencies (1, q^2/2 - q, q^2/2, q - 2), the class
+    order of ``parametric_scheme``.
+    """
+    n = q * q - 1
+    power = [1]  # g^k as a polynomial in g over F_2, as a bit mask
+    for _ in range(n - 1):
+        x = power[-1] << 1
+        power.append(x ^ F_2E_MODULI[q] if x > n else x)
+    # Tr(g^m) sums the conjugates g^(m 2^i), i < [F_{q^2} : F_2]
+    trace = [reduce(xor, (power[(m << i) % n] for i in range(n.bit_length())))
+             for m in range(n)]
+    order = VERTEX_ORDERS.get(q, range(n))
+    return ConcreteScheme([[0 if k == l else 3 if (k - l) % (q + 1) == 0
+                            else 2 if trace[(k + q * l) % n] else 1
+                            for l in order] for k in order])
+
+
+def concrete_scheme(q, need=None):
+    """The shared concrete scheme at ``q``, which callers never mutate.
+
+    The one test of where a scheme, and so a dense matrix, exists: q = 4.
+    Elsewhere NoConcreteScheme is raised, its message ending in ``need``.
+    """
+    if q != 4:
+        raise NoConcreteScheme(f"no concrete scheme at q = {q}"
+                               + (f"; {need}" if need else ""))
+    return _built_scheme(int(q))
 
 
 @cache
-def petersen_scheme():
-    """The shared q = 4 scheme; callers read it and never mutate it."""
-    return build_petersen_line_scheme()
+def _built_scheme(q):
+    return field_scheme(q)
 
 
 def distance_matrix(adj):

@@ -53,7 +53,7 @@ from .exactfield import (
 )
 from .intervals import abs_is_one
 from .ratfunc import QF, RF_DESC, RF_R, ratfunc_specialize, r_value_at
-from .scheme import parametric_scheme, petersen_scheme
+from .scheme import NoConcreteScheme, concrete_scheme, parametric_scheme
 
 CASES = ("i", "ii", "iii", "iv", "v", "vi")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -89,10 +89,6 @@ class NoWitness(ValueError):
 
 class NotSquare(ValueError):
     pass
-
-
-class NoConcreteScheme(ValueError):
-    """A dense matrix was asked for off q = 4, where no scheme is built."""
 
 
 class RankUndecided(RuntimeError):
@@ -392,10 +388,8 @@ class TypeIIMatrix:
     """A weight family attached to a scheme, with a dense expansion."""
 
     def __init__(self, family):
-        if family.q != 4:
-            raise NoConcreteScheme("a concrete scheme exists only at q = 4")
         self.family = family
-        self.scheme = petersen_scheme()
+        self.scheme = concrete_scheme(family.q)
         self._dense = None
 
     @property
@@ -420,7 +414,7 @@ def is_type_ii(family):
     is then beta_k * beta'_k times tden * (den * s)^2 > 0, and it equals
     n * tden * (den * s)^2 times the unit coordinate exactly when
     beta_k * beta'_k = n.  No product is divided or reduced.
-    Where a concrete scheme exists (q = 4) the dense identity
+    Where a concrete scheme exists (``concrete_scheme``) the dense identity
     W * (W^(-))^T = n I is verified as well, on the family's
     ``ratio_table``, and must agree.
     Returns (bool, certificate dict).
@@ -446,11 +440,12 @@ def is_type_ii(family):
         # the trace argument forces k = 0 as well; a failure here would
         # contradict the spectral identity
         raise AssertionError("beta_0 beta'_0 != n while k>=1 all pass")
-    if family.q == 4:
-        dense_ok = _dense_type_ii_check(family)
-        cert["dense_identity"] = dense_ok
-        if dense_ok != ok:
-            raise AssertionError("dense and spectral type-II tests disagree")
+    try:
+        cert["dense_identity"] = _dense_type_ii_check(family)
+    except NoConcreteScheme:
+        return ok, cert
+    if cert["dense_identity"] != ok:
+        raise AssertionError("dense and spectral type-II tests disagree")
     return ok, cert
 
 
@@ -465,7 +460,7 @@ def _dense_type_ii_check(family):
     with n * scale * e_0 where it sits on the diagonal and with 0 where
     it sits off it.
     """
-    scheme = TypeIIMatrix(family).scheme
+    scheme = concrete_scheme(family.q)
     ratio, scale = family.ratio_table
     zero = [0] * family.coords[0].dim
     diagonal = [scheme.n * scale] + zero[1:]

@@ -1,12 +1,12 @@
 import pytest
 
-from bmhadamard.scheme import build_petersen_line_scheme
+from bmhadamard.scheme import concrete_scheme
 from bmhadamard.typeii import all_families
 
 
 @pytest.fixture(scope="session")
 def petersen():
-    return build_petersen_line_scheme()
+    return concrete_scheme(4)
 
 
 @pytest.fixture(scope="session")

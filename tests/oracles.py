@@ -22,7 +22,7 @@ from bmhadamard.invariants import (
 )
 from bmhadamard.pell import base_solutions, descend
 from bmhadamard.ratfunc import RatQ, r_value_at
-from bmhadamard.scheme import ConcreteScheme, parametric_scheme
+from bmhadamard.scheme import parametric_scheme
 from bmhadamard.typeii import (
     PAIRS,
     SEEDS,
@@ -438,58 +438,3 @@ def component_labels_oracle(graph):
             unvisited = still
         comp += 1
     return labels
-
-
-def _gf2_mul(x, y, modulus):
-    """x * y in F_2[t] / (modulus), elements as bit masks."""
-    top = 1 << (modulus.bit_length() - 1)
-    out = 0
-    while y:
-        if y & 1:
-            out ^= x
-        y >>= 1
-        x <<= 1
-        if x & top:
-            x ^= modulus
-    return out
-
-
-def field_scheme(q, modulus):
-    """The 3-class scheme on the points F_{q^2}^* (bit masks 1 .. q^2 - 1
-    over F_2[t] / (modulus), in increasing order), q a power of 2.
-
-    (x, y) is in R3 when x / y lies in F_q^* and x != y, in R2 when
-    Tr_{F_{q^2}/F_2}(x y^q) = 1, and in R1 otherwise; the valencies are
-    (1, q^2/2 - q, q^2/2, q - 2), the class order of ``parametric_scheme``.
-    """
-    n = q * q - 1
-
-    def power(x, e):
-        out = 1
-        for _ in range(e):
-            out = _gf2_mul(out, x, modulus)
-        return out
-
-    def trace(z):  # z + z^2 + z^4 + ..., over [F_{q^2} : F_2] terms
-        out, t = 0, z
-        for _ in range(n.bit_length()):
-            out ^= t
-            t = _gf2_mul(t, t, modulus)
-        return out
-
-    points = range(1, n + 1)
-    inverse = {x: power(x, n - 1) for x in points}
-    rel = []
-    for x in points:
-        row = []
-        for y in points:
-            if x == y:
-                row.append(0)
-            elif power(_gf2_mul(x, inverse[y], modulus), q - 1) == 1:
-                row.append(3)
-            elif trace(_gf2_mul(x, power(y, q), modulus)) == 1:
-                row.append(2)
-            else:
-                row.append(1)
-        rel.append(row)
-    return ConcreteScheme(rel)

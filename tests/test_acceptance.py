@@ -38,7 +38,7 @@ from bmhadamard.pell import (
 from bmhadamard.scheme import (
     NotAnEigenmatrix,
     ParametricScheme,
-    build_petersen_line_scheme,
+    field_scheme,
 )
 from bmhadamard.typeii import (
     TypeIIMatrix,
@@ -184,7 +184,7 @@ def test_criterion_09_nonvanishing_sweeps():
 
 def test_criterion_10_scheme_ground_truth():
     with Budget("10 scheme-ground-truth", 1):
-        scheme = build_petersen_line_scheme()
+        scheme = field_scheme(4)
         assert scheme.verify_axioms().passed
         ps = ParametricScheme()
         table = ps.p_at(4)

@@ -74,6 +74,25 @@ def test_construct_csv(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 15
 
 
+def test_construct_csv_matches_the_golden_matrix(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["construct", "--case", "v", "--q", "4", "--format", "csv",
+                 "--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "construct_v_q4.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command, flag", [("construct", "--dense"),
+                                           ("verify", "--span")])
+def test_dense_request_off_q4_refuses_before_any_work(capsys, monkeypatch,
+                                                      command, flag):
+    monkeypatch.setattr(cli, "family_coefficients", None)  # a call fails
+    code = main([command, "--case", "i", "--q", "6", flag])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "no concrete scheme at q = 6" in err
+
+
 def test_verify_case_iv(capsys):
     code, data = run_json(capsys, "verify", "--case", "iv", "--q", "4")
     assert code == 0
@@ -109,6 +128,16 @@ def test_report_scheme_suite(capsys):
     ids = [c["check_id"] for c in data["checks"]]
     assert ids == sorted(ids)
     assert "scheme.axioms" in ids
+
+
+def test_report_pretty_lists_every_record_on_stderr(capsys):
+    assert main(["report", "--suite", "families"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["report", "--suite", "families", "--pretty"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain
+    ids = [c["check_id"] for c in json.loads(out)["checks"]]
+    assert err.splitlines() == [f"PASS  {i}" for i in ids]
 
 
 def test_wrong_fusion_table_fails_only_its_check(capsys, monkeypatch):

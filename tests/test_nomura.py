@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
     component_labels_oracle,
-    field_scheme,
     integer_table,
     y_inner,
     y_vector,
@@ -27,7 +26,7 @@ from bmhadamard.nomura import (
     symmetry_values,
     triangle_counters,
 )
-from bmhadamard.scheme import parametric_scheme
+from bmhadamard.scheme import field_scheme, parametric_scheme
 from bmhadamard.typeii import (
     TypeIIMatrix,
     WeightFamily,
@@ -288,18 +287,15 @@ def test_lone_self_orthogonal_class_splits(families_q4, monkeypatch):
     assert [labels[a * 15 + a] for a in range(15)] == [0] + list(range(2, 16))
 
 
-F_2E_MODULI = {4: 0b10011, 8: 0b1000011}  # t^4 + t + 1, t^6 + t + 1
-
-
 @pytest.fixture(scope="module")
 def field_scheme_q8():
-    return field_scheme(8, F_2E_MODULI[8])
+    return field_scheme(8)
 
 
 @pytest.mark.parametrize("q, valencies", [(4, (1, 4, 8, 2)),
                                           (8, (1, 24, 32, 6))])
 def test_field_scheme_matches_the_parametric_scheme(q, valencies):
-    scheme = field_scheme(q, F_2E_MODULI[q])
+    scheme = field_scheme(q)
     assert scheme.valencies == valencies
     p_at = parametric_scheme().p_at(q)
     assert [[list(row) for row in table] for table in p_at] == scheme.p

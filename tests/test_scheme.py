@@ -9,13 +9,14 @@ from bmhadamard.ratfunc import Q, RatQ
 from bmhadamard.scheme import (
     ConcreteScheme,
     InternalConsistency,
+    NoConcreteScheme,
     NotAFusion,
     NotAnEigenmatrix,
     ParametricScheme,
+    concrete_scheme,
     distance_matrix,
     fused_eigenmatrix_12,
     fused_eigenmatrix_13,
-    petersen_graph,
 )
 
 P3_AT_4 = [[1, 4, 8, 2], [1, 2, -2, -1], [1, -1, -2, 2], [1, -2, 2, -1]]
@@ -26,14 +27,26 @@ FUSE_12 = [{0}, {1, 2}, {3}]
 FUSE_13 = [{0}, {1, 3}, {2}]
 
 
-def test_petersen_graph_is_kneser():
-    verts, adj = petersen_graph()
-    assert len(verts) == 10
-    assert all(sum(row) == 3 for row in adj)  # 3-regular
-    # adjacency = disjointness of 2-subsets
-    for i, a in enumerate(verts):
-        for j, b in enumerate(verts):
-            assert adj[i][j] == (0 if set(a) & set(b) or i == j else 1)
+# the class of every pair of points of the q = 4 scheme, in the vertex
+# order that every dense construct and verify output at q = 4 follows
+Q4_RELATIONS = (
+    "011322322221221", "101232221322212", "110221232232122",
+    "322011322212212", "232101212322221", "221110223223122",
+    "322322011122122", "223212101232221", "212223110223212",
+    "232232122011122", "223122232101212", "122223223110221",
+    "221221122122033", "212122221212303", "122212212221330",
+)
+
+
+def test_concrete_scheme_keeps_the_q4_vertex_order():
+    want = tuple(tuple(map(int, row)) for row in Q4_RELATIONS)
+    assert concrete_scheme(4).rel == want
+
+
+@pytest.mark.parametrize("q", [6, 8, 10])
+def test_no_concrete_scheme_off_q4(q):
+    with pytest.raises(NoConcreteScheme, match=f"at q = {q}$"):
+        concrete_scheme(q)
 
 
 def test_valencies_match_parametric_row(petersen):
