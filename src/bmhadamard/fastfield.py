@@ -15,9 +15,10 @@ the span rank of a dense matrix.  Their users zero-test or compare
 integer vectors whose scale is positive; the a-matrix and the Haagerup
 sets turn values back into tower elements with ``from_flat``.
 
-Ranks are found mod p: ``FlatTower.embedding`` is one map of a tower
-onto F_p (for the span rank, of the real subfield below the imaginary
-level), ``echelon_mod_p`` eliminates integer rows on residues,
+Ranks are found mod word-size primes p below 2^24 (``primes``):
+``FlatTower.embedding`` is one map of a tower onto F_p (for the span
+rank, of the real subfield below the imaginary level),
+``echelon_mod_p`` eliminates integer rows on residues,
 ``kernel_mod_p`` reads the reduced-echelon kernel off the same pivot
 rows, and ``rational_reconstruct`` lifts a residue back to Q (the span
 rank lifts kernels over Q only, never over a tower).  Both eliminations
@@ -27,9 +28,14 @@ mod p only when they are read (``_slot_bits`` bounds the slots).  A new
 pivot of ``echelon_mod_p`` is not reduced or scaled slot by slot: a
 lane-parallel fold (``_lane_fold``, pseudo-Mersenne reduction by
 2^bitlen(p) = c mod p) brings all its slots below 2^(bitlen(p)+1) at
-once, and the pivot keeps the inverse of its lead residue.  A rank mod p
-is only a lower bound; the caller (``typeii.span_condition``) turns it
-into a verdict with an exact upper bound.
+once, and the pivot keeps the inverse of its lead residue.  With p below
+2^24 a slot is about 58 bits wide at q = 4 (``_slot_bits``), so every
+multiply-add and shift works on rows less than half as long as with
+61-bit primes, and ``_slots`` reads a row back in time linear in its
+length.  A rank mod p is only a lower bound; the caller
+(``typeii.span_condition``) turns it into a verdict with an exact upper
+bound, or with a kernel certificate checked exactly, so the size of p
+bears on how often a prime is unlucky, never on a verdict.
 
 Every exact operation agrees with :mod:`bmhadamard.exactfield`, which
 remains the semantic reference (the test suite checks them against each
@@ -271,21 +277,34 @@ def sparse_rank(rows, flat):
 # elimination mod p, for ranks certified by exact checks
 
 def primes():
-    """The primes below 2**61, in descending order."""
-    n = 2 ** 61 - 1
-    while True:
+    """The odd primes below 2**24, in descending order.
+
+    Word-size primes keep every slot of the packed eliminations narrow
+    (58 bits for the q = 4 span ranks, against 132 below 2**61), and no
+    verdict needs a large one.  A rank mod any p under a map of K0 is a
+    lower bound, and a kernel certificate is decided by an exact check,
+    whatever the primes that built it.  A small prime is only more often
+    unlucky: a rank that drops, or a kernel lift whose modulus is still
+    too small.  ``span_condition`` then draws the next prime, and the
+    CRT modulus of its lift grows by 24 bits per prime.
+    """
+    for n in range(2 ** 24 - 1, 2, -2):
         if _is_prime(n):
             yield n
-        n -= 2
 
 
 def _is_prime(n):
-    # Miller-Rabin with these bases is deterministic below 3.3 * 10**24
+    # Miller-Rabin with bases 2, 3 and 5 is deterministic below
+    # 25326001, the least strong pseudoprime to all three
+    if n < 2:
+        return False
     d, e = n - 1, 0
     while not d & 1:
         d >>= 1
         e += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5):
+        if n % a == 0:
+            return n == a
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -358,22 +377,31 @@ class PackedRow:
 
     def residues(self):
         """{column: residue} of the row's nonzero entries, 1 at the pivot."""
-        cols, start, p, inv = self.columns, self.start, self.p, self.inv
-        out = {}
-        for k, v in enumerate(_slots(self.packed, self.bits)):
-            r = v * inv % p
-            if r:
-                out[cols[start + k]] = r
-        return out
+        cols, start, p = self.columns, self.start, self.p
+        # a slot times inv is at most (2^(k+1) - 1)(p - 1), one update of
+        # echelon_mod_p's bound, so below 2^(bits - 1): nothing carries
+        return {cols[start + k]: r for k, v in
+                enumerate(_slots(self.packed * self.inv, self.bits))
+                if (r := v % p)}
 
 
 def _slots(x, s):
-    """The slot values of packed row x, lowest slot first."""
+    """The slot values of packed row x, lowest slot first, up to its
+    highest nonzero slot.
+
+    Linear in the length of x: eight slots of s bits are s bytes, so the
+    bytes of x fall into blocks of s bytes, eight slots each, and only
+    a block of 8s bits is ever shifted.
+    """
+    count = -(-x.bit_length() // s)
+    raw = x.to_bytes(-(-count // 8) * s, "little")
     mask = (1 << s) - 1
+    shifts = range(0, 8 * s, s)
     out = []
-    while x:
-        out.append(x & mask)
-        x >>= s
+    for i in range(0, len(raw), s):
+        block = int.from_bytes(raw[i:i + s], "little")
+        out += [block >> k & mask for k in shifts]
+    del out[count:]
     return out
 
 
@@ -414,6 +442,11 @@ def echelon_mod_p(rows, p):
     at most (p - 1) + m * (p - 1) * (2^(k+1) - 1) < 2^(s-1), which is
     also the fold's premise, and it is never negative.  So each slot
     mod p is the residue at its column.
+
+    None of this depends on the size of p, and neither does the rank
+    mod p of integer rows, which bounds their rank over Q from below
+    for every prime.  ``primes`` gives p below 2^24, where s is 58 bits
+    for the 210 columns of v's B at q = 4 (132 for p near 2^61).
     """
     rows = list(rows)
     columns = sorted(set().union(*rows))

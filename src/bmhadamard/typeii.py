@@ -566,11 +566,12 @@ def non_butson_witness(family):
 # ---------------------------------------------------------------------------
 # isolation: the span condition
 
-# the candidate primes span_condition draws before it gives up: over
-# seventy times the most any verdict drew in six runs of the test suite
-# (21, for a random 5 x 5 input over vi's tower, where the kernel lift
-# needs about ten primes; 300 inputs of the test's strategy drew at most
-# 27), and far above the 1 to 3 of each q = 4 verdict
+# the candidate primes span_condition draws before it gives up: near fifty
+# times the most that 300 random 5 x 5 inputs over vi's tower drew (41,
+# most of them for the kernel lift of B_Q, whose modulus grows 24 bits a
+# prime; 300 inputs of the test's strategy drew at most 37), and far above
+# the 1 to 3 primes each q = 4 verdict eliminates on (vi's two also skip
+# the first four, which have no map of K0)
 SPAN_PRIME_CAP = 2000
 
 
@@ -643,6 +644,15 @@ def span_condition(dense, desc, return_rank=False):
     row space holds a vector whose least column is c, and the
     reduced-echelon kernel is unique, so the pivots compared across
     primes and the kernels combined by CRT depend only on the row space.
+
+    The primes are word-size, below 2^24 (``primes``), which keeps the
+    packed rows of each elimination narrow.  Their size bears on no
+    verdict: a rank under a map bounds r from below for every prime,
+    and a kernel counts only once its exact check passes.  A small
+    prime is only more often unlucky, with a rank that drops or a CRT
+    modulus still too small for the lift, and either way the next prime
+    is drawn.  At q = 4 every verdict settles on one prime but iii's,
+    whose kernel lift takes three.
 
     No step rounds, and no verdict rests on an unchecked prime.  Raises
     ``RankUndecided`` when ``SPAN_PRIME_CAP`` primes give no certificate.

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.fastfield import (
     FlatTower,
+    _is_prime,
     _lane_fold,
     _pack,
     _slot_bits,
@@ -88,6 +90,19 @@ def test_structure_constants_are_exact():
             assert recon[i, j] == bi * bj
 
 
+def test_primes_are_the_odd_primes_below_2_24_descending():
+    """The head of primes() against trial division, and _is_prime
+    against it below 3000, the small primes and their squares included."""
+    def is_prime(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    head = list(islice(primes(), 50))
+    assert head[0] == 2 ** 24 - 3
+    assert [n for n in range(head[-1], 2 ** 24) if is_prime(n)] == head[::-1]
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if is_prime(n)]
+
+
 def test_sparse_rank_small_cases():
     d, s = adjoin_radical(QQ, -15)
     flat = FlatTower(d)
@@ -103,7 +118,11 @@ def test_sparse_rank_small_cases():
     assert sparse_rank([{}], flat) == 0
 
 
-PRIMES = (3, 7, 101, 2 ** 61 - 1)
+# the first and the 2000th prime of primes(), the last that span_condition
+# may try (SPAN_PRIME_CAP), and one near 2^61, whose slots are widest
+FIRST_PRIME = next(primes())
+CAP_PRIME = next(islice(primes(), 1999, None))
+PRIMES = (3, 7, 101, CAP_PRIME, FIRST_PRIME, 2 ** 61 - 1)
 
 
 @st.composite
@@ -126,7 +145,23 @@ def modular_systems(draw):
     return p, columns, rows
 
 
+def largest_updates(p, m=14):
+    """(p, columns, rows) where every multiply-add of ``echelon_mod_p``
+    adds (p - 1) times a slot of p - 1, and the last row takes m - 1 of
+    them into its last slot, about (m - 1) p^2.  Pivot i is 1 at column
+    i and p - 1 after it, and the pivots come latest first, so none is
+    reduced; the last row's entries, 1 - j at column j, keep each of its
+    factors at p - 1."""
+    columns = list(range(0, 3 * m, 3))
+    rows = [{c: 1 if j == i else p - 1 for j, c in enumerate(columns)
+             if j >= i} for i in range(m - 2, -1, -1)]
+    rows.append({c: (1 - j) % p for j, c in enumerate(columns)})
+    return p, columns, rows
+
+
 @given(modular_systems())
+@example(largest_updates(FIRST_PRIME))
+@example(largest_updates(2 ** 61 - 1))
 @settings(max_examples=200, deadline=None)
 def test_packed_elimination_matches_oracle(system):
     p, columns, rows = system
@@ -152,10 +187,8 @@ def test_pivots_and_kernel_do_not_depend_on_row_order(system, data):
         kernel_mod_p(pivots, columns, p)
 
 
-# descending, as primes() yields them: the 2000th is the last prime
-# span_condition may try (SPAN_PRIME_CAP), and 2 makes the fold's premise
-# p >= 2^(bitlen(p) - 1) tight
-FOLD_PRIMES = (2 ** 61 - 1, next(islice(primes(), 1999, None)), 101, 7, 3, 2)
+# descending; 2 makes the fold's premise p >= 2^(bitlen(p) - 1) tight
+FOLD_PRIMES = (2 ** 61 - 1, FIRST_PRIME, CAP_PRIME, 101, 7, 3, 2)
 
 
 @st.composite
@@ -169,6 +202,18 @@ def folded_rows(draw):
     lanes = draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
                           min_size=1, max_size=m))
     return p, m, s, lanes
+
+
+@given(st.integers(1, 140).flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(st.integers(0, (1 << s) - 1), max_size=40))))
+@settings(max_examples=200, deadline=None)
+def test_slots_unpack_what_pack_packs(case):
+    """``_slots`` reads blocks of eight slots off the row's bytes; slot
+    by slot, ``_pack`` is the reference, with top zero slots dropped."""
+    s, values = case
+    while values and not values[-1]:
+        values = values[:-1]
+    assert _slots(_pack(values, s), s) == values
 
 
 @given(folded_rows())

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -732,7 +733,7 @@ def test_span_relations_of_q4_families(families_q4, key):
 # the span rank of each variant that test_one_elimination_per_prime runs
 SPAN_RANKS_Q4 = {("v", 1, 1): 186, ("iv", 1, 1): 196, ("vi", 1, 1): 196,
                  ("i", 1, 1): 105, ("ii", 1, 1): 105, ("vi", -1, 1): 105,
-                 ("iii", 1, 1): 180}
+                 ("iii", 1, 1): 180, ("v", 1, -1): 186}
 
 
 @pytest.mark.parametrize("key, isolated", [(key, rank == 196) for key, rank
@@ -740,9 +741,10 @@ SPAN_RANKS_Q4 = {("v", 1, 1): 186, ("iv", 1, 1): 196, ("vi", 1, 1): 196,
 def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
     """Each prime costs one elimination, under one map of K0.  B lies over
     K0 = Q for iii, v and iv, so that elimination also gives the kernel
-    certificate; the isolated iv and vi r+ settle on their first prime by
-    the (n-1)^2 bound, and the real towers of i, ii and vi r-, where B
-    has full rank 105, by the column bound."""
+    certificate; the isolated iv and vi r+ settle by the (n-1)^2 bound,
+    and the real towers of i, ii and vi r-, where B has full rank 105,
+    by the column bound.  Every verdict but iii's settles on one prime,
+    v's kernel lift on both branches included; iii's lift needs more."""
     honest_echelon, honest_primes = typeii.echelon_mod_p, typeii.primes
     calls, drawn = [], []
 
@@ -760,10 +762,10 @@ def test_one_elimination_per_prime(families_q4, monkeypatch, key, isolated):
     fam, rank = families_q4[key], SPAN_RANKS_Q4[key]
     assert span_condition(TypeIIMatrix(fam).dense(), fam.desc,
                           return_rank=True) == (isolated, rank)
-    if rank in (105, 196):
-        assert len(calls) == 1
+    if key[0] == "iii":
+        assert calls == drawn and len(calls) > 1
     else:
-        assert calls == drawn
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key", list(SPAN_RANKS_Q4))
@@ -835,61 +837,81 @@ def rank_one_over_vi():
     return [[x * y for y in v] for x in u], desc
 
 
-def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
-    """Each prime with a map of K0 = Q(r) eliminates B under it (12 rows,
-    n(n - 1)) and then B_Q (24 rows), and the kernel certificate of B_Q
-    gives the rank."""
-    dense, desc = rank_one_over_vi()
-    honest, sizes = typeii.echelon_mod_p, []
-
-    def echelon(rows, p):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return honest(rows, p)
-
-    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
-    rank = oracle_span_rank(dense, desc)
-    assert rank not in (9, 12)
-    assert span_condition(dense, desc, return_rank=True) == (False, rank)
-    assert sizes and sizes == [12, 24] * (len(sizes) // 2)
+def assert_each_prime_follows_the_kernel_route(drawn, calls, k0):
+    """``calls`` holds (prime, rows) of every elimination, B having 12
+    rows, n(n - 1), and B_Q 24.  A drawn prime with a map of K0 = Q(r)
+    eliminates B under it and then B_Q.  One with no map eliminates B_Q
+    alone once a prime with a map has started the kernel route, and is
+    skipped before that: the bound route needs the map."""
+    started, want = False, []
+    for p in drawn:
+        if k0.embedding(p) is not None:
+            started = True
+            want += [(p, 12), (p, 24)]
+        elif started:
+            want.append((p, 24))
+    assert calls == want
 
 
-def test_kernel_route_eliminates_b_q_on_primes_with_no_map(monkeypatch):
-    """Once a prime with a map of K0 = Q(r) has fallen short of the upper
-    bound, every prime eliminates the integer matrix B_Q, one with no map
-    too.  A prime with no map drawn before that is skipped: the bound
-    route needs the map.  The first lift is made to fail, so that the
-    kernel certificate needs a second prime."""
-    dense, desc = rank_one_over_vi()
-    k0 = flat_tower(desc.prefix(desc.depth - 1))
-    first_primes = list(itertools.islice(primes(), 12))
-    first, later = [p for p in first_primes if k0.embedding(p) is None][:2]
-    mapped = next(p for p in first_primes if k0.embedding(p) is not None)
-    honest_echelon, honest_lift = typeii.echelon_mod_p, typeii._lift
-    calls, drawn, lifts = [], [], []
+def counting_eliminations(monkeypatch, order=primes):
+    """Patch ``typeii.echelon_mod_p`` to log (prime, rows) of each call,
+    and ``typeii.primes`` to yield ``order()``'s primes and log each;
+    returns (calls, drawn)."""
+    honest_echelon = typeii.echelon_mod_p
+    calls, drawn = [], []
 
     def echelon(rows, p):
         rows = list(rows)
         calls.append((p, len(rows)))
         return honest_echelon(rows, p)
 
-    def reordered():
-        head = (first, mapped, later)
-        for p in itertools.chain(head, (p for p in primes() if p not in head)):
+    def counted():
+        for p in order():
             drawn.append(p)
             yield p
+
+    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
+    monkeypatch.setattr(typeii, "primes", counted)
+    return calls, drawn
+
+
+def test_kernel_over_q_certifies_a_rank_one_matrix(monkeypatch):
+    """Each prime eliminates B and B_Q by the rule of the kernel route,
+    and the kernel certificate of B_Q gives the rank."""
+    dense, desc = rank_one_over_vi()
+    k0 = flat_tower(desc.prefix(desc.depth - 1))
+    calls, drawn = counting_eliminations(monkeypatch)
+    rank = oracle_span_rank(dense, desc)
+    assert rank not in (9, 12)
+    assert span_condition(dense, desc, return_rank=True) == (False, rank)
+    assert (drawn[-1], 24) == calls[-1]  # the certificate is B_Q's
+    assert_each_prime_follows_the_kernel_route(drawn, calls, k0)
+
+
+def test_kernel_route_eliminates_b_q_on_primes_with_no_map(monkeypatch):
+    """Primes with no map of K0 = Q(r) are drawn before and after one
+    with a map: the first is skipped, the later one eliminates B_Q.  The
+    first lift is made to fail, so that the kernel certificate needs the
+    later prime."""
+    dense, desc = rank_one_over_vi()
+    k0 = flat_tower(desc.prefix(desc.depth - 1))
+    first_primes = list(itertools.islice(primes(), 12))
+    first, later = [p for p in first_primes if k0.embedding(p) is None][:2]
+    mapped = next(p for p in first_primes if k0.embedding(p) is not None)
+    head = [first, mapped, later]
+    honest_lift, lifts = typeii._lift, []
 
     def lift(residues, modulus):
         lifts.append(modulus)
         return None if len(lifts) == 1 else honest_lift(residues, modulus)
 
-    monkeypatch.setattr(typeii, "echelon_mod_p", echelon)
-    monkeypatch.setattr(typeii, "primes", reordered)
+    calls, drawn = counting_eliminations(monkeypatch, lambda: itertools.chain(
+        head, (p for p in primes() if p not in head)))
     monkeypatch.setattr(typeii, "_lift", lift)
     rank = oracle_span_rank(dense, desc)
     assert span_condition(dense, desc, return_rank=True) == (False, rank)
-    assert drawn == [first, mapped, later]
-    assert calls == [(mapped, 12), (mapped, 24), (later, 24)]
+    assert drawn[:3] == head and lifts[:2] == [mapped, mapped * later]
+    assert_each_prime_follows_the_kernel_route(drawn, calls, k0)
 
 
 def non_hadamard_4x4():
@@ -964,8 +986,11 @@ def test_span_condition_gives_up_after_the_prime_cap(monkeypatch):
 # -- the kernel lift over one denominator -----------------------------------
 
 LIFT_PRIMES = list(itertools.islice(primes(), 3))
-# denominators whose lcm, 12, keeps every tame lift inside the bound
-_tame = st.builds(Fraction, st.integers(-2 ** 10, 2 ** 10),
+# denominators whose lcm, 12, and numerators at most TAME keep every tame
+# lift inside the bound sqrt(m/2) of even one prime: no numerator over
+# the common denominator exceeds 12 TAME
+TAME = isqrt(LIFT_PRIMES[0] // 2) // 12
+_tame = st.builds(Fraction, st.integers(-TAME, TAME),
                   st.sampled_from((1, 2, 3, 4, 6, 12)))
 _wild = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
                   st.integers(1, 2 ** 36))
