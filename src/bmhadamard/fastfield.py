@@ -406,11 +406,12 @@ def _slots(x, s):
 
 
 def _pack(values, s):
-    """The packed row with slot k = values[k], each below 2^s."""
-    x = 0
-    for v in reversed(values):
-        x = (x << s) | v
-    return x
+    """The packed row with slot k = values[k], each below 2^s: the s
+    bytes of each eight slots, joined, in linear time like ``_slots``."""
+    shifts = range(0, 8 * s, s)
+    return int.from_bytes(b"".join(
+        sum(v << k for v, k in zip(values[i:i + 8], shifts))
+        .to_bytes(s, "little") for i in range(0, len(values), 8)), "little")
 
 
 def echelon_mod_p(rows, p):

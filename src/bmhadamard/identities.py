@@ -1,9 +1,18 @@
-"""Symbolic verification engine: quadric/determinant identities and the
-converse direction of the classification, all over exact function fields.
+"""Symbolic verification engine: the image of phi, the converse
+direction of the classification and the q-sweeps, over exact function
+fields.
+
+For every number of weights, the image of ``typeii.phi`` is exactly
+the symmetric M with M_ii = 2 and rank M <= 2, the zeros of the minors
+``typeii.image_minors``.  ``verify_converse`` checks that each family's
+a-vector is a zero of them and of the e_k.  That no other zero exists,
+the completeness of the six families, is not certified: no
+ideal-membership certificate is recomputed, only identical vanishing
+and nonvanishing sweeps over even q (default bound 200).
 
 Three kinds of arithmetic live here.  Small multivariate Laurent
-polynomials (MPoly, <= 4 variables) carry the foundational identities
-behind the reconstruction map: their denominators are monomials, bar
+polynomials (MPoly) carry the foundational identities behind the
+reconstruction map: their denominators are monomials, bar
 one pair that is cleared by cross-multiplying.  The family's a-values
 are elements of Q(q)[r]/(r^2-(17q-1)(q-1)), the tower
 ``ratfunc.RF_DESC``, and the converse is decided on their numerators
@@ -17,11 +26,6 @@ The two Jones sweeps run at each q on the family's integer ratio table
 term w_i^2/(w_j w_k) is one ``int_mul`` of two of its entries, so a sum
 is its tower value times one positive integer and is zero exactly when
 that value is.
-
-This module does not recompute ideal-membership certificates.  They are
-replaced by identical vanishing of the explicit substitutions plus
-nonvanishing sweeps over even q (default bound 200), which is what the
-downstream consumers actually rely on.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
+from operator import add
 
 from .exactfield import TowerElement
 from .ratfunc import (
@@ -45,6 +50,8 @@ from .typeii import (
     PAIRS,
     all_families,
     case_a_symbolic,
+    image_minor,
+    image_minors,
     normalize_case,
     family_coefficients,  # noqa: F401  the alias perfbench's tracer patches
 )
@@ -72,12 +79,16 @@ class MPoly:
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        cleaned = {}
-        for expo, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                cleaned[tuple(expo)] = c
-        self.terms = cleaned
+        self.terms = {tuple(e): Fraction(c)
+                      for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _of(cls, vars, terms):
+        """The MPoly of ``terms`` as they are: nonzero Fractions keyed by
+        exponent tuples, neither copied nor cleaned."""
+        out = object.__new__(cls)
+        out.vars, out.terms = vars, terms
+        return out
 
     @classmethod
     def const(cls, vars, c):
@@ -114,17 +125,16 @@ class MPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = out.pop(e, None)
+            v = c if v is None else v + c
             if v:
                 out[e] = v
-            else:
-                out.pop(e, None)
-        return MPoly(self.vars, out)
+        return MPoly._of(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -137,13 +147,10 @@ class MPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MPoly(self.vars, out)
+                e = tuple(map(add, e1, e2))
+                v = out.get(e)
+                out[e] = c1 * c2 if v is None else v + c1 * c2
+        return MPoly._of(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -179,37 +186,7 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# the basic polynomials, generic over any commutative ring elements
-
-def g_quadric(x, y, z, t=1):
-    """t(x^2 + y^2 + z^2) - xyz - 4t^3: x^2 + y^2 + z^2 - xyz - 4,
-    homogenized by t.  At (t*x, t*y, t*z, t) it is t^3 times the value
-    at (x, y, z), and t = 1 gives the quadric itself."""
-    return t * (x * x + y * y + z * z) - x * y * z - 4 * t * t * t
-
-
-def h_det(a01, a02, a03, a12, a13, a23, t=1):
-    """det [[2, a01, a02], [a01, 2, a12], [a03, a13, a23]], homogenized
-    by t: the degree-1 term times t^2, the degree-2 terms times t.  At
-    the a-values times t it is t^3 times the determinant, and t = 1
-    gives the determinant itself."""
-    return (2 * (2 * t * t * a23 - t * a12 * a13)
-            - a01 * (a01 * a23 - a12 * a03)
-            + a02 * (a01 * a13 - 2 * t * a03))
-
-
-def h_four(lookup, i, j, k, l, t=1):
-    """The four-index determinant constraint on X_{i,j} = lookup(i, j).
-
-    It is ``h_det`` relabelled, with the sign flipped:
-    -h_det(X_kl, X_ki, X_kj, X_li, X_lj, X_ij), the determinant of the
-    rows k, l, j against the columns k, l, i (X_{a,a} = 2).  It is
-    symmetric under i <-> j and under k <-> l, so the permutations of
-    four indices give only the values at the six splits in ``H_SPLITS``.
-    """
-    X = lookup
-    return -h_det(X(k, l), X(k, i), X(k, j), X(l, i), X(l, j), X(i, j), t)
-
+# the symmetry functional, generic over any commutative ring elements
 
 def symmetry_functional(p, lookup):
     """sum_{j<k} p_jk^i (X_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..d.
@@ -232,37 +209,41 @@ def symmetry_functional(p, lookup):
     return out
 
 
-# the splits {i, j} | {k, l} of the four indices, as (i, j, k, l)
-H_SPLITS = tuple(p for p in itertools.permutations(range(4))
-                 if p[0] < p[1] and p[2] < p[3])
-
-
 # ---------------------------------------------------------------------------
 # the four foundational identities
+
+def _phi_minors(size):
+    """The ``image_minors`` of phi over Laurent indeterminates X0, X1..."""
+    vs = tuple(f"X{i}" for i in range(size))
+    xs = [MPoly.var(vs, v) for v in vs]
+    ratio = {(i, j): xs[i] / xs[j] + xs[j] / xs[i]
+             for i in range(size) for j in range(size) if i != j}
+    return image_minors(lambda i, j: ratio[i, j], size)
+
 
 def verify_core_identities():
     """Exact Laurent-polynomial checks behind the reconstruction map.
 
-    lemma_g:      g vanishes on (X/Y+Y/X, X/Z+Z/X, Z/Y+Y/Z)
+    lemma_g:      the 3 x 3 minor of phi vanishes over (X0, X1, X2)
     lemma_ww:     the product expansion of w*w' in four indeterminates
-    lemma_h:      the 3x3 determinant vanishes on pair ratios
+    lemma_h:      all 10 minors of phi vanish over (X0, X1, X2, X3)
     lemma_w1w2w3: the multiplier identity tying w1*w2 + w3 to the quadric
 
-    Every denominator is a monomial except in lemma_ww, whose two sides
-    num/den and rnum/rden are compared as num*rden == rnum*den with den
-    and rden checked nonzero, so each True is an identity in the field
-    of rational functions.
+    The quadric of lemma_ww and lemma_w1w2w3, X^2 + Y^2 + Z^2 - XYZ - 4,
+    is -1/2 times a principal minor.  Every denominator is a monomial
+    except in lemma_ww, whose two sides num/den and rnum/rden are
+    compared as num*rden == rnum*den with den and rden checked nonzero,
+    so each True is an identity in the field of rational functions.
     """
     out = {}
-
-    vs = ("X", "Y", "Z")
-    X, Y, Z = (MPoly.var(vs, v) for v in vs)
-    out["lemma_g"] = g_quadric(X / Y + Y / X, X / Z + Z / X, Z / Y + Y / Z) == 0
+    out["lemma_g"] = all(m.is_zero() for m in _phi_minors(3))
 
     vs = ("X", "Y", "Z", "z")
     X, Y, Z, z = (MPoly.var(vs, v) for v in vs)
     f = z * z - z * X + 1
-    g = g_quadric(X, Y, Z)
+    # x(0, 1) = X, x(0, 2) = Y, x(1, 2) = Z
+    g = image_minor(lambda i, j: (X, Y, Z)[i + j - 1],
+                    (0, 1, 2), (0, 1, 2)) * Fraction(-1, 2)
     # w = (z^2 - 1)/(zZ - Y) and w' = (z^-2 - 1)/(z^-1 Z - Y)
     num = (z * z - 1) * (z ** -2 - 1)
     den = (z * Z - Y) * (z ** -1 * Z - Y)
@@ -272,14 +253,7 @@ def verify_core_identities():
     out["lemma_ww"] = (not den.is_zero() and not rden.is_zero()
                        and num * rden == rnum * den)
 
-    vs = ("X0", "X1", "X2", "X3")
-    xs = [MPoly.var(vs, v) for v in vs]
-
-    def ratio(i, j):
-        return xs[i] / xs[j] + xs[j] / xs[i]
-
-    out["lemma_h"] = h_det(ratio(0, 1), ratio(0, 2), ratio(0, 3),
-                           ratio(1, 2), ratio(1, 3), ratio(2, 3)) == 0
+    out["lemma_h"] = all(m.is_zero() for m in _phi_minors(4))
 
     vs = ("X1", "X2", "X3")
     X1, X2, X3 = (MPoly.var(vs, v) for v in vs)
@@ -363,24 +337,16 @@ def _pair_values(case):
 
 
 def converse_constraints(values, t=1):
-    """All g, h and e_k values at a substitution dict {(i,j): element},
-    homogenized by t.
+    """The 10 ``image_minors`` and then the 3 e_k at a substitution dict
+    {(i,j): element}, homogenized by t.
 
     With t = 1 and elements over ``RF_DESC`` these are the constraints
     themselves.  With numerators N = t*a over ``RING_DESC`` and t their
-    denominator (``converse_numerators``), each g and h is t^3 times,
-    and each e_k t times, its value at a.  The e_k coefficients are taken
-    in the base ring of the elements' tower.
+    denominator (``converse_numerators``), each minor is t^3 times, and
+    each e_k t times, its value at a.  The e_k coefficients are taken in
+    the base ring of the elements' tower.
     """
-    def X(i, j):
-        return values[(min(i, j), max(i, j))]
-
-    out = []
-    for tri in itertools.combinations(range(4), 3):
-        out.append(g_quadric(X(tri[0], tri[1]), X(tri[0], tri[2]),
-                             X(tri[1], tri[2]), t))
-    for split in H_SPLITS:
-        out.append(h_four(X, *split, t))
+    out = image_minors(lambda i, j: values[min(i, j), max(i, j)], 4, t)
     for e in e_polynomials(values[(0, 1)].desc.base):
         out.append(e.evaluate(values, t))
     return out
@@ -426,7 +392,7 @@ def verify_converse(case):
     Q[q][r]/(r^2 - (17q-1)(q-1)) of ``RING_DESC``, with no polynomial
     gcd along the way.  That is sound:
 
-    * D != 0 in Q(q), so each g and h at (N, D) is D^3 times, and each
+    * D != 0 in Q(q), so each minor at (N, D) is D^3 times, and each
       e_k D times, its value at a; one is zero exactly when the other is.
     * (17q-1)(q-1) is not a square in Q(q), so the ring embeds in the
       field Q(q)(r) of ``RF_DESC`` with {1, r} a basis of both: an

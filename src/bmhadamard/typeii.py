@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice
 from math import isqrt, lcm
 from operator import add, mul
 
@@ -75,8 +75,8 @@ class ZeroWeight(ValueError):
 
 
 class DenominatorZero(ZeroDivisionError):
-    """The a-matrix is off the image of phi: its seed value is +-2, or
-    a quadric or a pair value of the inverse of phi fails."""
+    """The a-matrix is off the image of phi, or its seed value is +-2: a
+    3 x 3 minor (``image_minor``) is not zero, or a_{i0,i1} = +-2."""
 
 
 class AllPlusMinusTwo(ValueError):
@@ -301,23 +301,51 @@ def weight_ratios(weights):
 
 
 def phi(weights):
-    """a_{i,j} = w_i/w_j + w_j/w_i for a vector of nonzero weights."""
+    """a_{i,j} = w_i/w_j + w_j/w_i for a vector of nonzero weights; its
+    image is the zero set of ``image_minors``."""
     ratios = weight_ratios(weights)
     return [[x + y for x, y in zip(row, col)]
             for row, col in zip(ratios, zip(*ratios))]
+
+
+def image_minor(x, rows, cols, t=1):
+    """The rows x cols minor, for index triples rows and cols, of the
+    symmetric M with M_ii = 2t and M_ij = x(i, j).  It is a cubic, so 2t
+    on the diagonal homogenizes it: at (t*x, t) it is t^3 times its value
+    at x.  A principal minor is expanded in closed form."""
+    if rows == cols:
+        i, j, k = rows
+        a, b, c = x(i, j), x(i, k), x(j, k)
+        half = a * (b * c - t * a) - t * (b * b + c * c - 4 * t * t)
+        return half + half
+    (a, b, c), (d, e, f), (g, h, k) = (
+        [2 * t if i == j else x(i, j) for j in cols] for i in rows)
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
+def image_minors(x, size, t=1):
+    """Every distinct ``image_minor`` of the size x size M, one per pair
+    of index triples rows <= cols (10 at size 4).  They all vanish exactly
+    when M = phi(w): phi(w) = u*v^T + v*u^T, u = w, v = 1/w, has rank
+    <= 2, and a symmetric M of rank <= 2 is the form 2(u.x)(v.x) over C,
+    where M_ii = 2 gives u_i*v_i = 1."""
+    triples = list(combinations(range(size), 3))
+    return [image_minor(x, rows, cols, t)
+            for rows, cols in combinations_with_replacement(triples, 2)]
 
 
 def reconstruct_weights(a, i0, i1, w_pair):
     """Invert phi from a seed pair: the weights w with phi(w) = a and
     (w_{i0}, w_{i1}) = w_pair.
 
-    The seeds must satisfy w0/w1 + w1/w0 = a_{i0,i1}.  The ratios
-    w_i/w0 of ``_weights_from_seed``, for delta = 2*w1/w0 - a_{i0,i1},
-    are scaled by w0; a value a_{i,j} away from both seeds is checked
-    too, so an ``a`` off the image of phi raises DenominatorZero.  When
-    a_{i0,i1} = +-2 the descent is degenerate: if every off-diagonal
-    entry is +-2 the explicit section through (2, a_{0,1}, ..., a_{0,d})
-    is returned, otherwise AllPlusMinusTwo asks the caller to reseed.
+    The seeds must satisfy w0/w1 + w1/w0 = m = a_{i0,i1}.  For m != +-2
+    the inverse is a rank-2 factorization (``_weights_from_seed``), and
+    as the block of a on {i0, i1} is invertible, a is in the image of
+    phi exactly when its Schur complement, the minors
+    {i0, i1, i} x {i0, i1, j}, vanishes.  An all-+-2 a is in the image
+    only as 2*e*e^T, of rank 1: the section through (2, a_{0,1}, ...).
+    An a off the image raises DenominatorZero; one with only some
+    entries +-2 raises AllPlusMinusTwo, to be reseeded.
     """
     d1 = len(a)
     w0, w1 = w_pair
@@ -325,16 +353,20 @@ def reconstruct_weights(a, i0, i1, w_pair):
         raise ValueError("seed pair does not match a[i0][i1]")
     two = TowerElement.rational(2, w0.desc)
     if a[i0][i1] == two or a[i0][i1] == -two:
-        if all(a[i][j] == two or a[i][j] == -two
-               for i in range(d1) for j in range(i + 1, d1)):
-            section = [two] + [a[0][j] for j in range(1, d1)]
-            scale = w_pair[0] / section[i0]
-            return [s * scale for s in section]
-        raise AllPlusMinusTwo("a[i0][i1] = +-2 but the matrix is not degenerate")
-    xs, ys = _weights_from_seed(a, i0, i1, 2 * (w1 / w0) - a[i0][i1])
+        if not all(a[i][j] == two or a[i][j] == -two
+                   for i in range(d1) for j in range(i + 1, d1)):
+            raise AllPlusMinusTwo(
+                "a[i0][i1] = +-2 but the matrix is not degenerate")
+        if not all(m.is_zero()
+                   for m in image_minors(lambda i, j: a[i][j], d1)):
+            raise DenominatorZero("a +-2 matrix off the image of phi")
+        section = [two] + [a[0][j] for j in range(1, d1)]
+        scale = w_pair[0] / section[i0]
+        return [s * scale for s in section]
+    xs, _ = _weights_from_seed(a, i0, i1, 2 * (w1 / w0) - a[i0][i1])
     for i, j in combinations(range(d1), 2):
-        if {i, j}.isdisjoint((i0, i1)) and \
-                not xs[i] * ys[j] + xs[j] * ys[i] == a[i][j]:
+        if {i, j}.isdisjoint((i0, i1)) and not image_minor(
+                lambda r, c: a[r][c], (i0, i1, i), (i0, i1, j)).is_zero():
             raise DenominatorZero(f"a[{i}][{j}] is off the image of phi")
     return [x * w0 for x in xs]
 
@@ -353,12 +385,12 @@ def _weights_from_seed(a, i0, i1, delta):
         c_i = (a_{i0,i}*m - 2*a_{i1,i}) / (2(m^2 - 4)),
     where c_i lies in a's field: one inverse there, 1/(2(m^2 - 4)), and
     no inverse or division in delta's tower.  The solution has
-    x*y = a_{i0,i}^2/4 - c_i^2 (m^2 - 4), which is 1 exactly when the
-    quadric g(m, a_{i0,i}, a_{i1,i}) = m^2 + a_{i0,i}^2 + a_{i1,i}^2
-    - m*a_{i0,i}*a_{i1,i} - 4 vanishes.  That exact check, one per i,
-    certifies y = 1/x, so then w_i/w_{i0} + w_{i0}/w_i = a_{i0,i} and
+    x*y = a_{i0,i}^2/4 - c_i^2 (m^2 - 4), and 2(m^2 - 4)(x*y - 1) is the
+    principal ``image_minor`` of a on {i0, i1, i}, so x*y = 1 exactly
+    when that minor vanishes.  That exact check, one per i, certifies
+    y = 1/x, so then w_i/w_{i0} + w_{i0}/w_i = a_{i0,i} and
     w_i/w_{i1} + w_{i1}/w_i = a_{i1,i}.  DenominatorZero is raised for
-    m = +-2 and for a failed quadric.
+    m = +-2 and for a nonzero minor.
     """
     m = a[i0][i1]
     disc = m * m - 4
@@ -372,10 +404,10 @@ def _weights_from_seed(a, i0, i1, delta):
     for i in range(len(a)):
         if i in (i0, i1):
             continue
+        if not image_minor(lambda j, k: a[j][k], (i0, i1, i),
+                           (i0, i1, i)).is_zero():
+            raise DenominatorZero(f"minor {i0}, {i1}, {i} of a is not 0")
         a0, a1 = a[i0][i], a[i1][i]
-        if not (disc + a0 * a0 + a1 * a1 - m * a0 * a1).is_zero():
-            raise DenominatorZero(f"quadric g(a[{i0}][{i1}], a[{i0}][{i}], "
-                                  f"a[{i1}][{i}]) is not zero")
         step = (a0 * m - 2 * a1) * scale * delta
         xs[i], ys[i] = a0 * half + step, a0 * half - step
     return xs, ys

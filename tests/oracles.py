@@ -180,6 +180,15 @@ def beta_products_oracle(family):
     return out
 
 
+def pack_oracle(values, s):
+    """The packed row with slot k = values[k], each below 2^s, by one
+    shift of the whole row per slot."""
+    x = 0
+    for v in reversed(values):
+        x = (x << s) | v
+    return x
+
+
 def echelon_mod_p_oracle(rows, p):
     """Row echelon form mod p of sparse rows {column: value}, one dict
     per row and one % per entry; least-column pivoting, each pivot row

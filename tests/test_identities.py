@@ -11,16 +11,12 @@ from bmhadamard.exactfield import QQ, TowerElement
 from bmhadamard.fastfield import FlatTower
 from bmhadamard.identities import (
     CASES,
-    H_SPLITS,
     MPoly,
     converse_constraints,
     converse_numerators,
     converse_zeros,
     e_polynomials,
     even_q_range,
-    g_quadric,
-    h_det,
-    h_four,
     ns_norm_numerator,
     ns_symbolic,
     scan_nonvanishing,
@@ -34,6 +30,8 @@ from bmhadamard.typeii import (
     all_families,
     case_a_symbolic,
     family_coefficients,
+    image_minor,
+    image_minors,
 )
 from oracles import (
     jones_adjacency_oracle,
@@ -48,16 +46,33 @@ def test_core_identities_all_hold():
                    "lemma_h": True, "lemma_w1w2w3": True}
 
 
-def test_h_four_matches_determinant_form():
-    # the 4-index form at (2,3,0,1) is minus the determinant form
-    vs = tuple(f"X{i}{j}" for i, j in PAIRS)
-    vals = {p: MPoly.var(vs, f"X{p[0]}{p[1]}") for p in PAIRS}
+_SYMBOLS = tuple(f"X{i}{j}" for i, j in PAIRS) + ("t",)
 
-    def lookup(i, j):
-        return vals[(min(i, j), max(i, j))]
 
-    det = h_det(*(vals[p] for p in PAIRS))
-    assert h_four(lookup, 2, 3, 0, 1) == -det
+def _symbolic_entry(i, j):
+    return MPoly.var(_SYMBOLS, f"X{min(i, j)}{max(i, j)}")
+
+
+def test_image_minor_is_the_determinant_of_the_submatrix():
+    # every rows x cols minor, principal or not, against the Leibniz sum
+    # over the submatrix of M_ii = 2t, M_ij = X_ij, with t symbolic too
+    t = MPoly.var(_SYMBOLS, "t")
+
+    def entry(i, j):
+        return 2 * t if i == j else _symbolic_entry(i, j)
+
+    triples = list(itertools.combinations(range(4), 3))
+    for rows, cols in itertools.product(triples, repeat=2):
+        leibniz = MPoly.const(_SYMBOLS, 0)
+        for perm in itertools.permutations(range(3)):
+            sign = (-1) ** sum(perm[a] > perm[b] for a, b in
+                               itertools.combinations(range(3), 2))
+            term = MPoly.const(_SYMBOLS, sign)
+            for r, c in zip(rows, perm):
+                term = term * entry(r, cols[c])
+            leibniz = leibniz + term
+        assert image_minor(_symbolic_entry, rows, cols, t) == leibniz, \
+            (rows, cols)
 
 
 def test_e_polynomial_constant_term():
@@ -97,21 +112,34 @@ def test_converse_constraint_count():
     vec = case_a_symbolic("i")
     vals = {p: vec[t] for t, p in enumerate(PAIRS)}
     cons = converse_constraints(vals)
-    assert len(cons) == 4 + 6 + 3  # g triples, h splits, e_k
+    assert len(cons) == 10 + 3  # 3 x 3 minors, e_k
 
 
-def test_h_splits_give_every_permutation_value():
-    # h_four over symbolic X_ij: the 24 permutations take exactly the
-    # six values of the splits {i, j} | {k, l}
-    vs = tuple(f"X{i}{j}" for i, j in PAIRS)
+def test_image_minors_give_every_minor_value_once():
+    # M is symmetric, so minor(R, C) == minor(C, R): the 16 pairs of
+    # triples take exactly the 10 values of image_minors, all distinct
+    triples = list(itertools.combinations(range(4), 3))
+    for rows, cols in itertools.product(triples, repeat=2):
+        assert image_minor(_symbolic_entry, rows, cols) == \
+            image_minor(_symbolic_entry, cols, rows)
+    every = {image_minor(_symbolic_entry, r, c)
+             for r, c in itertools.product(triples, repeat=2)}
+    distinct = image_minors(_symbolic_entry, 4)
+    assert len(distinct) == len(set(distinct)) == 10
+    assert set(distinct) == every
 
-    def lookup(i, j):
-        return MPoly.var(vs, f"X{min(i, j)}{max(i, j)}")
 
-    perms = {h_four(lookup, *p) for p in itertools.permutations(range(4))}
-    splits = {h_four(lookup, *s) for s in H_SPLITS}
-    assert len(H_SPLITS) == len(splits) == 6
-    assert perms == splits
+@pytest.mark.parametrize("size, count", [(3, 1), (4, 10), (5, 55), (6, 210)])
+def test_every_minor_of_phi_vanishes_for_every_d(size, count):
+    # the image of phi lies in the rank <= 2 locus at d = size - 1, and
+    # the leading 2 x 2 minor 4 - a_01^2 is not 0, so the rank is 2
+    minors = identities._phi_minors(size)
+    assert len(minors) == count
+    assert all(m.is_zero() for m in minors)
+    vs = tuple(f"X{i}" for i in range(size))
+    x0, x1 = MPoly.var(vs, "X0"), MPoly.var(vs, "X1")
+    a01 = x0 / x1 + x1 / x0
+    assert not (4 - a01 * a01).is_zero()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -590,10 +618,10 @@ small = st.integers(min_value=-3, max_value=3)
 
 @given(small, small, small, small)
 @settings(max_examples=30, deadline=None)
-def test_g_quadric_vanishes_on_ratios(a, b, c, d):
-    # rational instance of the defining property of g
+def test_principal_minor_vanishes_on_ratios(a, b, c, d):
+    # rational instance of the defining property of the principal minor
     vals = [Fraction(v) for v in (a, b, c) if v]
     if len(vals) < 3:
         return
-    x, y, z = vals[:3]
-    assert g_quadric(x / y + y / x, x / z + z / x, z / y + y / z) == 0
+    assert image_minor(lambda i, j: vals[i] / vals[j] + vals[j] / vals[i],
+                       (0, 1, 2), (0, 1, 2)) == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     beta_products_oracle,
     dense_type_ii_oracle,
@@ -22,7 +22,6 @@ from bmhadamard.exactfield import (
 )
 from bmhadamard.fastfield import FlatTower, flat_tower, primes, sparse_rank
 from bmhadamard.intervals import complex_embed
-from bmhadamard.identities import g_quadric, h_det
 from bmhadamard.typeii import (
     AllPlusMinusTwo,
     DenominatorZero,
@@ -39,6 +38,7 @@ from bmhadamard.typeii import (
     case_a_values,
     discriminant_root,
     family_coefficients,
+    image_minors,
     is_hadamard,
     is_type_ii,
     non_butson_witness,
@@ -240,6 +240,34 @@ def test_reconstruct_degenerate_section():
     assert w == [one, one, one, one]
 
 
+@pytest.mark.parametrize("signs", [
+    # a_12 = -2 and every other entry 2: det -32, rank 3
+    {(1, 2): -1},
+    # a 4 x 4 pattern whose triple {0, 2, 3} has sign product -1
+    {(0, 3): -1, (1, 3): -1},
+])
+def test_reconstruct_rejects_a_sign_matrix_off_the_image(signs):
+    # a +-2 matrix with diagonal 2 is in the image of phi only as
+    # 2 e e^T, of rank 1; one of rank 3 must not come back as weights
+    one = TowerElement.rational(1)
+    size = 1 + max(j for _, j in signs)
+    a = [[TowerElement.rational(2) for _ in range(size)] for _ in range(size)]
+    for (i, j), sign in signs.items():
+        a[i][j] = a[j][i] = TowerElement.rational(2 * sign)
+    with pytest.raises(DenominatorZero):
+        reconstruct_weights(a, 0, 1, (one, one))
+
+
+def test_reconstruct_sign_section_is_rank_one():
+    # a = 2 e e^T for e = (1, 1, -1, -1) comes back as e, scaled to w_0
+    e = [TowerElement.rational(x) for x in (1, 1, -1, -1)]
+    a = [[2 * x * y for y in e] for x in e]
+    three = TowerElement.rational(3)
+    w = reconstruct_weights(a, 0, 1, (three, three))
+    assert w == [3 * x for x in e]
+    assert phi(w) == a
+
+
 def test_reconstruct_all_pm_two_guard():
     one = TowerElement.rational(1)
     two = TowerElement.rational(2)
@@ -274,9 +302,11 @@ def test_reconstruct_rejects_a_off_the_image_of_phi(families_q4):
 
 
 @pytest.mark.parametrize("weights, moved", [
-    # three weights leave no pair away from the seeds: the quadric decides
+    # three weights leave no pair away from the seeds: the principal
+    # minor {0, 1, 2} decides
     ((1, 2, 3), (1, 2)),
-    # every quadric through the seeds (0, 1) holds: the pair check decides
+    # every principal minor through the seeds (0, 1) holds: the bordered
+    # minor {0, 1, 2} x {0, 1, 3} decides
     ((1, 2, 3, 5), (2, 3)),
 ])
 def test_reconstruct_rejects_a_moved_value(weights, moved):
@@ -318,13 +348,11 @@ def weight_vectors(draw):
 
 @given(weight_vectors())
 @settings(max_examples=40, deadline=None)
-def test_phi_image_satisfies_quadrics(ws):
+def test_phi_image_satisfies_every_minor(ws):
     a = phi(ws)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                assert g_quadric(a[i][j], a[i][k], a[j][k]).is_zero()
-    assert h_det(a[0][1], a[0][2], a[0][3], a[1][2], a[1][3], a[2][3]).is_zero()
+    minors = image_minors(lambda i, j: a[i][j], 4)
+    assert len(minors) == 10
+    assert all(m.is_zero() for m in minors)
 
 
 @st.composite
@@ -367,6 +395,33 @@ def test_phi_then_reconstruct_roundtrip(ws):
     i0, i1 = seed
     got = reconstruct_weights(a, i0, i1, (ws[i0], ws[i1]))
     assert got == list(ws)
+
+
+nonzero_fraction = st.fractions(min_value=-9, max_value=9,
+                                max_denominator=6).filter(bool)
+
+
+@given(st.lists(nonzero_fraction, min_size=3, max_size=6)
+       .filter(lambda w: abs(w[0]) != abs(w[1])), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reconstruct_inverts_phi_for_every_length(w, data):
+    # d = 2..5: with w_0 != +-w_1, a_01 != +-2 and the inverse of phi
+    # from (w_0, w_1) gives w back; a moved off-diagonal entry other than
+    # a_01 leaves the rank <= 2 locus and must raise
+    ws = [TowerElement.rational(x) for x in w]
+    a = phi(ws)
+    assert reconstruct_weights(a, 0, 1, (ws[0], ws[1])) == ws
+    i, j = data.draw(st.sampled_from(
+        list(itertools.combinations(range(len(w)), 2))[1:]))
+    step = data.draw(nonzero_fraction)
+    if i < 2:
+        # the principal minor {0, 1, j} is quadratic in a_ij: its other
+        # root, a_01 a_(1-i)j - a_ij, is in the image when j is the only
+        # index past the seeds
+        assume(a[i][j] + step != a[0][1] * a[1 - i][j] - a[i][j])
+    a[i][j] = a[j][i] = a[i][j] + step
+    with pytest.raises(DenominatorZero):
+        reconstruct_weights(a, 0, 1, (ws[0], ws[1]))
 
 
 # -- certificates --------------------------------------------------------------
