@@ -353,6 +353,8 @@ class TowerElement:
 
     def __mul__(self, other):
         if not isinstance(other, TowerElement) and self._is_scalar(other):
+            if type(other) is int and other == 1:
+                return self  # elements are immutable
             base = self.desc.base
             c = other if isinstance(other, base) else base(other)
             return TowerElement(self.desc, _scale(self.rep, c))

@@ -21,29 +21,27 @@ evaluated with no polynomial gcd in the ring Q[q][r]/(r^2-(17q-1)(q-1))
 (``ratfunc.RING_DESC``), where a zero is a zero in q, so "vanishes
 identically in q" is literal.
 
-The two Jones sweeps run at each q on the family's integer ratio table
-(``typeii.WeightFamily.ratio_table``), which both sweeps share: every
-term w_i^2/(w_j w_k) is one ``int_mul`` of two of its entries, so a sum
-is its tower value times one positive integer and is zero exactly when
-that value is.
+The three sweeps are integer sums over one term table at each q: every
+term T(i, j, k) = w_i^2/(w_j w_k) is one ``int_mul`` of two entries of
+the family's ``typeii.WeightFamily.ratio_table``, so a sum is its tower
+value times one positive integer and is zero exactly when that value
+is.  The symmetry functional reads it too, as a_jk^2 - 2 =
+T(j, k, k) + T(k, j, j), and so does ``nomura.check_symmetric``; each
+q's integer coefficients are built once for all cases.  ``ns_symbolic``
+now feeds only the all-q norms (``ns_norm_numerator``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import lcm
 from operator import add
 
 from .exactfield import TowerElement
-from .ratfunc import (
-    RING_DESC,
-    PolyQ,
-    RatQ,
-    r_value_at,
-    ratfunc_specialize,
-)
+from .ratfunc import RING_DESC, PolyQ, RatQ
 from .scheme import parametric_scheme
 from .typeii import (
     CASES,
@@ -456,46 +454,62 @@ def scan_nonvanishing(expr_id, case, q_set):
     which would contradict the classification.
     """
     case = normalize_case(case)
-    if expr_id == "nomura_symmetric_k":
-        ok_at = partial(_symmetry_ok, case, ns_symbolic(case))
-    elif expr_id == "jones_adjacency":
-        ok_at = partial(_jones_adjacency_ok, case)
-    elif expr_id == "jones_component":
-        ok_at = partial(_jones_component_ok, case)
-    else:
+    ok_at = {"nomura_symmetric_k": _nomura_symmetric_ok,
+             "jones_adjacency": _jones_adjacency_ok,
+             "jones_component": _jones_component_ok}.get(expr_id)
+    if ok_at is None:
         raise ValueError(f"unknown expression id {expr_id!r}")
-    results = [(q, ok_at(q)) for q in q_set]
+    results = [(q, ok_at(case, q)) for q in q_set]
     violations = [q for q, ok in results if not ok]
     if violations:
         raise ViolationFound(f"{expr_id}/{case}: zero at q in {violations}")
     return results
 
 
-def _symmetry_ok(case, values, q):
-    """No symmetry value vanishes at q, for either sign of r."""
-    rs = [None]
-    if case == "vi":
-        rs = [r_value_at(q, sign) for sign in (1, -1)]
-    return not any(ratfunc_specialize(v, q, r).is_zero()
-                   for v in values for r in rs)
-
-
 _TRIPLES = tuple(itertools.product(range(4), repeat=3))
+# the unknown counters c_ijk, i, j, k in {1, 2}, ordered so that turning a
+# 2 of a counter into a 1 gives an earlier counter; for each counter t,
+# the marginal lines through t along the slots where t holds a 2: the
+# line's other two indices and its counter with a 1 in that slot; and the
+# kernel s_ijk = (-1)^(i+j+k) of the line sums
+_COUNTERS = tuple(itertools.product((1, 2), repeat=3))
+_LINES = {t: [(t[:a] + t[a + 1:], t[:a] + (1,) + t[a + 1:])
+              for a in range(3) if t[a] == 2] for t in _COUNTERS}
+_SIGNS = {t: -1 if sum(t) % 2 else 1 for t in _COUNTERS}
+_Coefficients = namedtuple("_Coefficients", "symmetry adjacency fixed")
 
 
-def _term_tables(case, q, keys):
-    """(flat, ff, gg) for each r sign of a family's branch +1 at q: the
-    ``FlatTower`` and, over the keys, the terms w_i^2/(w_j w_k) =
-    R[i][j] R[i][k] (ff) and w_j w_k/w_i^2 = R[j][i] R[k][i] (gg), each
-    one ``int_mul`` of two entries of the family's ``ratio_table`` R.
-    So every term is its tower value times the same tden * scale^2 > 0.
-    gg and ff are the tables of branch -1, W^(-)."""
-    for fam in all_families(q, (case,), branches=(1,)):
-        flat = fam.coords[0]
-        R, _ = fam.ratio_table
-        yield flat, \
-            {(i, j, k): flat.int_mul(R[i][j], R[i][k]) for i, j, k in keys}, \
-            {(i, j, k): flat.int_mul(R[j][i], R[k][i]) for i, j, k in keys}
+@cache
+def _coefficients(scheme, q):
+    """The integer coefficient tables (``_integral``) of the three
+    sweeps at ``scheme.p_at(q)``, built once for all cases: each maps
+    terms T(i, j, k) = w_i^2/(w_j w_k) to their weights.  ``symmetry``,
+    for i = 1..3, weighs T(j, k, k) and T(k, j, j), j < k, by p_jk^i and
+    T(0, 0, 0) by sum_j p_jj^i; ``adjacency``, for m = 1, 2, T(i, j, k)
+    by p_ij^m p_3k^i; ``fixed`` holds the known counters and c0 of
+    ``_jones_component_ok``, or is None for inconsistent marginals.
+    """
+    p_at = scheme.p_at(q)
+    symmetry = tuple(_integral({
+        (0, 0, 0): sum(p_at[j][j][i] for j in range(4)),
+        **{(a, b, b): p_at[j][k][i] for j, k in PAIRS
+           for a, b in ((j, k), (k, j)) if p_at[j][k][i]}})
+        for i in (1, 2, 3))
+    adjacency = tuple(_integral({(i, j, k): p_at[i][j][m] * p_at[3][k][i]
+                                 for i, j, k in _TRIPLES
+                                 if p_at[i][j][m] and p_at[3][k][i]})
+                      for m in (1, 2))
+    c0 = {(1, 1, 1): Fraction(0)}
+    for t in _COUNTERS[1:]:
+        (j, k), lower = _LINES[t][0]
+        c0[t] = p_at[j][k][3] - c0[lower]
+    fixed = None
+    if all(c0[t] + c0[lower] == p_at[j][k][3]
+           for t in _COUNTERS for (j, k), lower in _LINES[t]):
+        known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
+                 (3, 3, 3): p_at[3][3][3] - 1}
+        fixed = _integral({t: c for t, c in {**known, **c0}.items() if c})
+    return _Coefficients(symmetry, adjacency, fixed)
 
 
 def _integral(coeffs):
@@ -503,6 +517,26 @@ def _integral(coeffs):
     with the same zero tests for every sum they weight."""
     den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
     return {t: int(c * den) for t, c in coeffs.items()}
+
+
+def _terms(flat, ratio, keys):
+    """The term table {(i, j, k): ratio[i][j] * ratio[i][k]} over the
+    keys: of a family's ``ratio_table`` R, T(i, j, k) = w_i^2/(w_j w_k),
+    and of R transposed, w_j w_k/w_i^2, each one ``int_mul`` of two
+    entries, so its tower value times the same tden * scale^2 > 0."""
+    return {(i, j, k): flat.int_mul(ratio[i][j], ratio[i][k])
+            for i, j, k in keys}
+
+
+def _term_tables(case, q, keys):
+    """(flat, ff, gg) for each r sign of a family's branch +1 at q: the
+    ``FlatTower`` and the ``_terms`` of the weights (ff) and of their
+    inverses (gg), which are gg and ff of branch -1, W^(-)."""
+    for fam in all_families(q, (case,), branches=(1,)):
+        flat = fam.coords[0]
+        ratio, _ = fam.ratio_table
+        yield flat, _terms(flat, ratio, keys), \
+            _terms(flat, tuple(zip(*ratio)), keys)
 
 
 def _int_sum(terms, coeffs, dim):
@@ -514,6 +548,25 @@ def _int_sum(terms, coeffs, dim):
     return acc
 
 
+def symmetry_sums(family):
+    """The symmetry values sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i,
+    i = 1..3, of a family at its q, on integer coordinates: as
+    a_{j,k}^2 - 2 = T(j, k, k) + T(k, j, j) and 1 = T(0, 0, 0), the
+    ``symmetry`` coefficients of q summed over the family's own
+    ``_terms``, each sum its value times a positive integer."""
+    weights = _coefficients(parametric_scheme(), family.q).symmetry
+    flat = family.coords[0]
+    ff = _terms(flat, family.ratio_table[0], set().union(*weights))
+    return [_int_sum(ff, coeffs, flat.dim) for coeffs in weights]
+
+
+def _nomura_symmetric_ok(case, q):
+    """No symmetry value vanishes at q, for either sign of r; W^(-) has
+    W's a_{j,k}, and so its values."""
+    return all(any(s) for fam in all_families(q, (case,), branches=(1,))
+               for s in symmetry_sums(fam))
+
+
 def _adjacency_sums(case, q):
     """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) on integer coordinates,
     for m = 1, 2 of W (ff), then of W^(-) (gg), for each r sign.
@@ -522,11 +575,7 @@ def _adjacency_sums(case, q):
     positive scale (``_term_tables``), so each sum is its tower value
     times a positive integer: it is zero exactly when that value is.
     """
-    p_at = parametric_scheme().p_at(q)
-    coeffs = [_integral({(i, j, k): p_at[i][j][m] * p_at[3][k][i]
-                         for i, j, k in _TRIPLES
-                         if p_at[i][j][m] and p_at[3][k][i]})
-              for m in (1, 2)]
+    coeffs = _coefficients(parametric_scheme(), q).adjacency
     keys = coeffs[0].keys() | coeffs[1].keys()
     for flat, ff, gg in _term_tables(case, q, keys):
         for terms in (ff, gg):
@@ -535,24 +584,9 @@ def _adjacency_sums(case, q):
 
 
 def _jones_adjacency_ok(case, q):
-    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) != 0 for m = 1, 2.
-
-    Decided on ``FlatTower`` integer coordinates: a sum is a positive
-    multiple of its tower value (``_adjacency_sums``), so it is zero
-    exactly when the value is.
-    """
+    """sum_{i,j,k} p_ij^m p_3k^i w_i^2/(w_j w_k) != 0 for m = 1, 2, each
+    decided on its integer sum (``_adjacency_sums``)."""
     return all(any(s) for s in _adjacency_sums(case, q))
-
-
-# the unknown counters c_ijk, i, j, k in {1, 2}, ordered so that turning a
-# 2 of a counter into a 1 gives an earlier counter; for each counter t,
-# the marginal lines through t along the slots where t holds a 2: the
-# line's other two indices and its counter with a 1 in that slot; and the
-# kernel s_ijk = (-1)^(i+j+k) of the line sums
-_COUNTERS = tuple(itertools.product((1, 2), repeat=3))
-_LINES = {t: [(t[:a] + t[a + 1:], t[:a] + (1,) + t[a + 1:])
-              for a in range(3) if t[a] == 2] for t in _COUNTERS}
-_SIGNS = {t: -1 if sum(t) % 2 else 1 for t in _COUNTERS}
 
 
 def _component_sums(case, q):
@@ -569,19 +603,10 @@ def _component_sums(case, q):
     A_ff*B_gg - A_gg*B_ff times a positive integer.  Each is zero
     exactly when its tower value is.
     """
-    p_at = parametric_scheme().p_at(q)
-    c0 = {(1, 1, 1): Fraction(0)}
-    for t in _COUNTERS[1:]:
-        (j, k), lower = _LINES[t][0]
-        c0[t] = p_at[j][k][3] - c0[lower]
-    if any(c0[t] + c0[lower] != p_at[j][k][3]
-           for t in _COUNTERS for (j, k), lower in _LINES[t]):
+    fixed = _coefficients(parametric_scheme(), q).fixed
+    if fixed is None:
         return
-    known = {(0, 3, 3): 1, (3, 0, 3): 1, (3, 3, 0): 1,
-             (3, 3, 3): p_at[3][3][3] - 1}
-    fixed = _integral({t: c for t, c in {**known, **c0}.items() if c})
-    keys = set(known) | set(_COUNTERS)
-    for flat, ff, gg in _term_tables(case, q, keys):
+    for flat, ff, gg in _term_tables(case, q, fixed.keys() | _SIGNS.keys()):
         (a_ff, b_ff), (a_gg, b_gg) = [
             (_int_sum(terms, fixed, flat.dim), _int_sum(terms, _SIGNS, flat.dim))
             for terms in (ff, gg)]

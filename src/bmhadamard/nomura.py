@@ -20,16 +20,16 @@ clique, and otherwise splits into singletons.  So searching one
 representative per class and testing a lone class against itself gives
 exactly the components of the search over all n^2 vertices.
 
-The symmetry precondition is the nonvanishing of
-sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..d, checked
-exactly from the intersection numbers before the component method is
-trusted.
+The symmetry precondition, the nonvanishing of sum_{j<k} p_jk^i
+(a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..d, is checked before the
+component method is trusted, on the same integer view: each value is an
+integer sum over the family's terms w_i^2/(w_j w_k), a positive
+multiple of the value (``identities.symmetry_sums``).
 """
 
 from __future__ import annotations
 
-from .identities import symmetry_functional
-from .scheme import parametric_scheme
+from .identities import symmetry_sums
 
 
 class NotSymmetricAlgebra(ValueError):
@@ -162,16 +162,10 @@ def jones_graph_for(mat):
 # symmetry precondition and the dimension
 
 def check_symmetric(family):
-    """Exact nonvanishing of the symmetry functional at the family's q."""
-    values = symmetry_values(family)
-    return all(not v.is_zero() for v in values)
-
-
-def symmetry_values(family):
-    """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3."""
-    a = family.a_matrix()
-    return symmetry_functional(parametric_scheme().p_at(family.q),
-                               lambda j, k: a[j][k])
+    """Exact nonvanishing of the symmetry functional at the family's q:
+    no value is zero exactly when no ``identities.symmetry_sums`` vector,
+    over the family's own terms, is zero."""
+    return all(any(s) for s in symmetry_sums(family))
 
 
 def nomura_dimension(mat):

@@ -12,7 +12,7 @@ from bmhadamard.exactfield import (
     is_real,
 )
 from bmhadamard.fastfield import rational_reconstruct
-from bmhadamard.identities import _COUNTERS, _LINES
+from bmhadamard.identities import _COUNTERS, _LINES, symmetry_functional
 from bmhadamard.intervals import complex_embed
 from bmhadamard.invariants import (
     _INDEPENDENT_WEIGHTS,
@@ -359,6 +359,14 @@ def _ratio_variants(case, q):
 def _ratio_table(ratio, keys):
     """{(i, j, k): ratio[i][j] * ratio[i][k]}: w_i^2 / (w_j w_k)."""
     return {(i, j, k): ratio[i][j] * ratio[i][k] for i, j, k in keys}
+
+
+def symmetry_values(family):
+    """sum_{j<k} p_jk^i (a_{j,k}^2 - 2) + sum_j p_jj^i for i = 1..3, in
+    tower arithmetic on the family's ``a_matrix``."""
+    a = family.a_matrix()
+    return symmetry_functional(parametric_scheme().p_at(family.q),
+                               lambda j, k: a[j][k])
 
 
 def jones_adjacency_oracle(case, q):

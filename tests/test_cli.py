@@ -5,9 +5,7 @@ import pytest
 
 from bmhadamard import cli, identities, nomura
 from bmhadamard.cli import main
-from bmhadamard.exactfield import TowerElement
 from bmhadamard.identities import CASES, ViolationFound, scan_nonvanishing
-from bmhadamard.ratfunc import RF_DESC
 from bmhadamard.serialize import decode_element
 from bmhadamard.typeii import RankUndecided
 
@@ -324,10 +322,13 @@ def test_report_reversed_range_is_a_usage_error(capsys):
 
 
 def test_sweep_zero_is_a_failed_check(capsys, monkeypatch):
-    # a symmetry functional that vanishes identically meets a zero at
-    # every q: the scan raises, and the report records it as exit 9
-    monkeypatch.setattr(identities, "ns_symbolic",
-                        lambda case: [TowerElement.rational(0, RF_DESC)] * 3)
+    # symmetry coefficients that are all 0 make every symmetry sum the
+    # zero vector at every q: the scan raises, and the report records it
+    # as exit 9, while the Jones sweeps, which read the other tables,
+    # still pass
+    real = identities._coefficients
+    monkeypatch.setattr(identities, "_coefficients", lambda scheme, q: real(
+        scheme, q)._replace(symmetry=({(0, 0, 0): 0},) * 3))
     with pytest.raises(ViolationFound, match="nomura_symmetric_k/iv"):
         scan_nonvanishing("nomura_symmetric_k", "iv", [4, 6])
     code, data = run_json(capsys, "report", "--suite", "sweeps",

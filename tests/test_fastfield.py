@@ -128,12 +128,34 @@ PRIMES = (3, 7, 101, CAP_PRIME, FIRST_PRIME, 2 ** 61 - 1)
 @st.composite
 def modular_systems(draw):
     """(p, columns, rows): sparse rows with values of any size and sign,
-    among them empty rows and rows whose values are all 0 mod p, or dense
-    rows of residues, half of them p - 1, the largest slot updates."""
+    among them empty rows and rows whose values are all 0 mod p; dense
+    rows of residues, half of them p - 1, the largest slot updates; or a
+    ladder, rows at the slot bound of ``echelon_mod_p``.
+
+    A ladder is ``largest_updates`` drawn: pivot i is 1 at column i and
+    a residue after it, half of them p - 1, and the pivots come latest
+    first, so none is reduced.  The last row's entries are set so that
+    it meets every pivot with a drawn factor, half of them p - 1, and
+    ends as a pivot of lead 1 at the last column, whose slot takes every
+    update, up to (m - 1)(p - 1)^2."""
     p = draw(st.sampled_from(PRIMES))
     columns = list(range(0, 3 * draw(st.integers(0, 14)), 3))
-    if columns and draw(st.booleans()):
-        residue = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    residue = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    shape = draw(st.sampled_from(("ladder", "dense", "sparse"))) \
+        if columns else "sparse"
+    if shape == "ladder":
+        m = len(columns)
+        pivots = [[0] * i + [1] + [draw(residue) for _ in range(i + 1, m)]
+                  for i in range(m - 1)]
+        factors = [draw(st.one_of(st.just(p - 1), st.integers(1, p - 1)))
+                   for _ in pivots]
+        # slot j meets pivot j at p - factor_j, so the update multiplies
+        # it by factor_j; the last slot ends at 1
+        last = [((j == m - 1) - sum(f * row[j]
+                                    for f, row in zip(factors, pivots))) % p
+                for j in range(m)]
+        rows = [dict(zip(columns, row)) for row in pivots[::-1] + [last]]
+    elif shape == "dense":
         rows = draw(st.lists(st.fixed_dictionaries(
             {c: residue for c in columns}), max_size=16))
     else:
@@ -181,7 +203,9 @@ def test_packed_elimination_matches_oracle(system):
 
 
 @given(modular_systems(), st.data())
-@settings(max_examples=100, deadline=None)
+# no shrink phase, as for test_packed_elimination_matches_oracle
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_pivots_and_kernel_do_not_depend_on_row_order(system, data):
     p, columns, rows = system
     pivots = echelon_mod_p(rows, p)

@@ -1,7 +1,6 @@
 import itertools
 from fractions import Fraction
 from functools import cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +11,7 @@ from bmhadamard.fastfield import FlatTower
 from bmhadamard.identities import (
     CASES,
     MPoly,
+    ViolationFound,
     converse_constraints,
     converse_numerators,
     converse_zeros,
@@ -20,6 +20,7 @@ from bmhadamard.identities import (
     ns_norm_numerator,
     ns_symbolic,
     scan_nonvanishing,
+    symmetry_sums,
     verify_converse,
     verify_core_identities,
 )
@@ -27,6 +28,7 @@ from bmhadamard.ratfunc import Q, RF_DESC, RF_R, RING_DESC, PolyQ, RatQ
 from bmhadamard.scheme import ParametricScheme, parametric_scheme
 from bmhadamard.typeii import (
     PAIRS,
+    QTooSmall,
     all_families,
     case_a_symbolic,
     family_coefficients,
@@ -37,6 +39,7 @@ from oracles import (
     jones_adjacency_oracle,
     jones_component_oracle,
     jones_component_verdict,
+    symmetry_values,
 )
 
 
@@ -311,8 +314,6 @@ def test_poly_roots_contained():
 
 def test_ns_matches_concrete_evaluation():
     # the symbolic functional agrees with the tower evaluation per family
-    from bmhadamard.nomura import symmetry_values
-
     for case in ("ii", "vi"):
         fam = family_coefficients(case, 4, 1, 1)
         concrete = symmetry_values(fam)
@@ -328,6 +329,39 @@ def test_ns_matches_concrete_evaluation():
 
 
 # -- sweeps ---------------------------------------------------------------------
+
+@given(q=st.integers(2, 200).map(lambda h: 2 * h))
+@settings(max_examples=10, deadline=None)
+@example(q=4)
+@example(q=400)
+def test_symmetry_sums_match_tower_oracle(q):
+    # over all 14 variants, each integer symmetry sum is a positive
+    # multiple of the symmetry functional on the family's tower a-matrix
+    for fam in all_families(q):
+        sums = symmetry_sums(fam)
+        want = symmetry_values(fam)
+        assert len(sums) == len(want) == 3
+        for vec, el in zip(sums, want):
+            assert _positive_multiple(vec, el.lift(fam.desc))
+
+
+def test_symmetry_sweep_reads_every_weight_variant(monkeypatch):
+    # a zero forced on vi r- alone is a violation, so the sweep tests
+    # both signs of r; a zero on branch -1 alone is none, as W^(-) has
+    # the values of W
+    real = identities.symmetry_sums
+
+    def zero_on(pred):
+        monkeypatch.setattr(identities, "symmetry_sums", lambda fam: (
+            [[0] * len(s) for s in real(fam)] if pred(fam) else real(fam)))
+
+    zero_on(lambda fam: fam.r_sign == -1)
+    with pytest.raises(ViolationFound, match="nomura_symmetric_k/vi"):
+        scan_nonvanishing("nomura_symmetric_k", "vi", [4])
+    assert scan_nonvanishing("nomura_symmetric_k", "iv", [4]) == [(4, True)]
+    zero_on(lambda fam: fam.branch == -1)
+    assert scan_nonvanishing("nomura_symmetric_k", "vi", [4]) == [(4, True)]
+
 
 @pytest.mark.parametrize("case", CASES)
 def test_symmetry_sweep_small(case):
@@ -483,6 +517,13 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
     seen = set()
     flat = FlatTower(QQ)
 
+    class Scheme:
+        """A scheme of the given intersection numbers at every q.  One is
+        made per example: the coefficients of a sweep are kept per scheme
+        and q, so no example is served another's."""
+        def __init__(self, p_at):
+            self.p_at = lambda q: p_at
+
     @settings(max_examples=150, deadline=None)
     @given(q=st.sampled_from([4, 6, 10, 50]),
            variants=st.lists(st.tuples(_ratio_entries, _ratio_entries,
@@ -502,8 +543,8 @@ def test_component_closed_form_matches_linear_solve(monkeypatch):
                   for f, g, scale in variants]
         vectors = [(flat,) + tuple({t: [int(v)] for t, v in tab.items()}
                                    for tab in pair) for pair in tables]
-        monkeypatch.setattr(identities, "parametric_scheme",
-                            lambda: SimpleNamespace(p_at=lambda q: p_at))
+        scheme = Scheme(p_at)
+        monkeypatch.setattr(identities, "parametric_scheme", lambda: scheme)
         monkeypatch.setattr(identities, "_term_tables",
                             lambda case, q, keys: iter(vectors))
         want = all(_component_system_solution(p_at, ff, gg) is None
@@ -533,7 +574,7 @@ def test_sweeps_build_each_tower_once(monkeypatch):
 
 
 def test_jones_sweeps_convert_each_family_once(monkeypatch):
-    # both Jones sweeps of iv and vi at three q read one integer view per
+    # all three sweeps of iv and vi at three q read one integer view per
     # family: 3 + 6 = 9 families, one int_coords call each.  A fresh
     # cache of family_coefficients makes every family new to the count
     fresh = cache(typeii.family_coefficients.__wrapped__)
@@ -543,9 +584,30 @@ def test_jones_sweeps_convert_each_family_once(monkeypatch):
     monkeypatch.setattr(FlatTower, "int_coords",
                         lambda self, els: calls.append(1) or real(self, els))
     for case in ("iv", "vi"):
-        for expr in ("jones_adjacency", "jones_component"):
+        for expr in ("nomura_symmetric_k", "jones_adjacency",
+                     "jones_component"):
             scan_nonvanishing(expr, case, [4, 6, 200])
-    assert len(calls) <= 9
+    assert len(calls) == 9
+
+
+def test_sweeps_build_the_coefficients_once_per_q(monkeypatch):
+    # the three sweeps of all six cases at two q build each q's tables
+    # once, the first time any of them asks.  A fresh cache counts from 0
+    built = []
+    real = identities._coefficients.__wrapped__
+    monkeypatch.setattr(identities, "_coefficients", cache(
+        lambda scheme, q: built.append(q) or real(scheme, q)))
+    for expr in ("nomura_symmetric_k", "jones_adjacency", "jones_component"):
+        for case in CASES:
+            scan_nonvanishing(expr, case, [8, 10])
+    assert built == [8, 10]
+
+
+@pytest.mark.parametrize("expr", ["nomura_symmetric_k", "jones_adjacency",
+                                  "jones_component"])
+def test_sweeps_reject_q_below_4(expr):
+    with pytest.raises(QTooSmall):
+        scan_nonvanishing(expr, "i", [2])
 
 
 def test_scan_rejects_unknown_expression():

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     component_labels_oracle,
     integer_table,
+    symmetry_values,
     y_inner,
     y_vector,
 )
 
 from bmhadamard.exactfield import QQ, TowerElement, adjoin_radical
 from bmhadamard.fastfield import flat_tower
+from bmhadamard.identities import symmetry_sums
 from bmhadamard.nomura import (
     JonesGraph,
     NotSymmetricAlgebra,
@@ -23,7 +25,6 @@ from bmhadamard.nomura import (
     jones_graph_for,
     jones_structure_report,
     nomura_dimension,
-    symmetry_values,
     triangle_counters,
 )
 from bmhadamard.scheme import field_scheme, parametric_scheme
@@ -99,7 +100,9 @@ def test_dimension_two_for_all_families(key, families_q4):
 def test_symmetry_precondition_values(families_q4):
     for key in (("iv", 1, 1), ("vi", 1, 1), ("vi", -1, 1)):
         fam = families_q4[key]
+        # the integer sums and the tower values agree that none is zero
         assert check_symmetric(fam)
+        assert all(any(s) for s in symmetry_sums(fam))
         assert all(not v.is_zero() for v in symmetry_values(fam))
 
 
@@ -136,8 +139,12 @@ def test_forced_zero_symmetry_control():
     w = [one, x, one, one]
     fake = WeightFamily("i", 4, 1, 1, d2, w, [v.inverse() for v in w],
                         None)
+    # the tower value vanishes, and the integer sums over the hand-built
+    # family's own term table vanish exactly where the tower values do
     vals = symmetry_values(fake)
-    assert vals[0].is_zero()
+    assert vals[0].is_zero() and not vals[2].is_zero()
+    assert [not any(s) for s in symmetry_sums(fake)] == \
+        [v.is_zero() for v in vals]
     assert not check_symmetric(fake)
     with pytest.raises(NotSymmetricAlgebra):
         nomura_dimension(TypeIIMatrix(fake))
