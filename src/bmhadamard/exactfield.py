@@ -151,12 +151,25 @@ def _scale(x, c):
 
 
 def _mul(levels, depth, x, y):
-    # (a + b t)(c + d t) = ac + bd s + (ad + bc) t  with t^2 = s
+    # (a + b t)(c + d t) = ac + bd s + (ad + bc) t  with t^2 = s.
+    # A zero half skips the products it enters: (a + 0t)(c + dt) =
+    # ac + ad t, (a + bt)(c + 0t) = ac + bc t, and (ac, 0) when both are
+    # zero.  This is exact: a product with a zero factor is zero in any
+    # ring, and every base (Fraction, RatQ, PolyQ) keeps its values
+    # reduced, with the zero falsy, so the rep is the one the full
+    # product gives.  Every element lifted from a lower level has a zero
+    # top half.
     if depth == 0:
         return x * y
     a, b = x
     c, d = y
     low = depth - 1
+    if _is_zero(b):
+        if _is_zero(d):
+            return (_mul(levels, low, a, c), b)
+        return (_mul(levels, low, a, c), _mul(levels, low, a, d))
+    if _is_zero(d):
+        return (_mul(levels, low, a, c), _mul(levels, low, b, c))
     ac = _mul(levels, low, a, c)
     bd = _mul(levels, low, b, d)
     ad_bc = _add(_mul(levels, low, a, d), _mul(levels, low, b, c))

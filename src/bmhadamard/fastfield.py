@@ -3,11 +3,13 @@
 A depth-k tower is a Q-algebra of dimension D = 2**k with basis the
 products of the adjoined roots; multiplication is bilinear with
 *rational* structure constants (the radicand s of each upper level,
-t^2 = s, expands over the basis).  Elements here are (tuple-of-D ints,
-positive int denominator), or integer vectors over one shared
-denominator; results convert back to TowerElement losslessly.  There is
-one product kernel, ``FlatTower.int_mul``, over the nonzero structure
-constants ``triples``; ``mul`` is that product with a gcd strip.
+t^2 = s, expands over the basis).  ``FlatTower`` builds them level by
+level from the radicands' coordinates, with no tower product.
+Elements here are (tuple-of-D ints, positive int denominator), or
+integer vectors over one shared denominator; results convert back to
+TowerElement losslessly.  There is one product kernel,
+``FlatTower.int_mul``, over the nonzero structure constants
+``triples``; ``mul`` is that product with a gcd strip.
 ``flat_tower(desc)`` builds one ``FlatTower`` per descriptor.  Two
 places call ``int_coords``: ``typeii.WeightFamily.coords``, once per
 family, whose ``ratio_table`` every certificate of a family reads, and
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 
-from .exactfield import TowerElement
+from .exactfield import TowerElement, _flatten
 
 
 class FlatTower:
@@ -58,23 +60,30 @@ class FlatTower:
     def __init__(self, desc):
         self.desc = desc
         self.dim = desc.degree
-        basis = []
-        for mask in range(self.dim):
-            el = TowerElement.rational(1, desc)
-            for lvl in range(desc.depth):
-                if mask >> lvl & 1:
-                    el = el * _level_generator(desc, lvl)
-            basis.append(el)
-        self.basis = basis
+        # level j's radicand s_j = t_j^2, over the basis of levels below j
+        self.radicands = [tuple(_flatten(s, [])) for s in desc.levels]
+        # table[a][b] holds the coordinates of e_a * e_b, where e_mask is
+        # the product of the level generators t_j with bit j of mask set.
+        # Level j doubles the table: for a, b below 2^j, e_a e_b is in the
+        # tower below, e_a (e_b t_j) = (e_a e_b) t_j, and
+        # (e_a t_j)(e_b t_j) = (e_a e_b) s_j, expanded by the table below
+        table = [[(1,)]]
+        for s in self.radicands:
+            zero = (0,) * len(table)
+            times_s = [_combine(s, row) for row in table]  # e_m * s_j
+            table = ([[v + zero for v in row] + [zero + v for v in row]
+                      for row in table]
+                     + [[zero + v for v in row]
+                        + [_combine(v, times_s) + zero for v in row]
+                        for row in table])
         # the nonzero structure constants (i, j, k, t), in (i, j, k) order:
-        # basis_i * basis_j = (1/tden) * sum over k of t e_k
-        products = [(i, j, (bi * bj).coefficients())
-                    for i, bi in enumerate(basis)
-                    for j, bj in enumerate(basis)]
-        self.tden = tden = lcm(*(c.denominator for _, _, vec in products
-                                 for c in vec))
+        # e_i * e_j = (1/tden) * sum over k of t e_k
+        self.tden = tden = lcm(*(c.denominator for row in table
+                                 for vec in row for c in vec))
         self.zero = (0,) * self.dim
-        self.triples = [(i, j, k, int(c * tden)) for i, j, vec in products
+        self.triples = [(i, j, k, c.numerator * (tden // c.denominator))
+                        for i, row in enumerate(table)
+                        for j, vec in enumerate(row)
                         for k, c in enumerate(vec) if c]
 
     # -- conversions ------------------------------------------------------
@@ -120,8 +129,7 @@ class FlatTower:
         image of s is zero or not a square mod p.
         """
         img = [1]
-        for j, ls in enumerate(self.desc.levels):
-            sc = TowerElement(self.desc.prefix(j), ls).coefficients()
+        for sc in self.radicands:
             s = _residue(sc, img, p)
             r = None if s is None else _sqrt_mod(s, p)
             if r is None:
@@ -180,10 +188,10 @@ class FlatTower:
 def flat_tower(desc):
     """The one ``FlatTower`` of a descriptor.
 
-    Building one costs dim**2 tower products, and a tower is never
-    mutated, so every caller shares it: ``typeii.WeightFamily.coords``,
-    through which the certificates of a family read it, and
-    ``typeii.span_condition``.
+    Building one reads the radicands' coordinates once and forms no tower
+    product (``FlatTower.__init__``).  A tower is never mutated, so every
+    caller shares it: ``typeii.WeightFamily.coords``, through which the
+    certificates of a family read it, and ``typeii.span_condition``.
     """
     return FlatTower(desc)
 
@@ -225,8 +233,15 @@ def _sqrt_mod(a, p):
     return r
 
 
-def _level_generator(desc, lvl):
-    return TowerElement.generator(desc.prefix(lvl + 1)).lift(desc)
+def _combine(coeffs, vectors):
+    """The coordinates of sum over n of coeffs[n] * vectors[n]."""
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(vec):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
 
 
 def _unflatten(coeffs, depth):

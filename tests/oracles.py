@@ -3,11 +3,12 @@ checked against.  No verdict of the package rests on them."""
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from bmhadamard.exactfield import (
     Reducible,
     TowerElement,
+    _add,
     adjoin_radical,
     is_real,
 )
@@ -178,6 +179,51 @@ def beta_products_oracle(family):
         beta_p = sum((w * p for w, p in zip(family.inverses, row)), zero)
         out.append(beta * beta_p == family.n)
     return out
+
+
+def schoolbook_mul(levels, depth, x, y):
+    """The product of two nested reps of a tower with every half product
+    formed, zero halves included: (a + b t)(c + d t) = ac + bd s +
+    (ad + bc) t with t^2 = s, down to the base."""
+    if depth == 0:
+        return x * y
+    a, b = x
+    c, d = y
+    low = depth - 1
+    ac = schoolbook_mul(levels, low, a, c)
+    bd = schoolbook_mul(levels, low, b, d)
+    ad_bc = _add(schoolbook_mul(levels, low, a, d),
+                 schoolbook_mul(levels, low, b, c))
+    return (_add(ac, schoolbook_mul(levels, low, bd, levels[low])), ad_bc)
+
+
+def tower_basis(desc):
+    """The basis of a tower over Q as elements: e_mask is the product of
+    the level generators t_j with bit j of mask set, by schoolbook
+    products."""
+    basis = []
+    for mask in range(desc.degree):
+        rep = TowerElement.rational(1, desc).rep
+        for lvl in range(desc.depth):
+            if mask >> lvl & 1:
+                gen = TowerElement.generator(desc.prefix(lvl + 1)).lift(desc)
+                rep = schoolbook_mul(desc.levels, desc.depth, rep, gen.rep)
+        basis.append(TowerElement(desc, rep))
+    return basis
+
+
+def structure_constants_oracle(desc):
+    """(triples, tden) of ``FlatTower(desc)`` from the dim**2 schoolbook
+    products of ``tower_basis``: e_i * e_j = (1/tden) * sum over k of
+    t e_k, for the nonzero t, in (i, j, k) order."""
+    basis = tower_basis(desc)
+    products = [(i, j, TowerElement(desc, schoolbook_mul(
+                    desc.levels, desc.depth, bi.rep, bj.rep)).coefficients())
+                for i, bi in enumerate(basis) for j, bj in enumerate(basis)]
+    tden = lcm(*(c.denominator for _, _, vec in products for c in vec))
+    triples = [(i, j, k, int(c * tden)) for i, j, vec in products
+               for k, c in enumerate(vec) if c]
+    return triples, tden
 
 
 def pack_oracle(values, s):

@@ -11,6 +11,7 @@ from bmhadamard.exactfield import (
     Reducible,
     TowerDescriptor,
     TowerElement,
+    _mul,
     adjoin_radical,
     complex_conj,
     element_sign,
@@ -22,8 +23,9 @@ from bmhadamard.exactfield import (
     squarefree_decompose,
 )
 from bmhadamard.intervals import abs_is_one, complex_embed
+from bmhadamard.ratfunc import RF_DESC, RING_DESC, PolyQ, RatQ
 from bmhadamard.typeii import all_families
-from oracles import element_sign_oracle
+from oracles import element_sign_oracle, schoolbook_mul
 
 
 def sqrt_field(m):
@@ -274,6 +276,46 @@ def test_equal_elements_hash_alike(x):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+# -- the product against the schoolbook oracle --------------------------------
+
+small_poly = st.lists(small_fraction, max_size=3).map(PolyQ)
+BASE_VALUES = {
+    Fraction: small_fraction,
+    PolyQ: small_poly,
+    RatQ: st.builds(RatQ, small_poly, small_poly.filter(bool)),
+}
+
+
+@st.composite
+def product_operands(draw, desc):
+    """A rep of ``desc``: half the time a full one, else one lifted from
+    a lower level or a multiple of the top generator, whose zero halves
+    send ``_mul`` down each of its skip branches."""
+    def rep(depth):
+        return nest(tuple(draw(st.lists(BASE_VALUES[desc.base],
+                                        min_size=1 << depth,
+                                        max_size=1 << depth))))
+
+    shape = draw(st.sampled_from(("full", "full", "lifted", "top")))
+    if desc.depth == 0 or shape == "full":
+        return rep(desc.depth)
+    low = desc.prefix(desc.depth - 1)
+    if shape == "top":
+        return (TowerElement.rational(0, low).rep, rep(low.depth))
+    below = desc.prefix(draw(st.integers(0, desc.depth - 1)))
+    return TowerElement(below, rep(below.depth)).lift(desc).rep
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_equals_the_schoolbook_product(data):
+    desc = data.draw(st.sampled_from(DESCS + [RF_DESC, RING_DESC]))
+    x = data.draw(product_operands(desc))
+    y = data.draw(product_operands(desc))
+    assert _mul(desc.levels, desc.depth, x, y) == \
+        schoolbook_mul(desc.levels, desc.depth, x, y)
 
 
 # -- exact signs against the enclosure oracle ---------------------------------

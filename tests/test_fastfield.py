@@ -17,8 +17,16 @@ from bmhadamard.fastfield import (
     primes,
     sparse_rank,
 )
-from bmhadamard.typeii import family_coefficients
-from oracles import echelon_mod_p_oracle, kernel_mod_p_oracle, pack_oracle
+from bmhadamard.typeii import all_families, family_coefficients
+from oracles import (
+    echelon_mod_p_oracle,
+    kernel_mod_p_oracle,
+    pack_oracle,
+    schoolbook_mul,
+    structure_constants_oracle,
+    tower_basis,
+)
+from test_exactfield import _depth3_descriptor
 
 
 def towers():
@@ -35,11 +43,12 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 def pairs(draw):
     desc = DESCS[draw(st.sampled_from((0, 1)))]
     flat = FlatTower(desc)
+    basis = tower_basis(desc)
 
     def elem():
         coeffs = [draw(small) for _ in range(desc.degree)]
         num = TowerElement.rational(0, desc)
-        for c, b in zip(coeffs, flat.basis):
+        for c, b in zip(coeffs, basis):
             num = num + b * c
         return num
 
@@ -80,14 +89,32 @@ def test_embedding_is_a_ring_map(data):
 def test_structure_constants_are_exact():
     fam = family_coefficients("vi", 4, 1, 1)
     flat = FlatTower(fam.desc)
-    # basis products expand rationally: reconstruct b_i * b_j both ways
+    basis = tower_basis(fam.desc)
+    # basis products expand rationally: reconstruct b_i * b_j both ways,
+    # the product by the schoolbook oracle, not by TowerElement's own
     recon = {(i, j): TowerElement.rational(0, fam.desc)
              for i in range(flat.dim) for j in range(flat.dim)}
     for i, j, k, t in flat.triples:
-        recon[i, j] = recon[i, j] + flat.basis[k] * Fraction(t, flat.tden)
-    for i, bi in enumerate(flat.basis):
-        for j, bj in enumerate(flat.basis):
-            assert recon[i, j] == bi * bj
+        recon[i, j] = recon[i, j] + basis[k] * Fraction(t, flat.tden)
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            prod = schoolbook_mul(fam.desc.levels, fam.desc.depth,
+                                  bi.rep, bj.rep)
+            assert recon[i, j] == TowerElement(fam.desc, prod)
+
+
+def test_level_built_constants_equal_the_product_oracle():
+    """triples and tden, built level by level from the radicands, equal
+    those of the dim**2 basis products on every family descriptor at
+    even q in [4, 400] and at q = 10**6, whose depth-2 towers of vi have
+    13-digit radicands, and on Q and a depth-3 tower."""
+    descs = {fam.desc for q in [*range(4, 401, 2), 10 ** 6]
+             for fam in all_families(q)}
+    descs |= {QQ, _depth3_descriptor()}
+    assert {d.depth for d in descs} == {0, 1, 2, 3}
+    for desc in descs:
+        flat = FlatTower(desc)
+        assert (flat.triples, flat.tden) == structure_constants_oracle(desc)
 
 
 def test_primes_are_the_odd_primes_below_2_24_descending():

@@ -10,6 +10,7 @@ from oracles import (
     family_division_oracle,
     lift_per_coordinate_oracle,
     phi_oracle,
+    tower_basis,
 )
 
 from bmhadamard import typeii
@@ -672,7 +673,7 @@ def span_inputs(draw):
                 for j in range(n)], desc
     desc = draw(st.sampled_from(SPAN_TOWERS))
     n = draw(st.integers(3, 5))
-    basis = FlatTower(desc).basis
+    basis = tower_basis(desc)
     coord = st.one_of(st.just(0), st.integers(-3, 3),
                       st.fractions(-2, 2, max_denominator=3))
 
@@ -702,7 +703,7 @@ def test_real_subfield_matrix_factors_the_generator_matrix(desc, n, data):
     a0 + t a1 and -a0 + t a1 = -sigma(a); over Q, A = B M with the block
     [1, -1], so B has one column per pair.  B holds A's rows (w, v) with
     v < n - 1, v from n - 2 down, then w, times one positive scale."""
-    basis = FlatTower(desc).basis
+    basis = tower_basis(desc)
     coord = st.one_of(st.just(0), st.integers(-3, 3),
                       st.fractions(-2, 2, max_denominator=3))
     dense = [[sum((b * data.draw(coord) for b in basis),
@@ -886,7 +887,7 @@ def rank_one_over_vi():
     """A rank-one 4 x 4 H over vi r+'s tower, where K0 = Q(r) has degree
     2: its span rank is below both (n-1)^2 and the column count."""
     desc = family_coefficients("vi", 4, 1, 1).desc
-    b = FlatTower(desc).basis
+    b = tower_basis(desc)
     u = [b[0] + j * b[1] for j in range(1, 5)]
     v = [b[0] * (k + 1) + b[2] - k * b[3] for k in range(4)]
     return [[x * y for y in v] for x in u], desc
